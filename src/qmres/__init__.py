@@ -2,69 +2,14 @@
 with cross-checks against generalized hypergeometric coefficients and the
 associated differential-operator annihilation."""
 
-from .exactnum import EpsSeries, Rational, is_unit, series_coefficient
-from .givode import XEPoly, apply_operator, build_solution, verify_annihilation
-from .quasimap import (
-    IntersectionResult,
-    Query,
-    build_integrand,
-    build_integrand_fano,
-    build_integrand_general,
-    ek_factor,
-    eval_cascade,
-    eval_direct,
-    formal_two_point,
-    hori_expand,
-    hypergeom_series,
-    leading_closed_form,
-    verify_theorem,
-)
-from .resengine import (
-    EngineError,
-    LinearForm,
-    RatExpr,
-    Term,
-    homogeneity_degree,
-    iterated_residue,
-    make_term,
-    residue_at_form_root,
-    residue_at_zero,
-    substitute,
-)
+from .quasimap import Query, eval_cascade, eval_direct, hypergeom_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EpsSeries",
-    "Rational",
-    "is_unit",
-    "series_coefficient",
-    "XEPoly",
-    "apply_operator",
-    "build_solution",
-    "verify_annihilation",
-    "IntersectionResult",
     "Query",
-    "build_integrand",
-    "build_integrand_fano",
-    "build_integrand_general",
-    "ek_factor",
-    "eval_cascade",
     "eval_direct",
-    "formal_two_point",
-    "hori_expand",
+    "eval_cascade",
     "hypergeom_series",
-    "leading_closed_form",
-    "verify_theorem",
-    "EngineError",
-    "LinearForm",
-    "RatExpr",
-    "Term",
-    "homogeneity_degree",
-    "iterated_residue",
-    "make_term",
-    "residue_at_form_root",
-    "residue_at_zero",
-    "substitute",
     "__version__",
 ]

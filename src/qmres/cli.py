@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import givode
@@ -128,20 +129,30 @@ def write_output(text: str, path: str | None):
 # ---------------------------------------------------------------- cache
 
 
-def load_cache(path: str | None) -> dict[tuple, dict]:
-    cache: dict[tuple, dict] = {}
+def load_cache(path: str | None) -> dict[tuple, Fraction]:
+    """Map each cached record's key to its ``lhs``, the only value trusted.
+
+    Every other field is re-derived by the caller.  A malformed line raises
+    ValueError naming ``path:line``.
+    """
+    cache: dict[tuple, Fraction] = {}
     if path and os.path.exists(path):
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                cache[record_key(rec)] = rec
+                try:
+                    rec = json.loads(line)
+                    cache[record_key(rec)] = Fraction(rec["lhs"])
+                except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: malformed cache record: {exc}"
+                    ) from None
     return cache
 
 
-def append_cache(path: str | None, cache: dict[tuple, dict], records: list[dict]):
+def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[dict]):
     if not path:
         return
     fresh = [rec for rec in records if record_key(rec) not in cache]
@@ -156,21 +167,26 @@ def append_cache(path: str | None, cache: dict[tuple, dict], records: list[dict]
 # ---------------------------------------------------------------- tasks
 
 
-def _verify_task(task: tuple[int, int, int, int]) -> list[dict]:
+def _verify_task(
+    task: tuple[int, int, int, int], direct: list[Fraction] | None = None
+) -> list[dict]:
     N, k, d, j_max = task
-    results = verify_theorem(Query(N, k, d, j_max=j_max))
+    results = verify_theorem(Query(N, k, d, j_max=j_max), direct)
     return [record_from_result(r) for r in results]
 
 
-def _compute_records(q: Query, evaluators: list[str]) -> list[dict]:
+def _compute_records(
+    q: Query, evaluators: list[str], cache: dict[tuple, Fraction]
+) -> list[dict]:
     assert q.j is not None
     hyper = hypergeom_series(q.N, q.k, q.d, q.j)
     rhs = hyper.coefficient(q.j)
     records = []
     for evaluator in evaluators:
-        if evaluator == "direct":
+        lhs = cache.get((q.N, q.k, q.d, q.j, q.regime, evaluator))
+        if lhs is None and evaluator == "direct":
             lhs = eval_direct(q)
-        else:
+        elif lhs is None:
             lhs = eval_cascade(replace(q, j_max=q.j)).coefficient(q.j)
         result = IntersectionResult(
             query=q,
@@ -221,28 +237,28 @@ def cmd_verify(args, parser) -> int:
                     tasks.append((N, k, d, args.jmax))
     tasks.sort()
     cache = load_cache(args.cache)
-    cached_rows = {t: _cached_task(cache, t) for t in tasks}
-    pending = [t for t in tasks if cached_rows[t] is None]
+    cached_lhs = {t: _cached_task(cache, t) for t in tasks}
+    pending = [t for t in tasks if cached_lhs[t] is None]
     fresh_by_task = dict(zip(pending, _run_tasks(pending, _verify_task, args.workers)))
     records: list[dict] = []
     for t in tasks:
-        rows = fresh_by_task[t] if t in fresh_by_task else cached_rows[t]
+        rows = fresh_by_task[t] if t in fresh_by_task else _verify_task(t, cached_lhs[t])
         records.extend(rows)
     append_cache(args.cache, cache, records)
     write_output(render_records(records, args.format, RECORD_FIELDS), args.output)
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
 
 
-def _cached_task(cache: dict, task: tuple) -> list[dict] | None:
+def _cached_task(cache: dict, task: tuple) -> list[Fraction] | None:
     N, k, d, j_max = task
     regime = FANO if k < N else GENERAL
-    rows = []
+    values = []
     for j in range(j_max + 1):
-        rec = cache.get((N, k, d, j, regime, "direct"))
-        if rec is None:
+        lhs = cache.get((N, k, d, j, regime, "direct"))
+        if lhs is None:
             return None
-        rows.append(rec)
-    return rows
+        values.append(lhs)
+    return values
 
 
 def cmd_compute(args, parser) -> int:
@@ -256,14 +272,7 @@ def cmd_compute(args, parser) -> int:
         )
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
     cache = load_cache(args.cache)
-    records, missing = [], []
-    for ev in evaluators:
-        rec = cache.get((q.N, q.k, q.d, q.j, q.regime, ev))
-        if rec is None:
-            missing.append(ev)
-        else:
-            records.append(rec)
-    records.extend(_compute_records(q, missing))
+    records = _compute_records(q, evaluators, cache)
     records.sort(key=record_key)
     append_cache(args.cache, cache, records)
     write_output(render_records(records, args.format, RECORD_FIELDS), args.output)
@@ -341,12 +350,24 @@ def cmd_bench(args, parser) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def worker_count(text: str) -> int:
+    """Parse a ``--workers`` value; only positive integers are accepted."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return count
+
+
 def default_workers() -> int:
+    """The worker count from ``QMRES_WORKERS``, 1 when it is unset or empty."""
     raw = os.environ.get(WORKERS_ENV, "")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return worker_count(raw) if raw else 1
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{WORKERS_ENV} {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
-        p.add_argument("--workers", type=int, default=default_workers())
+        p.add_argument("--workers", type=worker_count, default=None)
 
     p = sub.add_parser("compute", help="evaluate a single intersection number")
     p.add_argument("--N", type=int, required=True)
@@ -407,6 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad range syntax
         parser.error(str(exc))
     try:
+        if args.workers is None:
+            args.workers = default_workers()
         return args.func(args, parser)
     except ValueError as exc:
         parser.error(str(exc))

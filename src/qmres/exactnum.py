@@ -1,9 +1,8 @@
 """Exact coefficient rings.
 
-Every value in this package is either a ``Rational`` (the stdlib
-``fractions.Fraction``, re-exported here) or an :class:`EpsSeries`, a power
-series in one formal parameter ``e`` truncated at a fixed order.  The two
-types implement the same arithmetic surface, so the residue engine runs over
+Every value in this package is either a stdlib ``fractions.Fraction`` or an
+:class:`EpsSeries`, a power series in one formal parameter ``e`` truncated at
+a fixed order.  The two types implement the same arithmetic surface, so the residue engine runs over
 either ring unchanged.  No floating point is used anywhere.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1),
@@ -13,19 +12,9 @@ which is exactly what ``str(Fraction)`` produces.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-__all__ = [
-    "Rational",
-    "EpsSeries",
-    "Scalar",
-    "is_unit",
-    "series_coefficient",
-]
-
-Rational = Fraction
-
-Scalar = Union[Fraction, "EpsSeries"]
+__all__ = ["EpsSeries", "is_unit"]
 
 
 def is_unit(x) -> bool:
@@ -40,7 +29,7 @@ def is_unit(x) -> bool:
 
 
 class EpsSeries:
-    """A power series ``a_0 + a_1 e + ... + a_J e^J`` with Rational coefficients.
+    """A power series ``a_0 + a_1 e + ... + a_J e^J`` with Fraction coefficients.
 
     Arithmetic is exact modulo ``e^(J+1)``.  Binary operations between series
     of different truncation orders truncate to the smaller order; ints and
@@ -105,14 +94,6 @@ class EpsSeries:
                 f"coefficient {j} exceeds truncation order {self.order}"
             )
         return self._coeffs[j]
-
-    def truncate(self, order: int) -> "EpsSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return EpsSeries(self._coeffs[: order + 1])
-
-    def is_unit(self) -> bool:
-        return self._coeffs[0] != 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -266,8 +247,3 @@ class EpsSeries:
 
     def __repr__(self):
         return f"EpsSeries({[str(c) for c in self._coeffs]})"
-
-
-def series_coefficient(series: EpsSeries, j: int) -> Fraction:
-    """Extract the ``j``-th Taylor coefficient of a truncated series."""
-    return series.coefficient(j)

@@ -100,19 +100,6 @@ class XEPoly:
                 data[(a, e + 1)] = c
         return XEPoly.from_dict(data, self.e_max)
 
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        parts = []
-        for (a, e), c in self.entries:
-            bits = [str(c)]
-            if a:
-                bits.append("x" if a == 1 else f"x^{a}")
-            if e:
-                bits.append("exp(x)" if e == 1 else f"exp({e}x)")
-            parts.append("*".join(bits))
-        return " + ".join(parts)
-
 
 def build_solution(N: int, k: int, j: int, e_max: int) -> XEPoly:
     """The ``j``-th truncated solution built from the coefficient series.

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
+from typing import Sequence
 
 from .exactnum import EpsSeries
 from .resengine import (
@@ -46,8 +47,6 @@ __all__ = [
     "Query",
     "IntersectionResult",
     "ek_factor",
-    "build_integrand_fano",
-    "build_integrand_general",
     "build_integrand",
     "eval_direct",
     "eval_cascade",
@@ -114,6 +113,12 @@ class IntersectionResult:
     evaluator: str
 
 
+def _ek(u: int, v: int, k: int):
+    """The ``make_term`` arguments of :func:`ek_factor`, shared with the integrand."""
+    forms = [({u: Fraction(i), v: Fraction(k - i)}, 1, PLAIN) for i in range(1, k)]
+    return k * k, {u: 1, v: 1}, forms
+
+
 def ek_factor(u: int, v: int, k: int) -> Term:
     """The degree-(k+1) product ``prod_{i=0..k} (i z_u + (k-i) z_v)``.
 
@@ -125,86 +130,62 @@ def ek_factor(u: int, v: int, k: int) -> Term:
         raise ValueError("k must be at least 1")
     if u == v:
         raise ValueError("ek_factor needs two distinct variables")
-    term = make_term(
-        Fraction(k * k),
-        {u: 1, v: 1},
-        [({u: Fraction(i), v: Fraction(k - i)}, 1, PLAIN) for i in range(1, k)],
-    )
+    term = make_term(*_ek(u, v, k))
     assert term is not None
     return term
 
 
-def _base_pieces(q: Query, j: int):
-    """Shared factors of both integrands: monomials, Euler products, nodes."""
+def _piece(q: Query, level: int, power: int, pole: int, scale: int = 1) -> Term | None:
+    """``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the shared factors.
+
+    The shared factors are the Euler products ``e_k(z_{l-1}, z_l)``, the
+    measure ``prod z_l^-N`` and the middle node factors
+    ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``; their total coefficient is
+    ``k^(d+1)``.
+    """
     N, k, d = q.N, q.k, q.d
-    coeff = Fraction(1)
-    mono: dict[int, int] = {0: N - 2 - j}
-    forms: list[tuple] = []
+    coeff = Fraction(scale)
+    mono = {l: -N for l in range(d + 1)}
+    mono[0] += N - 2 - level
+    mono[d] -= pole
+    forms: list[tuple] = [({0: Fraction(-1), 1: Fraction(1)}, power, PLAIN)]
     for l in range(1, d + 1):
-        coeff *= k * k
-        mono[l - 1] = mono.get(l - 1, 0) + 1
-        mono[l] = mono.get(l, 0) + 1
-        forms.extend(
-            ({l - 1: Fraction(i), l: Fraction(k - i)}, 1, PLAIN)
-            for i in range(1, k)
-        )
-    for l in range(d + 1):
-        mono[l] = mono.get(l, 0) - N
+        c, ek_mono, ek_forms = _ek(l - 1, l, k)
+        coeff *= c
+        for v, e in ek_mono.items():
+            mono[v] += e
+        forms.extend(ek_forms)
     for l in range(1, d):
         coeff /= k
-        mono[l] = mono.get(l, 0) - 1
+        mono[l] -= 1
         forms.append(
             ({l - 1: Fraction(-1), l: Fraction(2), l + 1: Fraction(-1)}, -1, node_tag(l))
         )
-    return coeff, mono, forms
-
-
-def build_integrand_fano(q: Query) -> RatExpr:
-    """The fano-regime integrand for a fixed descendant level ``q.j``.
-
-    Homogeneous of degree ``-(d+1)``; one term, since every factor is a
-    monomial or a linear-form power.
-    """
-    if q.regime != FANO:
-        raise ValueError(f"query {q} is not in the fano regime")
-    if q.j is None:
-        raise ValueError("fixed-j integrand needs q.j")
-    coeff, mono, forms = _base_pieces(q, q.j)
-    sigma = (q.N - q.k) * q.d + q.j - 1
-    if sigma:
-        forms.append(({0: Fraction(-1), 1: Fraction(1)}, sigma, PLAIN))
-    return RatExpr.of(range(q.d + 1), [make_term(coeff, mono, forms)])
-
-
-def build_integrand_general(q: Query) -> RatExpr:
-    """The general-regime integrand for a fixed descendant level ``q.j``.
-
-    Carries the extra ``z_d^(-m)`` and the degree-0 insertion factor
-    ``(d + z_0/(z_1-z_0))^m``, expanded binomially into ``m+1`` terms
-    ``C(m,i) d^(m-i) z_0^i (z_1-z_0)^(-i)``.  The exponent ``j - i`` on the
-    plain form ``(z_1 - z_0)`` may be negative; such terms carry no pole at
-    ``z_0 = 0`` and die in the first residue step.
-    """
-    if q.regime != GENERAL:
-        raise ValueError(f"query {q} is not in the general regime")
-    if q.j is None:
-        raise ValueError("fixed-j integrand needs q.j")
-    m = q.m
-    assert m is not None
-    terms = []
-    for i in range(m + 1):
-        coeff, mono, forms = _base_pieces(q, q.j)
-        coeff *= comb(m, i) * q.d ** (m - i)
-        mono[0] = mono.get(0, 0) + i
-        mono[q.d] = mono.get(q.d, 0) - m
-        if q.j - i:
-            forms.append(({0: Fraction(-1), 1: Fraction(1)}, q.j - i, PLAIN))
-        terms.append(make_term(coeff, mono, forms))
-    return RatExpr.of(range(q.d + 1), terms)
+    return make_term(coeff, mono, forms)
 
 
 def build_integrand(q: Query) -> RatExpr:
-    return build_integrand_fano(q) if q.regime == FANO else build_integrand_general(q)
+    """The integrand for a fixed descendant level ``q.j``.
+
+    Homogeneous of degree ``-(d+1)``.  With ``m = 1 + (k-N) d``, the fano
+    integrand is the single piece with ``(z_1-z_0)^(j-m)``.  The general one
+    carries the extra ``z_d^(-m)`` and the degree-0 insertion factor
+    ``(d + z_0/(z_1-z_0))^m``, expanded binomially into ``m+1`` terms
+    ``C(m,i) d^(m-i)`` times the bare piece at level ``j-i``.  The exponent
+    ``j - i`` on the plain form ``(z_1 - z_0)`` may be negative; such terms
+    carry no pole at ``z_0 = 0`` and die in the first residue step.
+    """
+    if q.j is None:
+        raise ValueError("fixed-j integrand needs q.j")
+    j, m = q.j, 1 + (q.k - q.N) * q.d
+    if q.regime == FANO:
+        terms = [_piece(q, j, j - m, 0)]
+    else:
+        terms = [
+            _piece(q, j - i, j - i, m, comb(m, i) * q.d ** (m - i))
+            for i in range(m + 1)
+        ]
+    return RatExpr.of(range(q.d + 1), terms)
 
 
 def eval_direct(q: Query) -> Fraction:
@@ -277,13 +258,7 @@ def formal_two_point(q: Query, j_prime: int) -> Fraction:
         raise ValueError(f"query {q} is not in the general regime")
     if j_prime < 0:
         raise ValueError("j_prime must be non-negative")
-    m = q.m
-    assert m is not None
-    coeff, mono, forms = _base_pieces(q, j_prime)
-    mono[q.d] = mono.get(q.d, 0) - m
-    if j_prime:
-        forms.append(({0: Fraction(-1), 1: Fraction(1)}, j_prime, PLAIN))
-    expr = RatExpr.of(range(q.d + 1), [make_term(coeff, mono, forms)])
+    expr = RatExpr.of(range(q.d + 1), [_piece(q, j_prime, j_prime, q.m)])
     value = iterated_residue(expr)
     assert isinstance(value, Fraction)
     return value
@@ -307,13 +282,17 @@ def hori_expand(q: Query) -> Fraction:
     return total
 
 
-def verify_theorem(q: Query) -> list[IntersectionResult]:
+def verify_theorem(
+    q: Query, direct: Sequence[Fraction] | None = None
+) -> list[IntersectionResult]:
     """Check the intersection-number equality for every ``j <= q.j_max``.
 
     For each level the direct residue value, the matching coefficient of the
     cascade generating function, and the hypergeometric coefficient are
     compared; ``match`` requires all three to agree exactly.  A mismatch is
-    a reported result, not an error.
+    a reported result, not an error.  ``direct`` supplies already known
+    ``eval_direct`` values (read from a cache) in place of recomputing them;
+    the cascade and hypergeometric checks run either way.
     """
     if q.j_max is None:
         raise ValueError("verify_theorem needs q.j_max")
@@ -322,7 +301,7 @@ def verify_theorem(q: Query) -> list[IntersectionResult]:
     results = []
     for j in range(q.j_max + 1):
         qj = replace(q, j=j)
-        lhs = eval_direct(qj)
+        lhs = eval_direct(qj) if direct is None else direct[j]
         lhs_over_k = lhs / q.k
         rhs = hyper.coefficient(j)
         match = lhs_over_k == rhs and cascade.coefficient(j) == lhs

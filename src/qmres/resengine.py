@@ -1,7 +1,7 @@
 """Symbolic engine for homogeneous multivariate rational expressions.
 
 Expressions live in variables ``z_0 .. z_d`` over an exact coefficient ring
-(Rational or EpsSeries).  Each expression is a sum of terms of the shape
+(Fraction or EpsSeries).  Each expression is a sum of terms of the shape
 
     coeff * z_0^a_0 * ... * z_d^a_d * prod_s (linear form_s)^p_s
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .exactnum import EpsSeries, is_unit
 
@@ -56,7 +56,6 @@ __all__ = [
     "default_pole_sites",
     "iterated_residue",
     "lift_to_series",
-    "expand",
 ]
 
 Coeff = Union[Fraction, EpsSeries, int]
@@ -175,12 +174,6 @@ class Term:
                 return e
         return 0
 
-    def variables(self) -> set[int]:
-        out = {v for v, _ in self.mono}
-        for f, _ in self.forms:
-            out.update(f.support())
-        return out
-
     def sort_key(self):
         return (
             self.mono,
@@ -222,6 +215,14 @@ class _TermBuilder:
         if power == 0:
             return
         self._merge(form.coeffs, form.origin, power)
+
+    def mul_factors(self, mono: Mapping[int, int] | None, forms: Iterable[tuple]):
+        """Multiply by a monomial and ``(mapping, power[, origin])`` form items."""
+        if mono:
+            for v, e in mono.items():
+                self.mul_mono(v, e)
+        for mapping, power, *origin in forms:
+            self.mul_form(mapping, power, *origin)
 
     def mul_form(self, mapping: Mapping[int, Coeff], power: int, origin: str = PLAIN):
         """Multiply by ``(sum_v mapping[v] z_v)^power``, normalizing first."""
@@ -301,16 +302,7 @@ def make_term(
     Returns None when the term is identically zero.
     """
     b = _TermBuilder(coeff)
-    if mono:
-        for v, e in mono.items():
-            b.mul_mono(v, e)
-    for item in forms:
-        if len(item) == 2:
-            mapping, power = item
-            origin = PLAIN
-        else:
-            mapping, power, origin = item
-        b.mul_form(mapping, power, origin)
+    b.mul_factors(mono, forms)
     return b.build()
 
 
@@ -366,9 +358,6 @@ class RatExpr:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "RatExpr":
-        return self * -1
-
     def mul_term(
         self,
         coeff: Coeff = 1,
@@ -382,16 +371,7 @@ class RatExpr:
             b.mono = dict(t.mono)
             for f, p in t.forms:
                 b.mul_canonical(f, p)
-            if mono:
-                for v, e in mono.items():
-                    b.mul_mono(v, e)
-            for item in forms:
-                if len(item) == 2:
-                    mapping, power = item
-                    origin = PLAIN
-                else:
-                    mapping, power, origin = item
-                b.mul_form(mapping, power, origin)
+            b.mul_factors(mono, forms)
             out.append(b.build())
         return RatExpr.of(self.live_vars, out)
 
@@ -645,12 +625,7 @@ def residue_at_form_root(
     return RatExpr.of(live, out)
 
 
-PoleSite = Union[str, LinearForm]
-
-Prescription = Callable[[RatExpr, int, int], Sequence[PoleSite]]
-
-
-def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[PoleSite]:
+def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[str | LinearForm]:
     """The pole set of one integration step.
 
     Ascending-order integration takes residues at ``z_i = 0`` for the first
@@ -658,7 +633,7 @@ def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[PoleSite]:
     ``node(i)`` denominator descendants for the middle steps.  When the
     expression carries a deformation factor, its root joins the step-0 set.
     """
-    sites: list[PoleSite] = ["zero"]
+    sites: list[str | LinearForm] = ["zero"]
     if step == 0:
         sites.extend(expr.denominator_forms(DEFORMATION))
     elif step < last:
@@ -682,7 +657,7 @@ def _check_step_invariants(expr: RatExpr, step: int, last: int):
                     )
 
 
-def iterated_residue(expr: RatExpr, prescription: Prescription | None = None):
+def iterated_residue(expr: RatExpr):
     """Integrate all variables in ascending index order and return the constant.
 
     Preconditions: the live variables are exactly ``0..d`` and the expression
@@ -704,13 +679,10 @@ def iterated_residue(expr: RatExpr, prescription: Prescription | None = None):
         )
     zero = expr.terms[0].coeff * 0
     current = expr
-    rule = prescription if prescription is not None else default_pole_sites
     for step in range(last + 1):
         total: RatExpr | None = None
-        for site in rule(current, step, last):
+        for site in default_pole_sites(current, step, last):
             if isinstance(site, str):
-                if site != "zero":
-                    raise PrescriptionError(f"unknown pole site {site!r}")
                 part = residue_at_zero(current, step)
             else:
                 part = residue_at_form_root(current, step, site)
@@ -737,52 +709,13 @@ def iterated_residue(expr: RatExpr, prescription: Prescription | None = None):
 
 
 def lift_to_series(expr: RatExpr, order: int) -> RatExpr:
-    """Re-coefficient an expression into the truncated-series ring."""
-
-    def lift(x):
-        if isinstance(x, EpsSeries):
-            return x.truncate(order) if x.order > order else x
-        return EpsSeries.constant(x, order)
-
+    """Re-coefficient an expression over Fraction into the truncated-series ring."""
     out = []
     for t in expr.terms:
-        b = _TermBuilder(lift(t.coeff))
+        b = _TermBuilder(EpsSeries.constant(t.coeff, order))
         b.mono = dict(t.mono)
         for f, p in t.forms:
-            b.mul_form({v: lift(c) for v, c in f.coeffs}, p, f.origin)
+            b.mul_form({v: EpsSeries.constant(c, order) for v, c in f.coeffs}, p, f.origin)
         out.append(b.build())
     return RatExpr.of(expr.live_vars, out)
 
-
-def expand(expr: RatExpr) -> dict[tuple[tuple[int, int], ...], Coeff]:
-    """Multiply out all numerator forms into a monomial-to-coefficient map.
-
-    Only valid when no denominator forms are present; used by tests to check
-    polynomial identities.
-    """
-    total: dict[tuple, Coeff] = {}
-    for t in expr.terms:
-        acc = {t.mono: t.coeff}
-        for f, p in t.forms:
-            if p < 0:
-                raise ValueError("cannot expand an expression with denominators")
-            for _ in range(p):
-                nxt: dict[tuple, Coeff] = {}
-                for mono, coeff in acc.items():
-                    md = dict(mono)
-                    for v, c in f.coeffs:
-                        m2 = dict(md)
-                        m2[v] = m2.get(v, 0) + 1
-                        key = tuple(sorted((vv, ee) for vv, ee in m2.items() if ee))
-                        val = coeff * c
-                        if key in nxt:
-                            nxt[key] = nxt[key] + val
-                        else:
-                            nxt[key] = val
-                acc = nxt
-        for key, val in acc.items():
-            if key in total:
-                total[key] = total[key] + val
-            else:
-                total[key] = val
-    return {k: v for k, v in total.items() if not _is_zero(v)}

@@ -1,4 +1,5 @@
-"""Shared test utilities: the brute-force residue oracle and random instances.
+"""Shared test utilities: the brute-force residue oracle, random instances and
+the polynomial expansion of numerator-only expressions.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -101,3 +102,37 @@ def scalar_value(expr: RatExpr) -> Fraction:
         assert not t.forms, f"unexpected surviving form in {t}"
         total += t.coeff
     return total
+
+
+def expand(expr: RatExpr) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    """Multiply out all numerator forms into a monomial-to-coefficient map.
+
+    Only valid when no denominator forms are present; used to check polynomial
+    identities.
+    """
+    total: dict[tuple, Fraction] = {}
+    for t in expr.terms:
+        acc = {t.mono: t.coeff}
+        for f, p in t.forms:
+            if p < 0:
+                raise ValueError("cannot expand an expression with denominators")
+            for _ in range(p):
+                nxt: dict[tuple, Fraction] = {}
+                for mono, coeff in acc.items():
+                    md = dict(mono)
+                    for v, c in f.coeffs:
+                        m2 = dict(md)
+                        m2[v] = m2.get(v, 0) + 1
+                        key = tuple(sorted((vv, ee) for vv, ee in m2.items() if ee))
+                        val = coeff * c
+                        if key in nxt:
+                            nxt[key] = nxt[key] + val
+                        else:
+                            nxt[key] = val
+                acc = nxt
+        for key, val in acc.items():
+            if key in total:
+                total[key] = total[key] + val
+            else:
+                total[key] = val
+    return {k: v for k, v in total.items() if v}

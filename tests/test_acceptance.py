@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     engine_expression,
+    expand,
     oracle_residue,
     random_pole_instance,
     scalar_value,
@@ -32,7 +33,6 @@ from qmres.quasimap import (
 from qmres.resengine import (
     RatExpr,
     default_pole_sites,
-    expand,
     homogeneity_degree,
     residue_at_form_root,
     residue_at_zero,

@@ -143,6 +143,54 @@ class TestCache:
         assert out1 == out2
         assert len(cache.read_text().splitlines()) == 1
 
+    def test_tampered_value_fails_verify(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for j in ("0", "1"):
+            run_cli(capsys, "compute", "--N", "3", "--k", "2", "--d", "1",
+                    "--j", j, "--cache", str(cache))
+        lines = cache.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["lhs"] = "999"
+        lines[1] = json.dumps(rec)
+        cache.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--N", "3", "--k", "2", "--d", "1", "--jmax", "1",
+            "--regime", "fano", "--cache", str(cache),
+        )
+        assert code == EXIT_MISMATCH
+        records = json.loads(out)
+        assert [(r["lhs"], r["match"]) for r in records] == [("4", True), ("999", False)]
+
+    def test_malformed_line_named(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                "--cache", str(cache)]
+        run_cli(capsys, *args)
+        with cache.open("a") as fh:
+            fh.write('{"N": 2,\n')
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        assert f"{cache}:2: malformed cache record" in capsys.readouterr().err
+
+
+class TestWorkers:
+    ARGS = ["verify", "--N", "2", "--d", "1", "--jmax", "0"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_flag_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--workers", value])
+        assert exc.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
+    def test_non_integer_environment_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMRES_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS)
+        assert exc.value.code == EXIT_USAGE
+        assert "QMRES_WORKERS" in capsys.readouterr().err
+
 
 class TestGivental:
     def test_grid_annihilates(self, capsys):

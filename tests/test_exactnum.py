@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmres.exactnum import EpsSeries, Rational, is_unit, series_coefficient
+from qmres.exactnum import EpsSeries, is_unit
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -69,11 +69,11 @@ class TestEpsSeries:
 
     def test_coefficient_extraction(self):
         geo = EpsSeries.linear(1, 1, 3).inverse()
-        assert series_coefficient(geo, 1) == -1
-        assert series_coefficient(EpsSeries([5, 2, 9]), 0) == 5
+        assert geo.coefficient(1) == -1
+        assert EpsSeries([5, 2, 9]).coefficient(0) == 5
         # binomial expansion: [e^2] (1+e)^-4 = C(5,2) = 10
         quartic = EpsSeries.linear(1, 1, 2) ** (-4)
-        assert series_coefficient(quartic, 2) == 10
+        assert quartic.coefficient(2) == 10
 
     def test_coefficient_out_of_range(self):
         s = EpsSeries([1, 2, 3])

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import expand
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     IntersectionResult,
     Query,
     build_integrand,
-    build_integrand_fano,
-    build_integrand_general,
     ek_factor,
     eval_cascade,
     eval_direct,
@@ -21,7 +20,7 @@ from qmres.quasimap import (
     leading_closed_form,
     verify_theorem,
 )
-from qmres.resengine import RatExpr, expand, homogeneity_degree, node_tag
+from qmres.resengine import RatExpr, homogeneity_degree, node_tag
 
 
 class TestQuery:
@@ -77,7 +76,7 @@ class TestEkFactor:
 
 class TestIntegrands:
     def test_simplest_fano_case(self):
-        e = build_integrand_fano(Query(2, 1, 1, j=0))
+        e = build_integrand(Query(2, 1, 1, j=0))
         assert e.debug_str() == "(1)*z0^-1*z1^-1"
 
     def test_homogeneity_degree(self):
@@ -92,7 +91,7 @@ class TestIntegrands:
             assert homogeneity_degree(build_integrand(q)) == -(q.d + 1)
 
     def test_single_node_form_at_d2(self):
-        e = build_integrand_fano(Query(3, 1, 2, j=0))
+        e = build_integrand(Query(3, 1, 2, j=0))
         tagged = {
             f.origin
             for t in e.terms
@@ -103,7 +102,7 @@ class TestIntegrands:
 
     def test_general_integrand_term_count(self):
         q = Query(2, 3, 2, j=1)
-        e = build_integrand_general(q)
+        e = build_integrand(q)
         assert len(e.terms) == q.m + 1
 
     def test_general_value_matches_hand_reduction(self):
@@ -113,7 +112,7 @@ class TestIntegrands:
     def test_general_integrand_equals_hand_form(self):
         # the built two-term expansion times z0 z1^2 (z1 - z0) must equal
         # 4 (z0 + z1) z1 as a polynomial identity
-        e = build_integrand_general(Query(2, 2, 1, j=0))
+        e = build_integrand(Query(2, 2, 1, j=0))
         cleared = e.mul_term(
             mono={0: 1, 1: 2}, forms=[({0: Fraction(-1), 1: Fraction(1)}, 1)]
         )
@@ -123,16 +122,10 @@ class TestIntegrands:
         }
 
     def test_fano_d2_debug_rendering(self):
-        e = build_integrand_fano(Query(3, 1, 2, j=0))
+        e = build_integrand(Query(3, 1, 2, j=0))
         assert e.debug_str() == (
             "(1)*z0^-1*z1^-2*z2^-2*(z0 - 2*z1 + z2)@node(1)^-1*(z0 - z1)^3"
         )
-
-    def test_regime_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_integrand_fano(Query(2, 2, 1, j=0))
-        with pytest.raises(ValueError):
-            build_integrand_general(Query(3, 2, 1, j=0))
 
 
 class TestEvalDirect:

@@ -238,17 +238,6 @@ class TestIteratedResidue:
         )
         assert iterated_residue(e) == Fraction(1, 2)
 
-    def test_custom_prescription(self):
-        e = expr_of([0, 1], (1, {0: -1, 1: -1}, []))
-        calls = []
-
-        def rule(expr, step, last):
-            calls.append(step)
-            return ["zero"]
-
-        assert iterated_residue(e, rule) == 1
-        assert calls == [0, 1]
-
 
 class TestLiftAndDebug:
     def test_lift_to_series(self):

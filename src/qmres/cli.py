@@ -21,7 +21,6 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 from . import givode
 from .quasimap import (
@@ -56,6 +55,10 @@ RECORD_FIELDS = [
     "match",
     "evaluator",
 ]
+
+# A cache record stores the key and the value only; every derived field is
+# recomputed when it is loaded, so a stale record cannot pass a wrong answer.
+CACHE_FIELDS = ["N", "k", "d", "j", "regime", "evaluator", "lhs"]
 
 
 def parse_range(text: str) -> list[int]:
@@ -119,11 +122,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _open_for_write(path: str, mode: str):
+    """Open ``path``; one that cannot be opened is a usage error naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with _open_for_write(path, "w") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------- cache
@@ -159,9 +171,9 @@ def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[d
     fresh.sort(key=record_key)
     if not fresh:
         return
-    with open(path, "a") as fh:
+    with _open_for_write(path, "a") as fh:
         for rec in fresh:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps({f: rec[f] for f in CACHE_FIELDS}) + "\n")
 
 
 # ---------------------------------------------------------------- tasks
@@ -342,8 +354,7 @@ def cmd_bench(args, parser) -> int:
                         else "inf",
                     }
                 )
-    fmt = args.format if args.format != "json" else "csv"
-    write_output(render_records(rows, fmt, BENCH_FIELDS), args.output)
+    write_output(render_records(rows, args.format, BENCH_FIELDS), args.output)
     return EXIT_OK
 
 
@@ -377,10 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, workers=True):
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
-        p.add_argument("--workers", type=worker_count, default=None)
+        if workers:
+            p.add_argument("--workers", type=worker_count, default=None)
 
     p = sub.add_parser("compute", help="evaluate a single intersection number")
     p.add_argument("--N", type=int, required=True)
@@ -415,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=parse_range, default=None)
     p.add_argument("--d", type=parse_range, required=True)
     p.add_argument("--jmax", type=int, default=4)
-    common(p)
+    common(p, workers=False)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -428,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad range syntax
         parser.error(str(exc))
     try:
-        if args.workers is None:
+        if "workers" in args and args.workers is None:
             args.workers = default_workers()
         return args.func(args, parser)
     except ValueError as exc:

@@ -14,14 +14,15 @@ engine:
   at build time.
 
 Two independent evaluators are provided.  ``eval_direct`` takes the per-``j``
-residues, paying for higher-order poles with symbolic differentiation over
-the rational ring.  ``eval_cascade`` computes the whole generating function
-``F(eps) = sum_j w_j eps^j`` in one pass: summing the descendant-level
-ladder ``((z_1-z_0)/z_0)^j eps^j`` in closed form displaces the high-order
-pole at ``z_0 = 0`` into the simple pole of ``(1+eps) z_0 - eps z_1``, and
-every later step then meets only simple poles.  Agreement of the two paths
-is the package's central cross-check, alongside the closed-form
-hypergeometric coefficients ``[eps^j] prod(r + k eps) / prod(r + eps)^N``.
+residues over the rational ring, reading each higher-order residue off the
+factors as a Taylor coefficient (generalised Leibniz rule).  ``eval_cascade``
+computes the whole generating function ``F(eps) = sum_j w_j eps^j`` in one
+pass: summing the descendant-level ladder ``((z_1-z_0)/z_0)^j eps^j`` in
+closed form displaces the high-order pole at ``z_0 = 0`` into the simple
+pole of ``(1+eps) z_0 - eps z_1``, and every later step then meets only
+simple poles.  Agreement of the two paths is the package's central
+cross-check, alongside the closed-form hypergeometric coefficients
+``[eps^j] prod(r + k eps) / prod(r + eps)^N``.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def build_integrand(q: Query) -> RatExpr:
 def eval_direct(q: Query) -> Fraction:
     """The intersection number ``w(...)`` by per-``j`` iterated residues.
 
-    Runs entirely over the rational ring; higher-order poles are paid for
-    with symbolic differentiation.
+    Runs entirely over the rational ring; the residue at a pole of order
+    ``M`` is the ``(M-1)``-th Taylor coefficient of the rest of each term.
     """
     value = iterated_residue(build_integrand(q))
     assert isinstance(value, Fraction)

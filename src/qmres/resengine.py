@@ -12,13 +12,14 @@ a canonical scale, monic in their lowest-index variable with a unit
 coefficient, with the extracted scalar absorbed into the term coefficient;
 forms that degenerate to a single variable are folded into the monomial.
 This makes pole-collision detection a syntactic check and keeps every
-operation (differentiation, substitution, residue extraction) closed on the
-term shape.
+operation (Taylor coefficients, substitution, residue extraction) closed on
+the term shape.
 
 Residues are computed algebraically: the residue of ``e`` at ``z_i = r`` is
-``(1/(M-1)!) * d^{M-1}/dz_i^{M-1} [ (z_i - r)^M e ]`` evaluated at the pole,
-with ``M`` the total multiplicity after grouping all denominator factors
-that vanish there.  No contours or convergence conditions are modelled.
+the ``(z_i - r)^(M-1)`` Taylor coefficient of ``(z_i - r)^M e``, with ``M``
+the total multiplicity after grouping all denominator factors that vanish
+there, read straight off the factors by the generalised Leibniz rule.  No
+contours or convergence conditions are modelled.
 
 Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Iterable, Mapping, Union
 
 from .exactnum import EpsSeries, is_unit
@@ -411,44 +412,55 @@ def homogeneity_degree(expr: RatExpr) -> int:
     return degree
 
 
-def _diff_term(t: Term, var: int) -> list[Term]:
-    """Product-rule derivative of one term with respect to ``z_var``."""
+def _taylor_coefficient(h: Term, var: int, n: int) -> list[Term]:
+    """``(1/n!) d^n/dz_var^n`` of one term, by the generalised Leibniz rule.
+
+    Every factor ``g^p`` that depends on ``z_var`` takes a share ``i`` of
+    ``n`` and contributes ``C(p, i) c^i g^(p-i)``, with ``c`` the ``z_var``
+    coefficient of ``g``; the monomial ``z_var^a`` is the factor ``g = z_var``
+    with ``c = 1``.  One term comes out per composition of ``n`` over those
+    factors whose binomials are all nonzero: exactly the terms that ``n``
+    rounds of product-rule differentiation leave after collection.  Changing
+    powers keeps the factor order, so every term stays canonical.
+    """
+    if n == 0:
+        return [h]
+    a = h.exponent_of(var)
+    factors = [(None, a, 1)] if a else []  # (form index or None, power, c)
+    for idx, (f, p) in enumerate(h.forms):
+        c = f.coeff_of(var)
+        if c is not None:
+            factors.append((idx, p, c))
+
+    def compose(pos: int, left: int, coeff):
+        _, p, c = factors[pos]
+        last = pos == len(factors) - 1
+        for i in (left,) if last else range(left + 1):
+            # generalised binomial C(p, i); for p >= 0 it vanishes once i > p
+            b = comb(p, i) if p >= 0 else (-1) ** i * comb(i - p - 1, i)
+            if not b:
+                break
+            w = coeff * b * c**i if i else coeff
+            if last:
+                yield w, (i,)
+            else:
+                for w_rest, rest in compose(pos + 1, left - i, w):
+                    yield w_rest, (i,) + rest
+
     out: list[Term] = []
-    a = t.exponent_of(var)
-    if a:
-        mono = {v: e for v, e in t.mono}
-        mono[var] = a - 1
-        out.append(
-            Term(
-                t.coeff * a,
-                tuple(sorted((v, e) for v, e in mono.items() if e)),
-                t.forms,
-            )
-        )
-    for idx, (f, p) in enumerate(t.forms):
-        ci = f.coeff_of(var)
-        if ci is None:
+    for w, shares in compose(0, n, h.coeff) if factors else ():
+        # c^i vanishes for a nilpotent series c; collection would drop the term
+        if _is_zero(w):
             continue
-        b = _TermBuilder(t.coeff * p * ci)
-        b.mono = dict(t.mono)
-        for jdx, (g, q) in enumerate(t.forms):
-            b.mul_canonical(g, q - 1 if jdx == idx else q)
-        built = b.build()
-        if built is not None:
-            out.append(built)
+        mono, forms = h.mono, list(h.forms)
+        for (idx, p, _), i in zip(factors, shares):
+            if idx is None:
+                mono = tuple((v, e - i if v == var else e) for v, e in mono)
+                mono = tuple((v, e) for v, e in mono if e)
+            else:
+                forms[idx] = (forms[idx][0], p - i)
+        out.append(Term(w, mono, tuple((f, p) for f, p in forms if p)))
     return out
-
-
-def _diff_many(terms: Iterable[Term], var: int, times: int) -> tuple[Term, ...]:
-    work = _collect(terms)
-    for _ in range(times):
-        out: list[Term] = []
-        for t in work:
-            out.extend(_diff_term(t, var))
-        work = _collect(out)
-        if not work:
-            break
-    return work
 
 
 def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
@@ -479,31 +491,6 @@ def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
     return b.build()
 
 
-def _subst_zero_term(t: Term, var: int) -> Term | None:
-    """Evaluate one term at ``z_var = 0``.
-
-    The caller guarantees the term is analytic there (monomial exponent 0 and
-    every form involving ``z_var`` containing another variable).
-    """
-    a = t.exponent_of(var)
-    if a > 0:
-        return None
-    if a < 0:
-        raise EngineCorruptionError(
-            f"z{var}=0 evaluation reached a term with a residual pole"
-        )
-    b = _TermBuilder(t.coeff)
-    b.mono = {v: e for v, e in t.mono}
-    for f, p in t.forms:
-        if f.coeff_of(var) is None:
-            b.mul_canonical(f, p)
-        else:
-            mapping = dict(f.coeffs)
-            del mapping[var]
-            b.mul_form(mapping, p, f.origin)
-    return b.build()
-
-
 def substitute(expr: RatExpr, var: int, value: Coeff, target: int) -> RatExpr:
     """Replace ``z_var`` by ``value * z_target`` throughout the expression.
 
@@ -520,11 +507,41 @@ def substitute(expr: RatExpr, var: int, value: Coeff, target: int) -> RatExpr:
     return RatExpr.of(live, (_subst_term(t, var, value, target) for t in expr.terms))
 
 
+def _residue(
+    expr: RatExpr, var: int, pole: tuple | None, alpha: Coeff, value: Coeff, target: int
+) -> RatExpr:
+    """Residue in ``z_var`` at ``z_var = value * z_target``, for both pole sites.
+
+    ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
+    canonical coefficient tuple of the pole form, whose ``z_var`` coefficient
+    is ``alpha``.
+    """
+    live = tuple(v for v in expr.live_vars if v != var)
+    out: list[Term | None] = []
+    for t in expr.terms:
+        if pole is None:
+            m = -t.exponent_of(var)
+            mono, forms = tuple((v, e) for v, e in t.mono if v != var), t.forms
+        else:
+            m = -sum(p for f, p in t.forms if f.coeffs == pole)
+            mono, forms = t.mono, tuple((f, p) for f, p in t.forms if f.coeffs != pole)
+        if m <= 0:
+            continue
+        coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
+        for h in _taylor_coefficient(Term(coeff, mono, forms), var, m - 1):
+            if pole is None and h.exponent_of(var) < 0:
+                raise EngineCorruptionError(
+                    f"z{var}=0 evaluation reached a term with a residual pole"
+                )
+            out.append(_subst_term(h, var, value, target))
+    return RatExpr.of(live, out)
+
+
 def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
     """The coefficient of ``z_var^(-1)`` in the Laurent expansion at ``z_var = 0``.
 
-    Computed per term as ``(1/(m-1)!) d^{m-1}/dz^{m-1} [z^m * term]`` at
-    ``z_var = 0`` with ``m`` the pole order; terms without a pole contribute
+    For a term with pole order ``m`` it is the ``(m-1)``-th Taylor coefficient
+    of ``z^m * term`` at ``z_var = 0``; terms without a pole contribute
     nothing.  All other denominator forms are analytic at the origin because
     canonical scaling folds pure-``z_var`` forms into the monomial.  The
     result drops ``var`` from the live variables and its total degree is one
@@ -532,26 +549,12 @@ def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
-    live = tuple(v for v in expr.live_vars if v != var)
-    out: list[Term] = []
-    for t in expr.terms:
-        a = t.exponent_of(var)
-        if a >= 0:
-            continue
-        m = -a
-        mono = {v: e for v, e in t.mono if v != var}
-        cleared = Term(
-            t.coeff, tuple(sorted(mono.items())), t.forms
-        )
-        work = _diff_many([cleared], var, m - 1)
-        scale = Fraction(1, factorial(m - 1))
-        for w in work:
-            out.append(_subst_zero_term(Term(w.coeff * scale, w.mono, w.forms), var))
-    return RatExpr.of(live, out)
+    # Substituting z_var -> 0 * z_var evaluates at zero without a second variable.
+    return _residue(expr, var, None, 1, 0, var)
 
 
 def _normalize_root_form(
-    expr: RatExpr, var: int, form: "LinearForm | Mapping[int, Coeff]"
+    var: int, form: "LinearForm | Mapping[int, Coeff]"
 ) -> tuple[tuple, Coeff, int, Coeff]:
     """Resolve a root request into (canonical coeffs, z_var coefficient, other var, root scale).
 
@@ -592,37 +595,17 @@ def residue_at_form_root(
 
     All denominator factors of a term that vanish on the root merge into one
     multiplicity-M pole (canonical scaling already made them syntactically
-    equal), and the residue is ``(1/(M-1)!) alpha^{-M} d^{M-1}[h]`` evaluated
-    at the root, where ``alpha`` is the form's ``z_var`` coefficient and ``h``
-    the term with the grouped factor removed.  Terms analytic at the root
-    contribute nothing.  ``var`` leaves the live set; degree rises by one.
+    equal), and the residue is ``alpha^{-M}`` times the ``(M-1)``-th Taylor
+    coefficient of ``h`` at the root, with ``alpha`` the form's ``z_var``
+    coefficient and ``h`` the term without the grouped factor.  Terms analytic
+    at the root contribute nothing.  ``var`` leaves the live set; degree rises by one.
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
-    coeffs, alpha, other, c = _normalize_root_form(expr, var, form)
+    coeffs, alpha, other, c = _normalize_root_form(var, form)
     if other not in expr.live_vars:
         raise PrescriptionError(f"root variable z{other} is not live")
-    live = tuple(v for v in expr.live_vars if v != var)
-    out: list[Term] = []
-    for t in expr.terms:
-        power = 0
-        rest: list[tuple[LinearForm, int]] = []
-        for f, p in t.forms:
-            if f.coeffs == coeffs:
-                power = p
-            else:
-                rest.append((f, p))
-        if power >= 0:
-            continue
-        m = -power
-        stripped = Term(t.coeff, t.mono, tuple(rest))
-        work = _diff_many([stripped], var, m - 1)
-        scale = alpha ** (-m) * Fraction(1, factorial(m - 1))
-        for w in work:
-            out.append(
-                _subst_term(Term(w.coeff * scale, w.mono, w.forms), var, c, other)
-            )
-    return RatExpr.of(live, out)
+    return _residue(expr, var, coeffs, alpha, c, other)
 
 
 def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[str | LinearForm]:

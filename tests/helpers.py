@@ -3,8 +3,11 @@ the polynomial expansion of numerator-only expressions.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
-other denominator factors), with no symbolic differentiation, so it is a
-genuinely independent check of the engine's derivative-based formula.
+other denominator factors), multiplying dense numeric series.  The engine
+reads the same Taylor coefficient off symbolic terms instead, enumerating
+the ways of sharing the order among a term's factors.  The oracle is
+independent of all of that: of the engine's terms, canonical linear forms,
+pole grouping, share enumeration and substitution at the root.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ class PoleInstance:
     others: tuple[tuple[Fraction, int], ...]  # (b_l, m_l), b_l != a
 
 
-def random_pole_instance(rng: random.Random) -> PoleInstance:
-    a = Fraction(rng.choice([v for v in range(-3, 4) if v != 0]))
-    multiplicity = rng.randint(1, 4)
+def random_pole_instance(
+    rng: random.Random, max_multiplicity: int = 4, at_zero: bool = False
+) -> PoleInstance:
+    """A random instance; ``at_zero`` puts the pole at ``a = 0``."""
+    units = [v for v in range(-3, 4) if v != 0]
+    a = Fraction(0) if at_zero else Fraction(rng.choice(units))
+    multiplicity = rng.randint(1, max_multiplicity)
     others = []
     for _ in range(rng.randint(0, 2)):
         b = Fraction(rng.choice([v for v in range(-3, 4) if v != a]))

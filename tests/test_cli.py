@@ -173,6 +173,37 @@ class TestCache:
         assert exc.value.code == EXIT_USAGE
         assert f"{cache}:2: malformed cache record" in capsys.readouterr().err
 
+    def test_record_stores_key_and_value_only(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        run_cli(capsys, "compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
+                "--cache", str(cache))
+        (line,) = cache.read_text().splitlines()
+        assert set(json.loads(line)) == {"N", "k", "d", "j", "regime", "evaluator", "lhs"}
+
+    def test_record_with_derived_fields_loads(self, capsys, tmp_path):
+        # the cache format of earlier versions, which also stored m,
+        # lhs_over_k, rhs and match
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"]
+        _, fresh, _ = run_cli(capsys, *args)
+        (rec,) = json.loads(fresh)
+        cache.write_text(json.dumps(rec) + "\n")
+        code, warm, _ = run_cli(capsys, *args, "--cache", str(cache))
+        assert code == EXIT_OK and warm == fresh
+        # the record was used, so nothing was appended
+        assert cache.read_text() == json.dumps(rec) + "\n"
+
+
+class TestUnwritablePaths:
+    @pytest.mark.parametrize("flag", ["--output", "--cache"])
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                  flag, str(path)])
+        assert exc.value.code == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
 
 class TestWorkers:
     ARGS = ["verify", "--N", "2", "--d", "1", "--jmax", "0"]
@@ -220,6 +251,20 @@ class TestBench:
         lines = out.strip().splitlines()
         assert lines[0] == "N,k,d,J,t_direct_total,t_cascade,speedup"
         assert len(lines) == 3
+
+    def test_default_format_is_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--N", "3", "--k", "2", "--d", "1", "--jmax", "1",
+        )
+        assert code == EXIT_OK
+        (row,) = json.loads(out)
+        assert list(row) == ["N", "k", "d", "J", "t_direct_total", "t_cascade", "speedup"]
+
+    def test_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--N", "3", "--d", "1", "--workers", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestTextFormat:

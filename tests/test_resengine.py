@@ -207,6 +207,24 @@ class TestOracleAgreement:
             checked += 1
         assert checked > 200
 
+    @pytest.mark.parametrize("at_zero", [True, False], ids=["zero", "form-root"])
+    def test_high_order_residues_match_series_oracle(self, at_zero):
+        # eval_direct meets poles of order 7 and more at z_0 = 0
+        rng = random.Random(12)
+        orders = []
+        for _ in range(60):
+            inst = random_pole_instance(rng, max_multiplicity=12, at_zero=at_zero)
+            expr = engine_expression(inst)
+            if expr.is_zero:
+                continue
+            if at_zero:
+                got = residue_at_zero(expr, 0)
+            else:
+                got = residue_at_form_root(expr, 0, {0: Fraction(1), 1: -inst.a})
+            assert scalar_value(got) == oracle_residue(inst)
+            orders.append(inst.multiplicity)
+        assert len(orders) > 50 and max(orders) == 12
+
 
 class TestIteratedResidue:
     def test_two_monomial_steps(self):

@@ -58,7 +58,9 @@ RECORD_FIELDS = [
 
 # A cache record stores the key and the value only; every derived field is
 # recomputed when it is loaded, so a stale record cannot pass a wrong answer.
+# Records without a "schema" key predate it and are read as schema 1.
 CACHE_FIELDS = ["N", "k", "d", "j", "regime", "evaluator", "lhs"]
+CACHE_SCHEMA = 1
 
 
 def parse_range(text: str) -> list[int]:
@@ -130,6 +132,16 @@ def _open_for_write(path: str, mode: str):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def check_writable(*paths: str | None):
+    """Fail before any work if an output or cache path cannot be opened.
+
+    Opens in append mode, so an existing file is left as it is.
+    """
+    for path in paths:
+        if path is not None:
+            _open_for_write(path, "a").close()
+
+
 def write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -144,8 +156,9 @@ def write_output(text: str, path: str | None):
 def load_cache(path: str | None) -> dict[tuple, Fraction]:
     """Map each cached record's key to its ``lhs``, the only value trusted.
 
-    Every other field is re-derived by the caller.  A malformed line raises
-    ValueError naming ``path:line``.
+    Every other field is re-derived by the caller.  A malformed line, or a
+    record whose ``schema`` is not :data:`CACHE_SCHEMA`, raises ValueError
+    naming ``path:line``.
     """
     cache: dict[tuple, Fraction] = {}
     if path and os.path.exists(path):
@@ -161,6 +174,10 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                     raise ValueError(
                         f"{path}:{lineno}: malformed cache record: {exc}"
                     ) from None
+                if rec.get("schema", CACHE_SCHEMA) != CACHE_SCHEMA:
+                    raise ValueError(
+                        f"{path}:{lineno}: unsupported cache schema {rec['schema']!r}"
+                    )
     return cache
 
 
@@ -173,7 +190,8 @@ def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[d
         return
     with _open_for_write(path, "a") as fh:
         for rec in fresh:
-            fh.write(json.dumps({f: rec[f] for f in CACHE_FIELDS}) + "\n")
+            stored = {"schema": CACHE_SCHEMA, **{f: rec[f] for f in CACHE_FIELDS}}
+            fh.write(json.dumps(stored) + "\n")
 
 
 # ---------------------------------------------------------------- tasks
@@ -248,6 +266,7 @@ def cmd_verify(args, parser) -> int:
                 for d in args.d:
                     tasks.append((N, k, d, args.jmax))
     tasks.sort()
+    check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     cached_lhs = {t: _cached_task(cache, t) for t in tasks}
     pending = [t for t in tasks if cached_lhs[t] is None]
@@ -283,6 +302,7 @@ def cmd_compute(args, parser) -> int:
             f"requested regime {args.regime!r} but N={q.N}, k={q.k} is {q.regime}"
         )
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
+    check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     records = _compute_records(q, evaluators, cache)
     records.sort(key=record_key)
@@ -309,6 +329,7 @@ def cmd_givental(args, parser) -> int:
             for j in range(N - 1):
                 tasks.append((N, k, j, args.emax))
     tasks.sort()
+    check_writable(args.output)
     records = _run_tasks(tasks, _givental_task, args.workers)
     write_output(render_records(records, args.format, GIVENTAL_FIELDS), args.output)
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
@@ -320,6 +341,7 @@ BENCH_FIELDS = ["N", "k", "d", "J", "t_direct_total", "t_cascade", "speedup"]
 def cmd_bench(args, parser) -> int:
     if args.jmax < 0:
         parser.error("--jmax must be non-negative")
+    check_writable(args.output)
     rows = []
     for N in args.N:
         ks = args.k if args.k is not None else list(range(1, N))
@@ -402,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator", choices=["direct", "cascade", "both"], default="direct")
     p.add_argument("--regime", choices=[FANO, GENERAL], default=None)
     p.add_argument("--cache", default=None)
-    common(p)
+    common(p, workers=False)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="run an equality grid")

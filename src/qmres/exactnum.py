@@ -7,11 +7,18 @@ either ring unchanged.  No floating point is used anywhere.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1),
 which is exactly what ``str(Fraction)`` produces.
+
+Multiplying two series runs on integers: each operand is rescaled to integer
+numerators over one common denominator (the ``lcm`` of its coefficients'
+denominators), the numerators are convolved, and each output coefficient is
+one ``Fraction(num, da*db)``, which ``Fraction`` reduces to the same
+canonical rational the coefficient-wise product gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 __all__ = ["EpsSeries", "is_unit"]
@@ -28,16 +35,31 @@ def is_unit(x) -> bool:
     return x != 0
 
 
+# The multiply kernel builds its tuples from lists.  tuple() or star-unpacking
+# of a generator allocates a tuple for ten items and shrinks it, so every
+# product would move one tuple from CPython's size-10 free list to the free
+# list of its own size; on the givental workload those lists then held about
+# a megabyte more at the peak.
+
+
+def _integer_numerators(coeffs: tuple) -> tuple[int, list[int]]:
+    """``(D, [c * D for c in coeffs])`` with ``D`` the lcm of the denominators."""
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return den, [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
+
+
 class EpsSeries:
     """A power series ``a_0 + a_1 e + ... + a_J e^J`` with Fraction coefficients.
 
     Arithmetic is exact modulo ``e^(J+1)``.  Binary operations between series
     of different truncation orders truncate to the smaller order; ints and
     Fractions lift to constant series.  Instances are immutable and hashable.
-    Equality compares coefficients up to the smaller truncation order.
+    Equality compares coefficients up to the smaller truncation order.  The
+    hash is computed on first use and kept on the instance.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         cs = [Fraction(c) for c in coeffs]
@@ -49,6 +71,15 @@ class EpsSeries:
         elif not cs:
             raise ValueError("empty coefficient list needs an explicit order")
         object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of_fractions(cls, coeffs: tuple[Fraction, ...]) -> "EpsSeries":
+        """Wrap a tuple that already holds Fractions, skipping the coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsSeries is immutable")
@@ -141,15 +172,18 @@ class EpsSeries:
             # scalar fast path
             return EpsSeries([c * other for c in self._coeffs])
         n = min(self.order, rhs.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if not a:
+        da, xs = _integer_numerators(self._coeffs[: n + 1])
+        db, ys = _integer_numerators(rhs._coeffs[: n + 1])
+        out = [0] * (n + 1)
+        for i, x in enumerate(xs):
+            if not x:
                 continue
             for jj in range(n + 1 - i):
-                b = rhs._coeffs[jj]
-                if b:
-                    out[i + jj] += a * b
-        return EpsSeries(out)
+                y = ys[jj]
+                if y:
+                    out[i + jj] += x * y
+        den = da * db
+        return EpsSeries._of_fractions(tuple([Fraction(c, den) for c in out]))
 
     __rmul__ = __mul__
 
@@ -214,11 +248,15 @@ class EpsSeries:
         return self._coeffs[: n + 1] == rhs._coeffs[: n + 1]
 
     def __hash__(self):
-        cs = self._coeffs
-        n = len(cs)
-        while n > 1 and cs[n - 1] == 0:
-            n -= 1
-        return hash(("EpsSeries", cs[:n]))
+        h = self._hash
+        if h is None:
+            cs = self._coeffs
+            n = len(cs)
+            while n > 1 and not cs[n - 1]:
+                n -= 1
+            h = hash(("EpsSeries", cs[:n]))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self):
         return any(self._coeffs)

@@ -15,6 +15,14 @@ This makes pole-collision detection a syntactic check and keeps every
 operation (Taylor coefficients, substitution, residue extraction) closed on
 the term shape.
 
+A term keeps its forms in the order they were multiplied in, and an
+expression keeps its terms in the order they were collected; both orders are
+deterministic but carry no meaning.  Term identity is order-free: collection
+and equality compare the monomial with the *set* of (form, power) pairs.
+Sorting happens only when rendering (``debug_str``) and when listing the pole
+sites of a step (``denominator_forms``), so the residue steps never compare
+coefficients to order them.
+
 Residues are computed algebraically: the residue of ``e`` at ``z_i = r`` is
 the ``(z_i - r)^(M-1)`` Taylor coefficient of ``(z_i - r)^M e``, with ``M``
 the total multiplicity after grouping all denominator factors that vanish
@@ -119,6 +127,8 @@ class LinearForm:
     ``coeffs`` is sorted by variable index, holds no zero coefficients, has
     at least two entries (single-variable forms are folded into monomials),
     and the pivot coefficient (the lowest-index one that is a unit) is 1.
+    ``sort_key`` is used only to render terms and to order a step's pole
+    sites; term identity does not depend on it.
     """
 
     coeffs: tuple[tuple[int, Coeff], ...]
@@ -160,7 +170,12 @@ class LinearForm:
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """One summand: ``coeff * monomial * product of linear-form powers``."""
+    """One summand: ``coeff * monomial * product of linear-form powers``.
+
+    ``mono`` is sorted by variable index.  ``forms`` holds each form once, in
+    the order it was multiplied in; that order carries no meaning, so equality
+    and hashing compare the forms as a set and ``__str__`` sorts them.
+    """
 
     coeff: Coeff
     mono: tuple[tuple[int, int], ...]
@@ -175,17 +190,33 @@ class Term:
                 return e
         return 0
 
+    def identity(self) -> tuple:
+        """The order-free key of the term's shape: monomial and set of forms."""
+        return self.mono, frozenset(self.forms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        return self.coeff == other.coeff and self.identity() == other.identity()
+
+    def __hash__(self):
+        return hash((self.coeff, self.identity()))
+
+    def sorted_forms(self) -> list[tuple[LinearForm, int]]:
+        """The forms in rendering order."""
+        return sorted(self.forms, key=lambda fp: (fp[0].sort_key(), fp[1]))
+
     def sort_key(self):
         return (
             self.mono,
-            tuple((f.sort_key(), p) for f, p in self.forms),
+            tuple((f.sort_key(), p) for f, p in self.sorted_forms()),
         )
 
     def __str__(self):
         pieces = [f"({self.coeff})"]
         for v, e in self.mono:
             pieces.append(f"z{v}" if e == 1 else f"z{v}^{e}")
-        for f, p in self.forms:
+        for f, p in self.sorted_forms():
             pieces.append(str(f) if p == 1 else f"{f}^{p}")
         return "*".join(pieces)
 
@@ -284,11 +315,11 @@ class _TermBuilder:
         if self.dead or _is_zero(self.coeff):
             return None
         mono = tuple(sorted((v, e) for v, e in self.mono.items() if e))
-        forms = []
-        for coeffs, (origin, power) in self.forms.items():
-            if power:
-                forms.append((LinearForm(coeffs, origin), power))
-        forms.sort(key=lambda fp: (fp[0].sort_key(), fp[1]))
+        forms = [
+            (LinearForm(coeffs, origin), power)
+            for coeffs, (origin, power) in self.forms.items()
+            if power
+        ]
         return Term(self.coeff, mono, tuple(forms))
 
 
@@ -312,20 +343,23 @@ def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
     for t in terms:
         if t is None:
             continue
-        key = (t.mono, t.forms)
+        key = t.identity()
         prev = acc.get(key)
         if prev is None:
             acc[key] = t
         else:
-            acc[key] = Term(prev.coeff + t.coeff, t.mono, t.forms)
-    out = [t for t in acc.values() if not _is_zero(t.coeff)]
-    out.sort(key=Term.sort_key)
-    return tuple(out)
+            acc[key] = Term(prev.coeff + t.coeff, t.mono, prev.forms)
+    # tuple() of a list, not of a generator: see the free-list note in exactnum
+    return tuple([t for t in acc.values() if not _is_zero(t.coeff)])
 
 
 @dataclass(frozen=True, slots=True)
 class RatExpr:
-    """A sum of terms together with the ordered set of live variables."""
+    """A sum of terms together with the ordered set of live variables.
+
+    ``terms`` holds each term shape once, in collection order; equality
+    compares the terms as a set.
+    """
 
     terms: tuple[Term, ...]
     live_vars: tuple[int, ...]
@@ -338,6 +372,14 @@ class RatExpr:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, RatExpr):
+            return NotImplemented
+        return self.live_vars == other.live_vars and set(self.terms) == set(other.terms)
+
+    def __hash__(self):
+        return hash((self.live_vars, frozenset(self.terms)))
 
     def __add__(self, other: "RatExpr") -> "RatExpr":
         if not isinstance(other, RatExpr):
@@ -386,10 +428,10 @@ class RatExpr:
         return sorted(seen.values(), key=LinearForm.sort_key)
 
     def debug_str(self) -> str:
-        """Deterministic text rendering for golden tests."""
+        """Deterministic text rendering for golden tests: terms and forms sorted."""
         if not self.terms:
             return "0"
-        return " + ".join(str(t) for t in self.terms)
+        return " + ".join(str(t) for t in sorted(self.terms, key=Term.sort_key))
 
     def __str__(self):
         return self.debug_str()
@@ -421,7 +463,7 @@ def _taylor_coefficient(h: Term, var: int, n: int) -> list[Term]:
     with ``c = 1``.  One term comes out per composition of ``n`` over those
     factors whose binomials are all nonzero: exactly the terms that ``n``
     rounds of product-rule differentiation leave after collection.  Changing
-    powers keeps the factor order, so every term stays canonical.
+    powers keeps every form in canonical scale, so every term stays canonical.
     """
     if n == 0:
         return [h]

@@ -71,6 +71,14 @@ class TestCompute:
         assert code == EXIT_MISMATCH
         assert json.loads(out)[0]["match"] is False
 
+    def test_workers_rejected(self, capsys):
+        # compute evaluates one query in-process; the flag used to be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                  "--workers", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_fano_grid_passes(self, capsys):
@@ -178,7 +186,33 @@ class TestCache:
         run_cli(capsys, "compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
                 "--cache", str(cache))
         (line,) = cache.read_text().splitlines()
-        assert set(json.loads(line)) == {"N", "k", "d", "j", "regime", "evaluator", "lhs"}
+        rec = json.loads(line)
+        assert set(rec) == {"schema", "N", "k", "d", "j", "regime", "evaluator", "lhs"}
+        assert rec["schema"] == 1
+
+    def test_record_without_schema_loads_as_schema_1(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"]
+        _, fresh, _ = run_cli(capsys, *args, "--cache", str(cache))
+        rec = json.loads(cache.read_text())
+        del rec["schema"]
+        cache.write_text(json.dumps(rec) + "\n")
+        code, warm, _ = run_cli(capsys, *args, "--cache", str(cache))
+        assert code == EXIT_OK and warm == fresh
+        assert cache.read_text() == json.dumps(rec) + "\n"
+
+    def test_unsupported_schema_named(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
+                "--cache", str(cache)]
+        run_cli(capsys, *args)
+        rec = json.loads(cache.read_text())
+        rec["schema"] = 2
+        cache.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        assert f"{cache}:1: unsupported cache schema" in capsys.readouterr().err
 
     def test_record_with_derived_fields_loads(self, capsys, tmp_path):
         # the cache format of earlier versions, which also stored m,
@@ -203,6 +237,40 @@ class TestUnwritablePaths:
                   flag, str(path)])
         assert exc.value.code == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--output", "--cache"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0"],
+            ["verify", "--N", "2", "--d", "1", "--jmax", "1"],
+        ],
+        ids=["compute", "verify"],
+    )
+    def test_checked_before_any_evaluation(self, capsys, monkeypatch, tmp_path, argv, flag):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated before the paths were checked")
+
+        monkeypatch.setattr("qmres.cli.verify_theorem", evaluated)
+        monkeypatch.setattr("qmres.cli.eval_direct", evaluated)
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, str(path)])
+        assert exc.value.code == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    def test_existing_output_not_truncated_by_the_check(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("kept\n")
+
+        def failing(*args, **kwargs):
+            raise ValueError("stop after the check")
+
+        monkeypatch.setattr("qmres.cli.eval_direct", failing)
+        with pytest.raises(SystemExit):
+            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                  "--output", str(target)])
+        assert target.read_text() == "kept\n"
 
 
 class TestWorkers:

@@ -129,3 +129,61 @@ class TestEpsSeries:
     @given(series(nonzero_constant=True))
     def test_inverse_roundtrip(self, p):
         assert p * p.inverse() == EpsSeries.constant(1, p.order)
+
+
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(-(2**70), 2**70),
+    st.integers(1, 2**64),
+) | st.just(Fraction(0))
+
+
+def schoolbook(a: EpsSeries, b: EpsSeries) -> list[Fraction]:
+    """The coefficient-wise product in plain Fractions, truncated at the smaller order."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200)
+    @given(
+        st.lists(wide_rationals, min_size=1, max_size=9),
+        st.lists(wide_rationals, min_size=1, max_size=9),
+    )
+    def test_product_matches_schoolbook(self, xs, ys):
+        a, b = EpsSeries(xs), EpsSeries(ys)
+        got = a * b
+        want = schoolbook(a, b)
+        assert got.coeffs == tuple(want)
+        # the same canonical rationals, down to numerator and denominator
+        assert [(c.numerator, c.denominator) for c in got.coeffs] == [
+            (c.numerator, c.denominator) for c in want
+        ]
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert str(got) == str(EpsSeries(want))
+
+    def test_zero_and_negative_coefficients(self):
+        a = EpsSeries([0, Fraction(-3, 4), 0, Fraction(5, 6)])
+        b = EpsSeries([Fraction(-2, 9), 0, Fraction(7, 2)], order=5)
+        assert (a * b).coeffs == tuple(schoolbook(a, b))
+        assert (a * EpsSeries.constant(0, 3)).coeffs == (Fraction(0),) * 4
+
+
+class TestCachedHash:
+    def test_hash_stable_once_cached(self):
+        s = EpsSeries([Fraction(1, 3), -2, 0, 0])
+        first = hash(s)
+        assert hash(s) == first
+        assert first == hash(EpsSeries([Fraction(1, 3), -2, 0, 0]))
+
+    def test_equal_series_from_different_routes_hash_equal(self):
+        assert hash(EpsSeries([1, 2, 0])) == hash(EpsSeries([1, 2, 0, 0, 0]))
+        product = EpsSeries.linear(1, 1, 3) * EpsSeries.linear(1, -1, 3)
+        literal = EpsSeries([1, 0, -1, 0])
+        assert product == literal and hash(product) == hash(literal)
+        halved = EpsSeries.linear(2, 4, 4) * EpsSeries.constant(Fraction(1, 2), 6)
+        assert hash(halved) == hash(EpsSeries([1, 2]))

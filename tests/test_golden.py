@@ -1,0 +1,110 @@
+"""Byte gate: sha256 digests of CLI output and engine renderings.
+
+The digests were recorded before the term-ordering and multiply-kernel
+speedups and must never move: any change that reorders output, renders a
+term differently or changes a value fails here instead of relying on a
+manual ``diff`` of CLI runs.
+"""
+
+import hashlib
+
+import pytest
+
+from qmres import cli, resengine
+from qmres.quasimap import Query, build_integrand, eval_cascade
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CLI_GOLDENS = [
+    (
+        "compute --N 2 --k 1 --d 1 --j 1 --evaluator both",
+        0,
+        "d697a091550df30a2c12a9c989d26cc7457fde1742885ff952e45fdcbc9ac497",
+    ),
+    (
+        "compute --N 5 --k 3 --d 2 --j 3 --evaluator both --format csv",
+        0,
+        "ae4dfd65dee057087a0109880b64e5e5f8326b7b47be5130cb1bbfc4883f7242",
+    ),
+    (
+        "compute --N 4 --k 5 --d 6 --j 6 --evaluator cascade",
+        0,
+        "a642efbbd96f1b11a943e4e26aa83b7fada6a12fe7e0d786cb4cf5742194ea31",
+    ),
+    (
+        "verify --regime general --N 2..3 --k 2..4 --d 1..2 --jmax 4 --format csv",
+        0,
+        "3150e7a2d92038888f73c4bb93b6a150e5c205655b4b66861daad1af18f66dca",
+    ),
+    (
+        "verify --regime fano --N 3..4 --d 1..2 --jmax 3 --format text",
+        0,
+        "b1ed7cff4047442d0551c65f3678639a209c090de30ce27eb4e0c9b3ab8a4020",
+    ),
+    (
+        "givental --N 3..4 --k 3..4 --emax 4 --format csv",
+        0,
+        "5541e1e5c7dadd22fc24dc5085becdf537baea1847a95455ffc88bb80dcc3eac",
+    ),
+]
+
+INTEGRANDS_SHA256 = "abc6a500ef9ab9d4c9b077fc67913c4de82c21836fc73665ae8cd64a9b98cd89"
+CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a4554816675"
+
+
+@pytest.mark.parametrize(
+    "command, code, digest", CLI_GOLDENS, ids=[c for c, _, _ in CLI_GOLDENS]
+)
+def test_cli_stdout_bytes(capsys, command, code, digest):
+    got = cli.main(command.split())
+    assert (got, _sha(capsys.readouterr().out)) == (code, digest)
+
+
+def integrand_renderings() -> str:
+    """``debug_str`` of every integrand over N 2..5, k 1..N+2, d 1..2, j 0..3."""
+    lines = []
+    for N in range(2, 6):
+        for k in range(1, N + 3):
+            for d in (1, 2):
+                for j in range(4):
+                    e = build_integrand(Query(N, k, d, j=j))
+                    lines.append(f"{N},{k},{d},{j}: {e.debug_str()}")
+    return "\n".join(lines)
+
+
+def cascade_residue_renderings(monkeypatch) -> str:
+    """``debug_str`` of every residue step ``eval_cascade`` takes.
+
+    Covers N 2..4, k 1..N+2, d 1..2 at ``j_max = 3``, in call order.
+    """
+    lines = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            lines.append(f"{name}: {out.debug_str()}")
+            return out
+
+        return wrapper
+
+    for name in ("residue_at_zero", "residue_at_form_root"):
+        monkeypatch.setattr(
+            resengine, name, recording(name, getattr(resengine, name))
+        )
+    for N in range(2, 5):
+        for k in range(1, N + 3):
+            for d in (1, 2):
+                lines.append(f"query {N},{k},{d}")
+                eval_cascade(Query(N, k, d, j_max=3))
+    return "\n".join(lines)
+
+
+def test_integrand_renderings():
+    assert _sha(integrand_renderings()) == INTEGRANDS_SHA256
+
+
+def test_cascade_residue_renderings(monkeypatch):
+    assert _sha(cascade_residue_renderings(monkeypatch)) == CASCADE_SHA256

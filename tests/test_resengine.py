@@ -274,3 +274,38 @@ class TestLiftAndDebug:
 
     def test_zero_debug(self):
         assert RatExpr((), (0,)).debug_str() == "0"
+
+
+class TestOrderFreeIdentity:
+    FORMS = [({0: 1, 1: 2}, -1), ({0: 1, 2: -1}, 2), ({1: 1, 2: 3}, -2, node_tag(1))]
+
+    def test_form_order_does_not_split_a_term(self):
+        a = make_term(2, {0: 1}, self.FORMS)
+        b = make_term(3, {0: 1}, self.FORMS[::-1])
+        assert a.forms != b.forms  # insertion order is kept
+        assert a == make_term(2, {0: 1}, self.FORMS[::-1])
+        assert hash(a) == hash(make_term(2, {0: 1}, self.FORMS[::-1]))
+        e = RatExpr.of([0, 1, 2], [a, b])
+        (t,) = e.terms
+        assert t.coeff == 5
+        # the rendering that sorting every term at build time gave
+        want = "(5)*z0*(z0 + 2*z1)^-1*(z0 - z2)^2*(z1 + 3*z2)@node(1)^-2"
+        assert e.debug_str() == want
+        assert str(make_term(5, {0: 1}, self.FORMS[::-1])) == want
+
+    def test_rendering_sorts_terms_and_forms(self):
+        terms = [
+            make_term(1, {1: -3}, self.FORMS[1:]),
+            make_term(-1, {0: -2}, self.FORMS[::-1]),
+            make_term(4, {0: -2}, self.FORMS[:1]),
+        ]
+        forward, backward = RatExpr.of([0, 1, 2], terms), RatExpr.of([0, 1, 2], terms[::-1])
+        assert forward.terms != backward.terms
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward.debug_str() == backward.debug_str() == " + ".join(
+            [
+                "(4)*z0^-2*(z0 + 2*z1)^-1",
+                "(-1)*z0^-2*(z0 + 2*z1)^-1*(z0 - z2)^2*(z1 + 3*z2)@node(1)^-2",
+                "(1)*z1^-3*(z0 - z2)^2*(z1 + 3*z2)@node(1)^-2",
+            ]
+        )

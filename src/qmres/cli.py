@@ -230,13 +230,29 @@ def _compute_records(
     return records
 
 
+def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes to start: at most one per task and one per CPU.
+
+    The pool forks every worker at its first submit, so the cap is what
+    bounds the processes a large ``--workers`` starts.
+    """
+    return max(1, min(requested, tasks, cpus or 1))
+
+
 def _run_tasks(tasks: list, worker, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
+    size = pool_size(workers, len(tasks), os.cpu_count())
+    if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             return list(pool.map(worker, tasks))
     return [worker(t) for t in tasks]
+
+
+def _require_cells(cells: list, args, parser):
+    """An empty grid is a usage error; only ``--N`` can leave it empty."""
+    if not cells:
+        parser.error(f"the grid is empty: no cell for --N {args.N[0]}..{args.N[-1]}")
 
 
 # ---------------------------------------------------------------- commands
@@ -265,6 +281,7 @@ def cmd_verify(args, parser) -> int:
             for k in ks:
                 for d in args.d:
                     tasks.append((N, k, d, args.jmax))
+    _require_cells(tasks, args, parser)
     tasks.sort()
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
@@ -328,6 +345,7 @@ def cmd_givental(args, parser) -> int:
         for k in ks:
             for j in range(N - 1):
                 tasks.append((N, k, j, args.emax))
+    _require_cells(tasks, args, parser)
     tasks.sort()
     check_writable(args.output)
     records = _run_tasks(tasks, _givental_task, args.workers)
@@ -341,41 +359,38 @@ BENCH_FIELDS = ["N", "k", "d", "J", "t_direct_total", "t_cascade", "speedup"]
 def cmd_bench(args, parser) -> int:
     if args.jmax < 0:
         parser.error("--jmax must be non-negative")
+    cells = [
+        (N, k, d)
+        for N in args.N
+        for k in (args.k if args.k is not None else range(1, N))
+        for d in args.d
+    ]
+    _require_cells(cells, args, parser)
     check_writable(args.output)
     rows = []
-    for N in args.N:
-        ks = args.k if args.k is not None else list(range(1, N))
-        for k in ks:
-            for d in args.d:
-                q = Query(N, k, d, j_max=args.jmax)
-                t0 = time.perf_counter()
-                direct = [eval_direct(replace(q, j=j)) for j in range(args.jmax + 1)]
-                t_direct = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                cascade = eval_cascade(q)
-                t_cascade = time.perf_counter() - t0
-                # correctness gate before any timing is reported
-                if any(
-                    cascade.coefficient(j) != direct[j] for j in range(args.jmax + 1)
-                ):
-                    print(
-                        f"evaluator disagreement at N={N} k={k} d={d}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_ENGINE
-                rows.append(
-                    {
-                        "N": N,
-                        "k": k,
-                        "d": d,
-                        "J": args.jmax,
-                        "t_direct_total": f"{t_direct:.6f}",
-                        "t_cascade": f"{t_cascade:.6f}",
-                        "speedup": f"{t_direct / t_cascade:.3f}"
-                        if t_cascade > 0
-                        else "inf",
-                    }
-                )
+    for N, k, d in cells:
+        q = Query(N, k, d, j_max=args.jmax)
+        t0 = time.perf_counter()
+        direct = [eval_direct(replace(q, j=j)) for j in range(args.jmax + 1)]
+        t_direct = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        cascade = eval_cascade(q)
+        t_cascade = time.perf_counter() - t0
+        # correctness gate before any timing is reported
+        if any(cascade.coefficient(j) != direct[j] for j in range(args.jmax + 1)):
+            print(f"evaluator disagreement at N={N} k={k} d={d}", file=sys.stderr)
+            return EXIT_ENGINE
+        rows.append(
+            {
+                "N": N,
+                "k": k,
+                "d": d,
+                "J": args.jmax,
+                "t_direct_total": f"{t_direct:.6f}",
+                "t_cascade": f"{t_cascade:.6f}",
+                "speedup": f"{t_direct / t_cascade:.3f}" if t_cascade > 0 else "inf",
+            }
+        )
     write_output(render_records(rows, args.format, BENCH_FIELDS), args.output)
     return EXIT_OK
 

@@ -2,23 +2,23 @@
 
 Every value in this package is either a stdlib ``fractions.Fraction`` or an
 :class:`EpsSeries`, a power series in one formal parameter ``e`` truncated at
-a fixed order.  The two types implement the same arithmetic surface, so the residue engine runs over
-either ring unchanged.  No floating point is used anywhere.
+a fixed order.  The two types implement the same arithmetic surface, so the
+residue engine runs over either ring unchanged.  No floating point is used.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1),
 which is exactly what ``str(Fraction)`` produces.
 
-Multiplying two series runs on integers: each operand is rescaled to integer
-numerators over one common denominator (the ``lcm`` of its coefficients'
-denominators), the numerators are convolved, and each output coefficient is
-one ``Fraction(num, da*db)``, which ``Fraction`` reduces to the same
-canonical rational the coefficient-wise product gives.
+A series is stored as integer numerators over one positive denominator in
+lowest terms, and its ring arithmetic (``+``, ``-``, ``*``, ``inverse``,
+``==``, ``hash``) runs on those integers alone.  Fractions appear only at the
+boundary: as constructor input, as scalar operands, and as the coefficients
+it hands out, each reduced on its own to the canonical rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 __all__ = ["EpsSeries", "is_unit"]
@@ -31,54 +31,54 @@ def is_unit(x) -> bool:
     its constant term is nonzero.
     """
     if isinstance(x, EpsSeries):
-        return x.constant_term != 0
+        return x._num[0] != 0
     return x != 0
 
 
-# The multiply kernel builds its tuples from lists.  tuple() or star-unpacking
-# of a generator allocates a tuple for ten items and shrinks it, so every
-# product would move one tuple from CPython's size-10 free list to the free
-# list of its own size; on the givental workload those lists then held about
-# a megabyte more at the peak.
-
-
-def _integer_numerators(coeffs: tuple) -> tuple[int, list[int]]:
-    """``(D, [c * D for c in coeffs])`` with ``D`` the lcm of the denominators."""
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    return den, [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
+# Tuples are built from lists: tuple() of a generator allocates ten slots and
+# shrinks, which moved about a megabyte into CPython's tuple free lists at the
+# givental workload's peak.
 
 
 class EpsSeries:
-    """A power series ``a_0 + a_1 e + ... + a_J e^J`` with Fraction coefficients.
+    """A power series ``a_0 + a_1 e + ... + a_J e^J`` with rational coefficients.
 
-    Arithmetic is exact modulo ``e^(J+1)``.  Binary operations between series
-    of different truncation orders truncate to the smaller order; ints and
-    Fractions lift to constant series.  Instances are immutable and hashable.
-    Equality compares coefficients up to the smaller truncation order.  The
-    hash is computed on first use and kept on the instance.
+    Arithmetic is exact modulo ``e^(J+1)``.  Series of different truncation
+    orders do not mix: a binary operation or comparison between them raises
+    ValueError.  An ``int`` or ``Fraction`` operand acts as a constant of the
+    series' order, so ``EpsSeries.constant(3, 4) == 3`` and both hash alike.
+    Instances are immutable and hashable; the hash is computed on first use
+    and kept on the instance.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("truncation order must be >= 0")
             cs = cs[: order + 1]
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+            cs.extend([0] * (order + 1 - len(cs)))
         elif not cs:
             raise ValueError("empty coefficient list needs an explicit order")
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        self._fill([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _fill(self, nums: list[int], den: int):
+        """Store ``nums / den`` in lowest terms with a positive denominator."""
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        object.__setattr__(self, "_num", tuple(nums))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _of_fractions(cls, coeffs: tuple[Fraction, ...]) -> "EpsSeries":
-        """Wrap a tuple that already holds Fractions, skipping the coercion."""
+    def _of(cls, nums: list[int], den: int) -> "EpsSeries":
         self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        self._fill(nums, den)
         return self
 
     def __setattr__(self, name, value):
@@ -88,7 +88,7 @@ class EpsSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> "EpsSeries":
-        return cls([Fraction(value)], order)
+        return cls([value], order)
 
     @classmethod
     def eps(cls, order: int) -> "EpsSeries":
@@ -98,21 +98,22 @@ class EpsSeries:
     @classmethod
     def linear(cls, a, b, order: int) -> "EpsSeries":
         """The polynomial ``a + b*e``, truncated at ``order``."""
-        return cls([Fraction(a), Fraction(b)], order)
+        return cls([a, b], order)
 
     # -- structure ----------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(n, den) for n in self._num])
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def coefficient(self, j: int) -> Fraction:
         """The coefficient of ``e^j``; the ``(1/j!) d^j/de^j`` value at 0.
@@ -121,107 +122,108 @@ class EpsSeries:
         that coefficient was lost to truncation and must not be guessed.
         """
         if not 0 <= j <= self.order:
-            raise IndexError(
-                f"coefficient {j} exceeds truncation order {self.order}"
-            )
-        return self._coeffs[j]
+            raise IndexError(f"coefficient {j} exceeds truncation order {self.order}")
+        return Fraction(self._num[j], self._den)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "EpsSeries | None":
+    def _operand(self, other) -> tuple[tuple[int, ...], int] | None:
+        """``(numerators, denominator)`` of a series of this order or a scalar.
+
+        A scalar ``p/q`` gives ``((p,), q)``; any other type gives None.
+        """
         if isinstance(other, EpsSeries):
-            return other
+            if len(other._num) != len(self._num):
+                raise ValueError(
+                    f"cannot mix series of orders {self.order} and {other.order}"
+                )
+            return other._num, other._den
         if isinstance(other, (int, Fraction)):
-            return EpsSeries.constant(other, self.order)
+            return (other.numerator,), other.denominator
         return None
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
+    def _combine(self, other, s: int, t: int):
+        """``s * self + t * other`` for signs ``s`` and ``t``."""
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        n = min(self.order, rhs.order)
-        return EpsSeries(
-            [self._coeffs[i] + rhs._coeffs[i] for i in range(n + 1)]
-        )
+        ys, db = rhs
+        da = self._den
+        den = lcm(da, db)
+        ma, mb = s * (den // da), t * (den // db)
+        out = [x * ma for x in self._num]
+        for i, y in enumerate(ys):
+            out[i] += y * mb
+        return EpsSeries._of(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return EpsSeries(
-            [self._coeffs[i] - rhs._coeffs[i] for i in range(n + 1)]
-        )
+        return self._combine(other, 1, -1)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return self._combine(other, -1, 1)
 
     def __neg__(self):
-        return EpsSeries([-c for c in self._coeffs])
+        return EpsSeries._of([-x for x in self._num], self._den)
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            # scalar fast path
-            return EpsSeries([c * other for c in self._coeffs])
-        n = min(self.order, rhs.order)
-        da, xs = _integer_numerators(self._coeffs[: n + 1])
-        db, ys = _integer_numerators(rhs._coeffs[: n + 1])
-        out = [0] * (n + 1)
+        ys, db = rhs
+        xs = self._num
+        n, m = len(xs), len(ys)
+        out = [0] * n
         for i, x in enumerate(xs):
-            if not x:
-                continue
-            for jj in range(n + 1 - i):
-                y = ys[jj]
-                if y:
-                    out[i + jj] += x * y
-        den = da * db
-        return EpsSeries._of_fractions(tuple([Fraction(c, den) for c in out]))
+            if x:
+                for j in range(min(m, n - i)):
+                    y = ys[j]
+                    if y:
+                        out[i + j] += x * y
+        return EpsSeries._of(out, self._den * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "EpsSeries":
         """Multiplicative inverse modulo ``e^(order+1)``.
 
-        Defined iff the constant term is nonzero.
+        Defined iff the constant term is nonzero.  With numerators
+        ``a_0 + a_1 e + ...``, the inverse of that integer series is
+        ``sum_m b_m e^m / a_0^(m+1)`` where ``b_0 = 1`` and
+        ``b_m = -sum_{i=1..m} a_i a_0^(i-1) b_(m-i)``, all integers.
         """
-        c0 = self._coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError(
-                "series with zero constant term has no inverse"
-            )
-        inv0 = 1 / c0
-        out = [inv0]
-        for m in range(1, self.order + 1):
-            s = Fraction(0)
-            for i in range(1, m + 1):
-                if self._coeffs[i]:
-                    s += self._coeffs[i] * out[m - i]
-            out.append(-s * inv0)
-        return EpsSeries(out)
+        a = self._num
+        a0 = a[0]
+        if not a0:
+            raise ZeroDivisionError("series with zero constant term has no inverse")
+        n = len(a)
+        w = [a[i] * a0 ** (i - 1) for i in range(1, n)]
+        b = [1]
+        for m in range(1, n):
+            b.append(-sum([w[i - 1] * b[m - i] for i in range(1, m + 1) if w[i - 1]]))
+        den = self._den
+        return EpsSeries._of(
+            [den * bm * a0 ** (n - 1 - m) for m, bm in enumerate(b)], a0**n
+        )
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, EpsSeries):
+            return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return EpsSeries([c / other for c in self._coeffs])
-        return self * rhs.inverse()
+        if other == 0:
+            raise ZeroDivisionError("division by zero")
+        q = other.denominator
+        return EpsSeries._of([x * q for x in self._num], self._den * other.numerator)
 
     def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return rhs * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -241,31 +243,33 @@ class EpsSeries:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
-        rhs = self._coerce(other)
+        rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
-        n = min(self.order, rhs.order)
-        return self._coeffs[: n + 1] == rhs._coeffs[: n + 1]
+        ys, db = rhs
+        xs = self._num
+        return self._den == db and xs[: len(ys)] == ys and not any(xs[len(ys) :])
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            cs = self._coeffs
-            n = len(cs)
-            while n > 1 and not cs[n - 1]:
+            xs = self._num
+            n = len(xs)
+            while n > 1 and not xs[n - 1]:
                 n -= 1
-            h = hash(("EpsSeries", cs[:n]))
+            # a constant hashes like its scalar, which it compares equal to
+            h = hash(self.constant_term) if n == 1 else hash((xs[:n], self._den))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self):
-        return any(self._coeffs)
+        return any(self._num)
 
     # -- display --------------------------------------------------------
 
     def __str__(self):
         parts = []
-        for p, c in enumerate(self._coeffs):
+        for p, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             mag = abs(c)
@@ -284,4 +288,4 @@ class EpsSeries:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"EpsSeries({[str(c) for c in self._coeffs]})"
+        return f"EpsSeries({[str(c) for c in self.coeffs]})"

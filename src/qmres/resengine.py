@@ -105,10 +105,6 @@ class EngineCorruptionError(EngineError):
     """An internal invariant broke; indicates an engine bug, not bad input."""
 
 
-def _is_zero(x) -> bool:
-    return not x
-
-
 def _as_coeff(x) -> "Coeff":
     """Coerce plain ints to Fraction so ring arithmetic stays exact."""
     return Fraction(x) if isinstance(x, int) else x
@@ -236,7 +232,7 @@ class _TermBuilder:
         self.coeff = _as_coeff(coeff)
         self.mono: dict[int, int] = {}
         self.forms: dict[tuple, list] = {}  # coeffs tuple -> [origin, power]
-        self.dead = _is_zero(coeff)
+        self.dead = not coeff
 
     def mul_mono(self, var: int, exp: int):
         if exp:
@@ -260,9 +256,7 @@ class _TermBuilder:
         """Multiply by ``(sum_v mapping[v] z_v)^power``, normalizing first."""
         if power == 0 or self.dead:
             return
-        items = sorted(
-            (v, _as_coeff(c)) for v, c in mapping.items() if not _is_zero(c)
-        )
+        items = sorted((v, _as_coeff(c)) for v, c in mapping.items() if c)
         if not items:
             if power > 0:
                 self.dead = True
@@ -279,7 +273,7 @@ class _TermBuilder:
                 )
             self.coeff = self.coeff * c**power
             self.mul_mono(v, power)
-            if _is_zero(self.coeff):
+            if not self.coeff:
                 self.dead = True
             return
         pivot = None
@@ -312,7 +306,7 @@ class _TermBuilder:
         slot[1] += power
 
     def build(self) -> Term | None:
-        if self.dead or _is_zero(self.coeff):
+        if self.dead or not self.coeff:
             return None
         mono = tuple(sorted((v, e) for v, e in self.mono.items() if e))
         forms = [
@@ -350,7 +344,7 @@ def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
         else:
             acc[key] = Term(prev.coeff + t.coeff, t.mono, prev.forms)
     # tuple() of a list, not of a generator: see the free-list note in exactnum
-    return tuple([t for t in acc.values() if not _is_zero(t.coeff)])
+    return tuple([t for t in acc.values() if t.coeff])
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,7 +386,7 @@ class RatExpr:
         if isinstance(scalar, RatExpr):
             return NotImplemented
         scalar = _as_coeff(scalar)
-        if _is_zero(scalar):
+        if not scalar:
             return RatExpr((), self.live_vars)
         return RatExpr(
             _collect(Term(t.coeff * scalar, t.mono, t.forms) for t in self.terms),
@@ -492,7 +486,7 @@ def _taylor_coefficient(h: Term, var: int, n: int) -> list[Term]:
     out: list[Term] = []
     for w, shares in compose(0, n, h.coeff) if factors else ():
         # c^i vanishes for a nilpotent series c; collection would drop the term
-        if _is_zero(w):
+        if not w:
             continue
         mono, forms = h.mono, list(h.forms)
         for (idx, p, _), i in zip(factors, shares):
@@ -516,7 +510,7 @@ def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
                     f"into a pole of order {-e}"
                 )
             b.coeff = b.coeff * value**e
-            if _is_zero(b.coeff):
+            if not b.coeff:
                 return None
             b.mul_mono(target, e)
         else:
@@ -607,7 +601,7 @@ def _normalize_root_form(
     if isinstance(form, LinearForm):
         mapping = dict(form.coeffs)
     else:
-        mapping = {v: c for v, c in form.items() if not _is_zero(c)}
+        mapping = {v: c for v, c in form.items() if c}
     if var not in mapping:
         raise PrescriptionError(f"form is not linear in z{var}")
     if len(mapping) != 2:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qmres.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, parse_range
+from qmres import cli
+from qmres.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, parse_range, pool_size
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +290,63 @@ class TestWorkers:
             main(self.ARGS)
         assert exc.value.code == EXIT_USAGE
         assert "QMRES_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "requested, tasks, cpus, size",
+        [
+            (10**9, 10**9, 64, 64),
+            (10**6, 5, 2, 2),
+            (10**6, 3, 10**4, 3),
+            (4, 10**6, 10**4, 4),
+            (10**6, 10**6, None, 1),
+            (8, 0, 8, 1),
+            (1, 100, 8, 1),
+        ],
+    )
+    def test_pool_size_is_capped(self, requested, tasks, cpus, size):
+        assert pool_size(requested, tasks, cpus) == size
+
+    def test_run_tasks_starts_the_capped_pool(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._run_tasks([1, 2, 3], abs, 10**6) == [1, 2, 3]
+        assert cli._run_tasks([-4], abs, 10**6) == [4]
+        assert started == [2]
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--regime", "fano", "--N", "1", "--d", "1", "--jmax", "1"],
+            ["givental", "--N", "1"],
+            ["bench", "--N", "1", "--d", "1"],
+        ],
+        ids=["verify", "givental", "bench"],
+    )
+    def test_empty_grid_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert "--N" in out.err and out.out == ""
 
 
 class TestGivental:

@@ -1,9 +1,10 @@
 """Tests for the exact coefficient rings."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmres.exactnum import EpsSeries, is_unit
@@ -83,10 +84,13 @@ class TestEpsSeries:
             s.coefficient(-1)
 
     def test_truncation_to_smaller(self):
-        a = EpsSeries([1, 1], order=5)
+        a = EpsSeries([1, 1, 4, 5], order=2)
         b = EpsSeries([1, 2, 3], order=2)
+        assert a == EpsSeries([1, 1, 4])
         assert (a * b).order == 2
         assert (a + b).order == 2
+        with pytest.raises(ValueError):
+            EpsSeries([1, 1], order=5) * b
 
     def test_zero_constant_term_not_invertible(self):
         with pytest.raises(ZeroDivisionError):
@@ -101,12 +105,12 @@ class TestEpsSeries:
         assert (s - 1).coefficient(0) == 0
 
     def test_equality_up_to_common_order(self):
-        assert EpsSeries([1, 2], 1) == EpsSeries([1, 2, 7], 2)
+        assert EpsSeries([1, 2], 2) == EpsSeries([1, 2, 0], 2)
         assert EpsSeries([1, 2], 1) != EpsSeries([1, 3], 1)
         assert EpsSeries.constant(3, 4) == 3
 
     def test_hash_consistency(self):
-        assert hash(EpsSeries([1, 2, 0])) == hash(EpsSeries([1, 2, 0, 0, 0]))
+        assert hash(EpsSeries([1, 2, 0], 4)) == hash(EpsSeries([1, 2], 4))
 
     def test_is_unit(self):
         assert is_unit(EpsSeries([1, 5]))
@@ -139,8 +143,8 @@ wide_rationals = st.builds(
 
 
 def schoolbook(a: EpsSeries, b: EpsSeries) -> list[Fraction]:
-    """The coefficient-wise product in plain Fractions, truncated at the smaller order."""
-    n = min(a.order, b.order)
+    """The coefficient-wise product in plain Fractions of two series of one order."""
+    n = a.order
     out = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
@@ -151,10 +155,15 @@ def schoolbook(a: EpsSeries, b: EpsSeries) -> list[Fraction]:
 class TestIntegerKernel:
     @settings(max_examples=200)
     @given(
-        st.lists(wide_rationals, min_size=1, max_size=9),
-        st.lists(wide_rationals, min_size=1, max_size=9),
+        st.integers(0, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(wide_rationals, min_size=n + 1, max_size=n + 1),
+                st.lists(wide_rationals, min_size=n + 1, max_size=n + 1),
+            )
+        )
     )
-    def test_product_matches_schoolbook(self, xs, ys):
+    def test_product_matches_schoolbook(self, operands):
+        xs, ys = operands
         a, b = EpsSeries(xs), EpsSeries(ys)
         got = a * b
         want = schoolbook(a, b)
@@ -168,7 +177,7 @@ class TestIntegerKernel:
 
     def test_zero_and_negative_coefficients(self):
         a = EpsSeries([0, Fraction(-3, 4), 0, Fraction(5, 6)])
-        b = EpsSeries([Fraction(-2, 9), 0, Fraction(7, 2)], order=5)
+        b = EpsSeries([Fraction(-2, 9), 0, Fraction(7, 2)], order=3)
         assert (a * b).coeffs == tuple(schoolbook(a, b))
         assert (a * EpsSeries.constant(0, 3)).coeffs == (Fraction(0),) * 4
 
@@ -185,5 +194,62 @@ class TestCachedHash:
         product = EpsSeries.linear(1, 1, 3) * EpsSeries.linear(1, -1, 3)
         literal = EpsSeries([1, 0, -1, 0])
         assert product == literal and hash(product) == hash(literal)
-        halved = EpsSeries.linear(2, 4, 4) * EpsSeries.constant(Fraction(1, 2), 6)
-        assert hash(halved) == hash(EpsSeries([1, 2]))
+        halved = EpsSeries.linear(2, 4, 4) * EpsSeries.constant(Fraction(1, 2), 4)
+        assert hash(halved) == hash(EpsSeries([1, 2], 4))
+
+
+def fraction_inverse(cs: list[Fraction]) -> list[Fraction]:
+    """The inverse series by long division in plain Fractions."""
+    out = [1 / cs[0]]
+    for m in range(1, len(cs)):
+        s = sum((cs[i] * out[m - i] for i in range(1, m + 1)), Fraction(0))
+        out.append(-s / cs[0])
+    return out
+
+
+class TestIntegerInverse:
+    @settings(max_examples=200)
+    @given(
+        wide_rationals.filter(bool),
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(wide_rationals, min_size=n, max_size=n)
+        ),
+    )
+    def test_inverse_matches_fraction_recurrence(self, c0, rest):
+        xs = [c0, *rest]
+        got = EpsSeries(xs).inverse()
+        want = fraction_inverse(xs)
+        assert [(c.numerator, c.denominator) for c in got.coeffs] == [
+            (c.numerator, c.denominator) for c in want
+        ]
+        assert str(got) == str(EpsSeries(want))
+
+
+class TestHashContract:
+    @given(series(), series())
+    def test_equal_series_hash_equal(self, a, b):
+        zero = EpsSeries.constant(0, a.order)
+        for x, y in [(a * b, b * a), ((a + b) - b, a), (a - a, zero), (-(-a), a)]:
+            assert x == y and hash(x) == hash(y)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(rationals | st.integers(-(2**80), 2**80), st.integers(0, 8))
+    @example(3, 4)
+    @example(Fraction(3, 2), 1)
+    def test_constant_hashes_like_its_scalar(self, c, order):
+        s = EpsSeries.constant(c, order)
+        assert s == c and c == s and hash(s) == hash(c)
+        assert {c: "scalar"}[s] == "scalar"
+
+
+class TestMixedOrders:
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq],
+        ids=["add", "sub", "mul", "truediv", "eq"],
+    )
+    def test_mixed_orders_rejected(self, op):
+        a, b = EpsSeries([1, 2], 3), EpsSeries([1, 2], 4)
+        with pytest.raises(ValueError, match="orders 3 and 4"):
+            op(a, b)

@@ -1,7 +1,8 @@
 """Byte gate: sha256 digests of CLI output and engine renderings.
 
 The digests were recorded before the term-ordering and multiply-kernel
-speedups and must never move: any change that reorders output, renders a
+speedups (the two series digests before ``EpsSeries`` moved to integer
+numerators) and must never move: any change that reorders output, renders a
 term differently or changes a value fails here instead of relying on a
 manual ``diff`` of CLI runs.
 """
@@ -11,7 +12,7 @@ import hashlib
 import pytest
 
 from qmres import cli, resengine
-from qmres.quasimap import Query, build_integrand, eval_cascade
+from qmres.quasimap import Query, build_integrand, eval_cascade, hypergeom_series
 
 
 def _sha(text: str) -> str:
@@ -53,6 +54,8 @@ CLI_GOLDENS = [
 
 INTEGRANDS_SHA256 = "abc6a500ef9ab9d4c9b077fc67913c4de82c21836fc73665ae8cd64a9b98cd89"
 CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a4554816675"
+HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
+CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
 
 
 @pytest.mark.parametrize(
@@ -108,3 +111,22 @@ def test_integrand_renderings():
 
 def test_cascade_residue_renderings(monkeypatch):
     assert _sha(cascade_residue_renderings(monkeypatch)) == CASCADE_SHA256
+
+
+SERIES_GRID = [
+    (N, k, d) for N in range(2, 7) for k in range(1, N + 3) for d in range(1, 4)
+]
+
+
+def test_hypergeom_series_bytes():
+    """``str`` of ``hypergeom_series`` over N 2..6, k 1..N+2, d 1..3 at J = 6."""
+    lines = [f"{N},{k},{d}: {hypergeom_series(N, k, d, 6)}" for N, k, d in SERIES_GRID]
+    assert _sha("\n".join(lines)) == HYPERGEOM_SERIES_SHA256
+
+
+def test_cascade_series_bytes():
+    """``str`` of ``eval_cascade`` over N 2..6, k 1..N+2, d 1..3 at J = 6."""
+    lines = [
+        f"{N},{k},{d}: {eval_cascade(Query(N, k, d, j_max=6))}" for N, k, d in SERIES_GRID
+    ]
+    assert _sha("\n".join(lines)) == CASCADE_SERIES_SHA256

@@ -8,26 +8,28 @@ Expressions live in variables ``z_0 .. z_d`` over an exact coefficient ring
 where the Laurent exponents ``a_v`` and the form powers ``p_s`` are signed
 integers: positive powers are numerator factors (the lazily-expanded Euler
 products), negative powers are denominator poles.  Linear forms are kept in
-a canonical scale, monic in their lowest-index variable with a unit
-coefficient, with the extracted scalar absorbed into the term coefficient;
-forms that degenerate to a single variable are folded into the monomial.
-This makes pole-collision detection a syntactic check and keeps every
-operation (Taylor coefficients, substitution, residue extraction) closed on
-the term shape.
+a canonical scale, monic at their lowest-index unit coefficient, with the
+extracted scalar absorbed into the term coefficient; forms that degenerate
+to a single variable are folded into the monomial.  Over the rational ring
+a form is a vector of integer numerators over one positive denominator, so
+comparing, hashing and merging forms, and evaluating one at ``z_i = 0``
+(drop an entry, divide by the gcd), run on ints; the rational scalars a
+term picks up on the way meet its coefficient once, as one integer ratio.
+Pole-collision detection is thus a syntactic check, and every operation
+(Taylor coefficients, substitution, residue extraction) stays closed on the
+term shape.
 
 A term keeps its forms in the order they were multiplied in, and an
 expression keeps its terms in the order they were collected; both orders are
 deterministic but carry no meaning.  Term identity is order-free: collection
 and equality compare the monomial with the *set* of (form, power) pairs.
 Sorting happens only when rendering (``debug_str``) and when listing the pole
-sites of a step (``denominator_forms``), so the residue steps never compare
-coefficients to order them.
+sites of a step (``denominator_forms``).
 
 Residues are computed algebraically: the residue of ``e`` at ``z_i = r`` is
 the ``(z_i - r)^(M-1)`` Taylor coefficient of ``(z_i - r)^M e``, with ``M``
 the total multiplicity after grouping all denominator factors that vanish
-there, read straight off the factors by the generalised Leibniz rule.  No
-contours or convergence conditions are modelled.
+there, read straight off the factors by the generalised Leibniz rule.
 
 Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .exactnum import EpsSeries, is_unit
@@ -59,7 +61,6 @@ __all__ = [
     "RatExpr",
     "make_term",
     "homogeneity_degree",
-    "substitute",
     "residue_at_zero",
     "residue_at_form_root",
     "default_pole_sites",
@@ -78,11 +79,7 @@ def node_tag(index: int) -> str:
     return f"node({index})"
 
 
-_ORIGIN_RANK = {PLAIN: 0, DEFORMATION: 1}
-
-
-def _origin_rank(origin: str) -> int:
-    return _ORIGIN_RANK.get(origin, 2)
+_ORIGIN_RANK = {PLAIN: 0, DEFORMATION: 1}  # node tags rank 2
 
 
 class EngineError(Exception):
@@ -105,63 +102,55 @@ class EngineCorruptionError(EngineError):
     """An internal invariant broke; indicates an engine bug, not bad input."""
 
 
-def _as_coeff(x) -> "Coeff":
-    """Coerce plain ints to Fraction so ring arithmetic stays exact."""
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _coeff_key(x):
-    if isinstance(x, EpsSeries):
-        return (1,) + x.coeffs
-    return (0, Fraction(x))
-
-
 @dataclass(frozen=True, slots=True)
 class LinearForm:
-    """A linear form ``sum_v c_v z_v`` in canonical scale.
+    """A linear form ``sum_i c_i z_(vars[i])`` in canonical scale.
 
-    ``coeffs`` is sorted by variable index, holds no zero coefficients, has
-    at least two entries (single-variable forms are folded into monomials),
-    and the pivot coefficient (the lowest-index one that is a unit) is 1.
-    ``sort_key`` is used only to render terms and to order a step's pole
-    sites; term identity does not depend on it.
+    ``vars`` is sorted, every ``c_i`` is nonzero, there are at least two
+    (single-variable forms fold into monomials), and the pivot, the first
+    unit ``c_i``, is 1.  Over the rational ring ``c_i = nums[i] / den``
+    with ints in lowest terms, ``den > 0`` and ``nums[0] == den``; over the
+    series ring ``den`` is None and ``nums`` are the coefficients.  So
+    rational forms compare and hash on ints.  ``coeffs`` and ``coeff_of``
+    hand out Fractions (or series); ``sort_key`` orders renderings and a
+    step's pole sites only.
     """
 
-    coeffs: tuple[tuple[int, Coeff], ...]
+    vars: tuple[int, ...]
+    nums: tuple
+    den: int | None
     origin: str = PLAIN
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.coeffs)
+    @property
+    def key(self) -> tuple:
+        """The form without its origin tag: what proportional factors share."""
+        return self.vars, self.nums, self.den
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, Coeff], ...]:
+        den = self.den
+        if den is None:
+            return tuple(zip(self.vars, self.nums))
+        return tuple([(v, Fraction(n, den)) for v, n in zip(self.vars, self.nums)])
 
     def coeff_of(self, var: int):
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return None
+        if var not in self.vars:
+            return None
+        n = self.nums[self.vars.index(var)]
+        return n if self.den is None else Fraction(n, self.den)
 
     def sort_key(self):
-        return (
-            tuple((v, _coeff_key(c)) for v, c in self.coeffs),
-            self.origin,
-        )
+        # rationals (tag 0) order before series (tag 1, then their coefficients)
+        cs = [(v, (1, *c.coeffs) if isinstance(c, EpsSeries) else (0, c)) for v, c in self.coeffs]
+        return tuple(cs), self.origin
 
     def __str__(self):
         parts = []
         for v, c in self.coeffs:
-            if isinstance(c, EpsSeries):
-                cs = f"({c})"
-            else:
-                cs = str(c)
-            if cs == "1":
-                parts.append(f"z{v}")
-            elif cs == "-1":
-                parts.append(f"-z{v}")
-            else:
-                parts.append(f"{cs}*z{v}")
+            cs = f"({c})" if isinstance(c, EpsSeries) else str(c)
+            parts.append(f"z{v}" if cs == "1" else f"-z{v}" if cs == "-1" else f"{cs}*z{v}")
         body = " + ".join(parts).replace("+ -", "- ")
-        if self.origin == PLAIN:
-            return f"({body})"
-        return f"({body})@{self.origin}"
+        return f"({body})" if self.origin == PLAIN else f"({body})@{self.origin}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,10 +192,7 @@ class Term:
         return sorted(self.forms, key=lambda fp: (fp[0].sort_key(), fp[1]))
 
     def sort_key(self):
-        return (
-            self.mono,
-            tuple((f.sort_key(), p) for f, p in self.sorted_forms()),
-        )
+        return self.mono, tuple((f.sort_key(), p) for f, p in self.sorted_forms())
 
     def __str__(self):
         pieces = [f"({self.coeff})"]
@@ -223,26 +209,47 @@ class _TermBuilder:
     Responsible for the canonical-scale rules: zero coefficients are dropped,
     single-variable forms fold into the monomial, the pivot coefficient is
     divided out into the term coefficient, and proportional forms merge with
-    their powers added (resolving origin tags by specificity).
+    their powers added (resolving origin tags by specificity).  Rational
+    scalars (the term's own, pivots, folds) gather in the int pair
+    ``num / den``, which ``build`` turns into one Fraction; series scalars
+    multiply ``coeff`` (None until the first) as they come.
     """
 
-    __slots__ = ("coeff", "mono", "forms", "dead")
+    __slots__ = ("coeff", "num", "den", "mono", "forms", "dead")
 
     def __init__(self, coeff: Coeff):
-        self.coeff = _as_coeff(coeff)
+        if isinstance(coeff, EpsSeries):
+            self.coeff, self.num, self.den = coeff, 1, 1
+        else:
+            self.coeff, self.num, self.den = None, coeff.numerator, coeff.denominator
         self.mono: dict[int, int] = {}
-        self.forms: dict[tuple, list] = {}  # coeffs tuple -> [origin, power]
+        self.forms: dict[tuple, list] = {}  # LinearForm.key -> [origin, power, form]
         self.dead = not coeff
 
     def mul_mono(self, var: int, exp: int):
         if exp:
             self.mono[var] = self.mono.get(var, 0) + exp
 
+    def _scale(self, n: int, d: int, power: int):
+        """Multiply the coefficient by ``(n/d)^power``."""
+        if power < 0:
+            n, d, power = d, n, -power
+        self.num *= n**power
+        self.den *= d**power
+
+    def mul_scalar(self, c: Coeff, power: int):
+        """Multiply the coefficient by ``c^power``."""
+        if isinstance(c, EpsSeries):
+            x = c**power
+            self.coeff = x if self.coeff is None else self.coeff * x
+            if not self.coeff:
+                self.dead = True
+        else:
+            self._scale(c.numerator, c.denominator, power)
+
     def mul_canonical(self, form: LinearForm, power: int):
         """Multiply by a form already in canonical scale (fast path)."""
-        if power == 0:
-            return
-        self._merge(form.coeffs, form.origin, power)
+        self._merge(form.key, form.origin, power, form)
 
     def mul_factors(self, mono: Mapping[int, int] | None, forms: Iterable[tuple]):
         """Multiply by a monomial and ``(mapping, power[, origin])`` form items."""
@@ -256,8 +263,24 @@ class _TermBuilder:
         """Multiply by ``(sum_v mapping[v] z_v)^power``, normalizing first."""
         if power == 0 or self.dead:
             return
-        items = sorted((v, _as_coeff(c)) for v, c in mapping.items() if c)
-        if not items:
+        items = sorted([(v, c) for v, c in mapping.items() if c])
+        vs, cs = tuple([v for v, _ in items]), [c for _, c in items]
+        if any(isinstance(c, EpsSeries) for c in cs):
+            cs = [c if isinstance(c, EpsSeries) else Fraction(c) for c in cs]
+            self.mul_vector(vs, cs, None, power, origin)
+        else:
+            den = lcm(*[c.denominator for c in cs])
+            nums = [c.numerator * (den // c.denominator) for c in cs]
+            self.mul_vector(vs, nums, den, power, origin)
+
+    def mul_vector(self, vs: tuple, nums: list, den: int | None, power: int, origin: str):
+        """Multiply by ``(sum_i nums[i]/den z_(vs[i]))^power``: the one normalization.
+
+        ``vs`` is sorted and no ``nums`` is zero; ``den`` is None for series
+        coefficients.  Rational ints divide out their pivot ``nums[0]/den``,
+        so a vector whose pivot equals ``den`` only loses its gcd.
+        """
+        if not vs:
             if power > 0:
                 self.dead = True
                 return
@@ -265,38 +288,42 @@ class _TermBuilder:
                 "a denominator form vanished identically; the substitution "
                 "hit an unclaimed pole"
             )
-        if len(items) == 1:
-            v, c = items[0]
-            if power < 0 and not is_unit(c):
-                raise NonInvertiblePoleError(
-                    f"cannot divide by non-invertible coefficient on z{v}"
-                )
-            self.coeff = self.coeff * c**power
-            self.mul_mono(v, power)
-            if not self.coeff:
-                self.dead = True
+        if den is not None:
+            pivot = nums[0]
+            if pivot != den:
+                self._scale(pivot, den, power)
+            if len(vs) == 1:
+                self.mul_mono(vs[0], power)
+                return
+            g = gcd(*nums) if pivot > 0 else -gcd(*nums)
+            if g != 1:
+                nums = [n // g for n in nums]
+            self._merge((vs, tuple(nums), pivot // g), origin, power)
             return
-        pivot = None
-        for v, c in items:
-            if is_unit(c):
-                pivot = c
-                break
+        if len(vs) == 1:
+            if power < 0 and not is_unit(nums[0]):
+                raise NonInvertiblePoleError(f"cannot divide by non-invertible coefficient on z{vs[0]}")
+            self.mul_scalar(nums[0], power)
+            self.mul_mono(vs[0], power)
+            return
+        pivot = next((c for c in nums if is_unit(c)), None)
         if pivot is None:
             raise NonInvertiblePoleError(
                 "linear form has no invertible coefficient; cannot normalize"
             )
         if pivot != 1:
-            items = [(v, c / pivot) for v, c in items]
-            self.coeff = self.coeff * pivot**power
-        self._merge(tuple(items), origin, power)
+            nums = [c / pivot for c in nums]
+            self.mul_scalar(pivot, power)
+        self._merge((vs, tuple(nums), None), origin, power)
 
-    def _merge(self, coeffs: tuple, origin: str, power: int):
-        slot = self.forms.get(coeffs)
+    def _merge(self, key: tuple, origin: str, power: int, form: LinearForm | None = None):
+        """Add ``power`` to the form ``key``; ``form``, if given, is reused by ``build``."""
+        slot = self.forms.get(key)
         if slot is None:
-            self.forms[coeffs] = [origin, power]
+            self.forms[key] = [origin, power, form]
             return
         if slot[0] != origin:
-            ra, rb = _origin_rank(slot[0]), _origin_rank(origin)
+            ra, rb = _ORIGIN_RANK.get(slot[0], 2), _ORIGIN_RANK.get(origin, 2)
             if ra == rb == 2:
                 raise EngineCorruptionError(
                     f"two distinct node tags collided: {slot[0]} vs {origin}"
@@ -306,21 +333,23 @@ class _TermBuilder:
         slot[1] += power
 
     def build(self) -> Term | None:
-        if self.dead or not self.coeff:
+        if self.dead or not self.num:
             return None
+        if self.coeff is None:
+            coeff = Fraction(self.num, self.den)
+        else:
+            coeff = self.coeff if self.num == self.den else self.coeff * Fraction(self.num, self.den)
         mono = tuple(sorted((v, e) for v, e in self.mono.items() if e))
         forms = [
-            (LinearForm(coeffs, origin), power)
-            for coeffs, (origin, power) in self.forms.items()
+            (f if f is not None and f.origin == origin else LinearForm(*key, origin), power)
+            for key, (origin, power, f) in self.forms.items()
             if power
         ]
-        return Term(self.coeff, mono, tuple(forms))
+        return Term(coeff, mono, tuple(forms))
 
 
 def make_term(
-    coeff: Coeff,
-    mono: Mapping[int, int] | None = None,
-    forms: Iterable[tuple] = (),
+    coeff: Coeff, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
 ) -> Term | None:
     """Build one canonical term.
 
@@ -385,7 +414,6 @@ class RatExpr:
     def __mul__(self, scalar) -> "RatExpr":
         if isinstance(scalar, RatExpr):
             return NotImplemented
-        scalar = _as_coeff(scalar)
         if not scalar:
             return RatExpr((), self.live_vars)
         return RatExpr(
@@ -396,10 +424,7 @@ class RatExpr:
     __rmul__ = __mul__
 
     def mul_term(
-        self,
-        coeff: Coeff = 1,
-        mono: Mapping[int, int] | None = None,
-        forms: Iterable[tuple] = (),
+        self, coeff: Coeff = 1, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
     ) -> "RatExpr":
         """Multiply every term by ``coeff * monomial * forms``."""
         out = []
@@ -417,8 +442,8 @@ class RatExpr:
         seen: dict[tuple, LinearForm] = {}
         for t in self.terms:
             for f, p in t.forms:
-                if p < 0 and f.origin == origin and f.coeffs not in seen:
-                    seen[f.coeffs] = f
+                if p < 0 and f.origin == origin:
+                    seen.setdefault(f.key, f)
         return sorted(seen.values(), key=LinearForm.sort_key)
 
     def debug_str(self) -> str:
@@ -500,7 +525,13 @@ def _taylor_coefficient(h: Term, var: int, n: int) -> list[Term]:
 
 
 def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
-    """Replace ``z_var`` by ``value * z_target`` in one term."""
+    """Replace ``z_var`` by ``value * z_target`` in one term.
+
+    A rational form under a rational value ``p/q`` stays an integer vector:
+    at ``value = 0`` it just drops its ``z_var`` entry; otherwise, over the
+    denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
+    ``z_target``.  Series forms and series values go through ``coeffs``.
+    """
     b = _TermBuilder(t.coeff)
     for v, e in t.mono:
         if v == var:
@@ -509,38 +540,31 @@ def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
                     f"substituting z{var} -> c*z{target} with non-invertible c "
                     f"into a pole of order {-e}"
                 )
-            b.coeff = b.coeff * value**e
-            if not b.coeff:
+            b.mul_scalar(value, e)
+            if b.dead or not b.num:  # a nilpotent or zero value killed the term
                 return None
             b.mul_mono(target, e)
         else:
             b.mul_mono(v, e)
     for f, p in t.forms:
-        c = f.coeff_of(var)
-        if c is None:
+        if var not in f.vars:
             b.mul_canonical(f, p)
-            continue
-        mapping = dict(f.coeffs)
-        del mapping[var]
-        mapping[target] = mapping.get(target, 0) + c * value
-        b.mul_form(mapping, p, f.origin)
+        elif f.den is None or isinstance(value, EpsSeries):
+            mapping = dict(f.coeffs)
+            c = mapping.pop(var)
+            mapping[target] = mapping.get(target, 0) + c * value
+            b.mul_form(mapping, p, f.origin)
+        else:
+            i = f.vars.index(var)
+            vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
+            if value:
+                q = value.denominator
+                entries = dict(zip(vs, [n * q for n in nums]))
+                entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
+                vs = tuple(sorted([v for v, n in entries.items() if n]))
+                nums, den = [entries[v] for v in vs], den * q
+            b.mul_vector(vs, nums, den, p, f.origin)
     return b.build()
-
-
-def substitute(expr: RatExpr, var: int, value: Coeff, target: int) -> RatExpr:
-    """Replace ``z_var`` by ``value * z_target`` throughout the expression.
-
-    ``var`` is removed from the live variables; homogeneity is preserved.
-    Raises PoleCollisionError when the substitution annihilates a denominator
-    form: such forms carry a pole that a residue operation must consume first.
-    """
-    if var not in expr.live_vars:
-        raise PrescriptionError(f"z{var} is not a live variable")
-    if target not in expr.live_vars or target == var:
-        raise PrescriptionError(f"invalid substitution target z{target}")
-    value = _as_coeff(value)
-    live = tuple(v for v in expr.live_vars if v != var)
-    return RatExpr.of(live, (_subst_term(t, var, value, target) for t in expr.terms))
 
 
 def _residue(
@@ -549,8 +573,8 @@ def _residue(
     """Residue in ``z_var`` at ``z_var = value * z_target``, for both pole sites.
 
     ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
-    canonical coefficient tuple of the pole form, whose ``z_var`` coefficient
-    is ``alpha``.
+    ``LinearForm.key`` of the pole form, whose ``z_var`` coefficient is
+    ``alpha``.
     """
     live = tuple(v for v in expr.live_vars if v != var)
     out: list[Term | None] = []
@@ -559,8 +583,8 @@ def _residue(
             m = -t.exponent_of(var)
             mono, forms = tuple((v, e) for v, e in t.mono if v != var), t.forms
         else:
-            m = -sum(p for f, p in t.forms if f.coeffs == pole)
-            mono, forms = t.mono, tuple((f, p) for f, p in t.forms if f.coeffs != pole)
+            m = -sum(p for f, p in t.forms if f.key == pole)
+            mono, forms = t.mono, tuple((f, p) for f, p in t.forms if f.key != pole)
         if m <= 0:
             continue
         coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
@@ -592,16 +616,14 @@ def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
 def _normalize_root_form(
     var: int, form: "LinearForm | Mapping[int, Coeff]"
 ) -> tuple[tuple, Coeff, int, Coeff]:
-    """Resolve a root request into (canonical coeffs, z_var coefficient, other var, root scale).
+    """Resolve a root request into (pole key, z_var coefficient, other var, root scale).
 
-    Returns the canonical coefficient tuple identifying the grouped pole, the
+    Returns the ``LinearForm.key`` identifying the grouped pole, the
     canonical form's ``z_var`` coefficient, the other variable ``t`` and the
     root coefficient ``c`` with ``z_var = c * z_t``.
     """
-    if isinstance(form, LinearForm):
-        mapping = dict(form.coeffs)
-    else:
-        mapping = {v: c for v, c in form.items() if c}
+    items = form.coeffs if isinstance(form, LinearForm) else form.items()
+    mapping = {v: c for v, c in items if c}
     if var not in mapping:
         raise PrescriptionError(f"form is not linear in z{var}")
     if len(mapping) != 2:
@@ -612,16 +634,15 @@ def _normalize_root_form(
     probe.mul_form(mapping, 1, PLAIN)
     if probe.dead or len(probe.forms) != 1:
         raise PrescriptionError("degenerate form has no isolated root")
-    coeffs = next(iter(probe.forms))
-    normalized = dict(coeffs)
-    alpha = normalized[var]
-    (other,) = [v for v in normalized if v != var]
+    pole = LinearForm(*next(iter(probe.forms)))
+    alpha = pole.coeff_of(var)
+    (other,) = [v for v in pole.vars if v != var]
     if not is_unit(alpha):
         raise NonInvertiblePoleError(
             f"z{var} coefficient of the pole form is not invertible"
         )
-    c = -normalized[other] / alpha if alpha != 1 else -normalized[other]
-    return coeffs, alpha, other, c
+    c = -pole.coeff_of(other)
+    return pole.key, alpha, other, c if alpha == 1 else c / alpha
 
 
 def residue_at_form_root(
@@ -638,10 +659,10 @@ def residue_at_form_root(
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
-    coeffs, alpha, other, c = _normalize_root_form(var, form)
+    pole, alpha, other, c = _normalize_root_form(var, form)
     if other not in expr.live_vars:
         raise PrescriptionError(f"root variable z{other} is not live")
-    return _residue(expr, var, coeffs, alpha, c, other)
+    return _residue(expr, var, pole, alpha, c, other)
 
 
 def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[str | LinearForm]:
@@ -670,7 +691,7 @@ def _check_step_invariants(expr: RatExpr, step: int, last: int):
                     f"form {f} with consumed origin survived step {step}"
                 )
             if step + 1 <= last - 1 and f.origin == node_tag(step + 1):
-                if set(f.support()) != {step + 1, step + 2}:
+                if set(f.vars) != {step + 1, step + 2}:
                     raise EngineCorruptionError(
                         f"descendant form {f} lost its two-variable shape"
                     )
@@ -715,8 +736,6 @@ def iterated_residue(expr: RatExpr):
                     f"degree did not rise by one at step {step}"
                 )
             _check_step_invariants(current, step, last)
-    if not current.terms:
-        return zero
     result = zero
     for t in current.terms:
         if t.mono or t.forms:

@@ -1,5 +1,5 @@
-"""Shared test utilities: the brute-force residue oracle, random instances and
-the polynomial expansion of numerator-only expressions.
+"""Shared test utilities: the brute-force residue oracle, random instances,
+the polynomial expansion of numerator-only expressions and substitution.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from qmres.resengine import RatExpr, make_term
+from qmres.resengine import PrescriptionError, RatExpr, make_term
 
 
 @dataclass(frozen=True)
@@ -143,3 +143,34 @@ def expand(expr: RatExpr) -> dict[tuple[tuple[int, int], ...], Fraction]:
             else:
                 total[key] = val
     return {k: v for k, v in total.items() if v}
+
+
+def substitute(expr: RatExpr, var: int, value, target: int) -> RatExpr:
+    """Replace ``z_var`` by ``value * z_target`` throughout the expression.
+
+    ``value`` is a Fraction or an EpsSeries.  ``var`` is removed from the live
+    variables; homogeneity is preserved.  Every term is rebuilt through the
+    library's ``make_term``, so a denominator form that the substitution
+    annihilates raises the library's PoleCollisionError.
+    """
+    if var not in expr.live_vars:
+        raise PrescriptionError(f"z{var} is not a live variable")
+    if target not in expr.live_vars or target == var:
+        raise PrescriptionError(f"invalid substitution target z{target}")
+    terms = []
+    for t in expr.terms:
+        coeff, mono = t.coeff, {}
+        for v, e in t.mono:
+            if v == var:
+                coeff = coeff * value**e
+                v = target
+            mono[v] = mono.get(v, 0) + e
+        forms = []
+        for f, p in t.forms:
+            mapping = dict(f.coeffs)
+            c = mapping.pop(var, None)
+            if c is not None:
+                mapping[target] = mapping.get(target, 0) + c * value
+            forms.append((mapping, p, f.origin))
+        terms.append(make_term(coeff, mono, forms))
+    return RatExpr.of([v for v in expr.live_vars if v != var], terms)

@@ -349,6 +349,52 @@ class TestEmptyGrid:
         assert "--N" in out.err and out.out == ""
 
 
+class TestUsageLines:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["givental", "--N", "1"], "the grid is empty: no cell for --N 1..1"),
+            (
+                ["compute", "--N", "2", "--k", "5", "--d", "1", "--j", "0", "--regime", "fano"],
+                "requested regime 'fano' but N=2, k=5 is general",
+            ),
+        ],
+        ids=["givental", "compute"],
+    )
+    def test_usage_names_the_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith(f"usage: qmres {argv[0]} [-h] --N N")
+        assert err.endswith(f"\nqmres {argv[0]}: error: {message}\n")
+
+
+class TestLongestFirst:
+    def test_cost_order_on_the_verify_parallel_grid(self):
+        # the measured order of the costliest N = 4 cells at j_max = 3
+        cells = [(4, k, d, 3) for k in range(1, 7) for d in range(1, 4)]
+        ranked = sorted(cells, key=cli.cell_cost, reverse=True)
+        assert ranked[:5] == [(4, 6, 3, 3), (4, 5, 3, 3), (4, 6, 2, 3), (4, 5, 2, 3), (4, 4, 3, 3)]
+
+    def test_verify_hands_out_longest_first_and_prints_grid_order(self, capsys, monkeypatch):
+        handed = []
+
+        def serial(tasks, worker, workers):
+            handed.extend(tasks)
+            return [worker(t) for t in tasks]
+
+        monkeypatch.setattr(cli, "_run_tasks", serial)
+        code, out, _ = run_cli(
+            capsys, "verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--workers", "2"
+        )
+        assert code == EXIT_OK
+        assert len(handed) == 10 and handed != sorted(handed)
+        assert handed == sorted(handed, key=cli.cell_cost, reverse=True)
+        keys = [(r["N"], r["k"], r["d"], r["j"]) for r in json.loads(out)]
+        assert keys == sorted(keys) and len(keys) == 20
+
+
 class TestGivental:
     def test_grid_annihilates(self, capsys):
         code, out, _ = run_cli(

@@ -2,9 +2,10 @@
 
 The digests were recorded before the term-ordering and multiply-kernel
 speedups (the two series digests before ``EpsSeries`` moved to integer
-numerators) and must never move: any change that reorders output, renders a
-term differently or changes a value fails here instead of relying on a
-manual ``diff`` of CLI runs.
+numerators, the direct-residue digest before rational linear forms did) and
+must never move: any change that reorders output, renders a term differently
+or changes a value fails here instead of relying on a manual ``diff`` of CLI
+runs.
 """
 
 import hashlib
@@ -12,7 +13,13 @@ import hashlib
 import pytest
 
 from qmres import cli, resengine
-from qmres.quasimap import Query, build_integrand, eval_cascade, hypergeom_series
+from qmres.quasimap import (
+    Query,
+    build_integrand,
+    eval_cascade,
+    eval_direct,
+    hypergeom_series,
+)
 
 
 def _sha(text: str) -> str:
@@ -54,6 +61,7 @@ CLI_GOLDENS = [
 
 INTEGRANDS_SHA256 = "abc6a500ef9ab9d4c9b077fc67913c4de82c21836fc73665ae8cd64a9b98cd89"
 CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a4554816675"
+DIRECT_SHA256 = "9313f29eef54381e23ed2f8ca46250c155c8d6eeff2b25148a71ec724f27a5b0"
 HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
 CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
 
@@ -78,12 +86,8 @@ def integrand_renderings() -> str:
     return "\n".join(lines)
 
 
-def cascade_residue_renderings(monkeypatch) -> str:
-    """``debug_str`` of every residue step ``eval_cascade`` takes.
-
-    Covers N 2..4, k 1..N+2, d 1..2 at ``j_max = 3``, in call order.
-    """
-    lines = []
+def record_residue_steps(monkeypatch, lines: list[str]):
+    """Append the ``debug_str`` of every ``residue_at_*`` result to ``lines``."""
 
     def recording(name, fn):
         def wrapper(*args):
@@ -97,11 +101,40 @@ def cascade_residue_renderings(monkeypatch) -> str:
         monkeypatch.setattr(
             resengine, name, recording(name, getattr(resengine, name))
         )
+
+
+def cascade_residue_renderings(monkeypatch) -> str:
+    """``debug_str`` of every residue step ``eval_cascade`` takes.
+
+    Covers N 2..4, k 1..N+2, d 1..2 at ``j_max = 3``, in call order.
+    """
+    lines = []
+    record_residue_steps(monkeypatch, lines)
     for N in range(2, 5):
         for k in range(1, N + 3):
             for d in (1, 2):
                 lines.append(f"query {N},{k},{d}")
                 eval_cascade(Query(N, k, d, j_max=3))
+    return "\n".join(lines)
+
+
+DIRECT_GRID = [
+    (N, k, d) for N in range(2, 6) for k in range(1, N + 3) for d in (1, 2)
+] + [(N, k, 3) for N in (2, 3) for k in range(1, N + 3)]
+
+
+def direct_residue_renderings(monkeypatch) -> str:
+    """Every residue step of ``eval_direct`` and its value, in call order.
+
+    Covers N 2..5, k 1..N+2, d 1..2 and N 2..3, k 1..N+2, d = 3, each at
+    j 0..4: the rational ring, where forms carry Fraction coefficients.
+    """
+    lines = []
+    record_residue_steps(monkeypatch, lines)
+    for N, k, d in DIRECT_GRID:
+        for j in range(5):
+            lines.append(f"query {N},{k},{d},{j}")
+            lines.append(f"value {eval_direct(Query(N, k, d, j=j))}")
     return "\n".join(lines)
 
 
@@ -111,6 +144,10 @@ def test_integrand_renderings():
 
 def test_cascade_residue_renderings(monkeypatch):
     assert _sha(cascade_residue_renderings(monkeypatch)) == CASCADE_SHA256
+
+
+def test_direct_residue_renderings(monkeypatch):
+    assert _sha(direct_residue_renderings(monkeypatch)) == DIRECT_SHA256
 
 
 SERIES_GRID = [

@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     engine_expression,
     oracle_residue,
     random_pole_instance,
     scalar_value,
+    substitute,
 )
 from qmres.exactnum import EpsSeries
 from qmres.resengine import (
@@ -25,7 +29,6 @@ from qmres.resengine import (
     node_tag,
     residue_at_form_root,
     residue_at_zero,
-    substitute,
 )
 
 
@@ -308,4 +311,105 @@ class TestOrderFreeIdentity:
                 "(-1)*z0^-2*(z0 + 2*z1)^-1*(z0 - z2)^2*(z1 + 3*z2)@node(1)^-2",
                 "(1)*z1^-3*(z0 - z2)^2*(z1 + 3*z2)@node(1)^-2",
             ]
+        )
+
+
+nonzero_wide = st.builds(
+    Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 2**64)
+)
+
+
+def rational_mapping():
+    """2 to 4 distinct variables with wide nonzero rational coefficients."""
+    return st.integers(2, 4).flatmap(
+        lambda n: st.builds(
+            lambda vs, cs: dict(zip(vs, cs)),
+            st.lists(st.integers(0, 6), min_size=n, max_size=n, unique=True),
+            st.lists(nonzero_wide, min_size=n, max_size=n),
+        )
+    )
+
+
+class TestCanonicalForm:
+    """Rational forms: integer numerators over one denominator, monic at the pivot."""
+
+    @settings(max_examples=200)
+    @given(
+        rational_mapping(),
+        nonzero_wide,
+        st.integers(-3, 3).filter(bool),
+        nonzero_wide,
+        st.integers(-3, 3).filter(bool),
+    )
+    def test_make_term_matches_fraction_reference(self, mapping, coeff, power, scale, q):
+        order = sorted(mapping)
+        pivot = mapping[order[0]]
+        t = make_term(coeff, {}, [(mapping, power)])
+        ((f, p),) = t.forms
+        assert p == power
+        assert f.coeffs == tuple((v, mapping[v] / pivot) for v in order)
+        assert all(type(c) is Fraction for _, c in f.coeffs)
+        assert type(t.coeff) is Fraction and t.coeff == coeff * pivot**power
+        assert f.den > 0 and f.nums[0] == f.den and gcd(f.den, *f.nums) == 1
+        # a proportional copy merges into the same form, its pivot power scaling
+        copy = {v: c * scale for v, c in mapping.items()}
+        merged = make_term(coeff, {}, [(mapping, power), (copy, q)])
+        assert merged.coeff == coeff * pivot**power * (pivot * scale) ** q
+        assert merged.forms == (((f, power + q),) if power + q else ())
+        ((g, _),) = make_term(1, {}, [(copy, 1)]).forms
+        assert g == f and hash(g) == hash(f)
+
+    def test_zero_off_the_pivot_reduces_by_the_gcd(self):
+        # 1/(z2 (z0 + 1/2 z1 + 1/3 z2)) at z2 = 0: (6, 3, 2)/6 loses z2 -> (2, 1)/2
+        e = expr_of([0, 1, 2], (1, {2: -1}, [({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 3)}, -1)]))
+        assert e.terms[0].forms[0][0].nums == (6, 3, 2)
+        got = residue_at_zero(e, 2)
+        ((f, p),) = got.terms[0].forms
+        assert (f.vars, f.nums, f.den, p) == ((0, 1), (2, 1), 2, -1)
+        assert got.debug_str() == "(1)*(z0 + 1/2*z1)^-1"
+        assert got == expr_of([0, 1], (1, {}, [({0: 1, 1: Fraction(1, 2)}, -1)]))
+
+    @pytest.mark.parametrize(
+        "mapping, power, want",
+        [
+            # (1/2 z1 + 1/3 z2)^-2 = 4 (z1 + 2/3 z2)^-2
+            ({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 3)}, -2, "(4)*(z1 + 2/3*z2)^-2"),
+            # (-2 z1 + 3 z2)^-1 = -1/2 (z1 - 3/2 z2)^-1: a negative new pivot
+            ({0: 1, 1: -2, 2: 3}, -1, "(-1/2)*(z1 - 3/2*z2)^-1"),
+            # (1/2 z1 + 1/3 z2)^3 = 1/8 (z1 + 2/3 z2)^3
+            ({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 3)}, 3, "(1/8)*(z1 + 2/3*z2)^3"),
+        ],
+        ids=["pole", "negative-pivot", "numerator"],
+    )
+    def test_zero_at_the_pivot_renormalizes(self, mapping, power, want):
+        # form^power / z0 at z0 = 0, with z0 the form's pivot
+        e = expr_of([0, 1, 2], (1, {0: -1}, [(mapping, power)]))
+        ((before, _),) = e.terms[0].forms
+        assert before.vars[0] == 0
+        got = residue_at_zero(e, 0)
+        ((f, p),) = got.terms[0].forms
+        assert f.nums[0] == f.den > 0 and gcd(f.den, *f.nums) == 1 and p == power
+        assert got.debug_str() == want
+        rest = {v: c for v, c in mapping.items() if v != 0}
+        assert got == expr_of([1, 2], (1, {}, [(rest, power)]))
+
+    def test_zero_on_a_series_form(self):
+        order = 3
+        one, eps = EpsSeries.constant(1, order), EpsSeries.eps(order)
+        # 1/(z0 ((1+e) z0 + e z1 + (1+e) z2)): dropping the pivot z0 leaves
+        # the nilpotent e on z1, so z2's 1+e becomes the pivot
+        form = {0: one + eps, 1: eps, 2: one + eps}
+        e = RatExpr.of([0, 1, 2], [make_term(one, {0: -1}, [(form, -1)])])
+        got = residue_at_zero(e, 0)
+        ((f, p),) = got.terms[0].forms
+        assert f.den is None and p == -1
+        assert f.coeffs == ((1, eps / (one + eps)), (2, one))
+        assert got.terms[0].coeff == (one + eps).inverse()
+        # off the pivot: without z1 the form keeps its pivot 1+e on z0
+        e = RatExpr.of([0, 1, 2], [make_term(one, {1: -1}, [(form, -1)])])
+        got = residue_at_zero(e, 1)
+        want = RatExpr.of([0, 2], [make_term(one, {}, [({0: one + eps, 2: one + eps}, -1)])])
+        assert got == want
+        assert got.debug_str() == (
+            "(1 - e + e^2 - e^3 + O(e^4))*((1 + O(e^4))*z0 + (1 + O(e^4))*z2)^-1"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -63,15 +64,30 @@ CACHE_FIELDS = ["N", "k", "d", "j", "regime", "evaluator", "lhs"]
 CACHE_SCHEMA = 1
 
 
+class EmptyRangeError(ValueError):
+    """A range ``lo..hi`` with ``hi < lo``."""
+
+
 def parse_range(text: str) -> list[int]:
     """Parse ``"3"`` or ``"2..4"`` into a list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
         if stop < start:
-            raise ValueError(f"empty range {text!r}")
+            raise EmptyRangeError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
+
+
+# argparse turns a type's ValueError into "invalid <type name> value", so the
+# wrapper keeps parse_range's name for bad syntax and passes an empty range on
+# in its own words.
+@functools.wraps(parse_range)
+def _range_type(text: str) -> list[int]:
+    try:
+        return parse_range(text)
+    except EmptyRangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def record_from_result(r: IntersectionResult) -> dict:
@@ -345,24 +361,28 @@ def cmd_compute(args, parser) -> int:
 GIVENTAL_FIELDS = ["N", "k", "j", "e_max", "formal", "annihilated", "residual"]
 
 
-def _givental_task(task: tuple[int, int, int, int]) -> dict:
-    N, k, j, e_max = task
-    return givode.verify_annihilation(N, k, j, e_max).as_record()
+def _givental_task(task: tuple[int, int, int]) -> list[dict]:
+    """The records of every ``j <= N-2`` for one ``(N, k, e_max)``."""
+    N, k, e_max = task
+    return [r.as_record() for r in givode.verify_annihilation(N, k, e_max)]
 
 
 def cmd_givental(args, parser) -> int:
     if args.emax < 0:
         parser.error("--emax must be non-negative")
-    tasks = []
-    for N in args.N:
-        ks = args.k if args.k is not None else list(range(1, N))
-        for k in ks:
-            for j in range(N - 1):
-                tasks.append((N, k, j, args.emax))
+    if args.k is not None and args.k[0] < 1:
+        parser.error(f"--k must be at least 1, got {args.k[0]}")
+    # an N below 2 has no solution index j <= N-2, so no task
+    tasks = [
+        (N, k, args.emax)
+        for N in args.N
+        if N >= 2
+        for k in (args.k if args.k is not None else range(1, N))
+    ]
     _require_cells(tasks, args, parser)
     tasks.sort()
     check_writable(args.output)
-    records = _run_tasks(tasks, _givental_task, args.workers)
+    records = [rec for rows in _run_tasks(tasks, _givental_task, args.workers) for rec in rows]
     write_output(render_records(records, args.format, GIVENTAL_FIELDS), args.output)
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
 
@@ -458,25 +478,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an equality grid")
     p.add_argument("--regime", choices=[FANO, GENERAL, "both"], default="both")
-    p.add_argument("--N", type=parse_range, required=True)
-    p.add_argument("--k", type=parse_range, default=None)
-    p.add_argument("--d", type=parse_range, required=True)
+    p.add_argument("--N", type=_range_type, required=True)
+    p.add_argument("--k", type=_range_type, default=None)
+    p.add_argument("--d", type=_range_type, required=True)
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--cache", default=None)
     common(p)
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("givental", help="check operator annihilation")
-    p.add_argument("--N", type=parse_range, required=True)
-    p.add_argument("--k", type=parse_range, default=None)
+    p.add_argument("--N", type=_range_type, required=True)
+    p.add_argument("--k", type=_range_type, default=None)
     p.add_argument("--emax", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_givental, parser=p)
 
     p = sub.add_parser("bench", help="time direct vs cascade evaluation")
-    p.add_argument("--N", type=parse_range, required=True)
-    p.add_argument("--k", type=parse_range, default=None)
-    p.add_argument("--d", type=parse_range, required=True)
+    p.add_argument("--N", type=_range_type, required=True)
+    p.add_argument("--k", type=_range_type, default=None)
+    p.add_argument("--d", type=_range_type, required=True)
     p.add_argument("--jmax", type=int, default=4)
     common(p, workers=False)
     p.set_defaults(func=cmd_bench, parser=p)
@@ -486,10 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except ValueError as exc:  # bad range syntax
-        parser.error(str(exc))
+    args = parser.parse_args(argv)
     try:
         if "workers" in args and args.workers is None:
             args.workers = default_workers()

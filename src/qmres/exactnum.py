@@ -13,6 +13,7 @@ lowest terms, and its ring arithmetic (``+``, ``-``, ``*``, ``inverse``,
 ``==``, ``hash``) runs on those integers alone.  Fractions appear only at the
 boundary: as constructor input, as scalar operands, and as the coefficients
 it hands out, each reduced on its own to the canonical rational.
+``as_integers`` hands out the stored integers themselves.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class EpsSeries:
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple([Fraction(n, den) for n in self._num])
+
+    def as_integers(self) -> tuple[tuple[int, ...], int]:
+        """The stored numerators and their positive denominator, in lowest terms."""
+        return self._num, self._den
 
     @property
     def order(self) -> int:

@@ -2,20 +2,29 @@
 
 The operator ``(d/dx)^(N-1) - k e^x prod_{i=1..k-1} (k d/dx + i)`` has a
 basis of solutions built from the hypergeometric coefficient series: the
-``j``-th solution is ``sum_d (d^j/d eps^j)[c_d(eps) e^((d+eps)x)]`` at
+``j``-th solution is ``sum_e (d^j/d eps^j)[c_e(eps) e^((e+eps)x)]`` at
 ``eps = 0`` for ``j = 0 .. N-2``.  Everything here is exact algebra on
-finite sums ``sum c_{a,e} x^a e^(e x)`` truncated in the exponential degree,
-so annihilation can be checked coefficient by coefficient.  For ``k >= N``
-the series have zero convergence radius and the check is formal only.
+finite sums ``sum_e p_e(x) e^(ex)`` truncated in the exponential degree, so
+annihilation can be checked coefficient by coefficient.  For ``k >= N`` the
+series have zero convergence radius and the check is formal only.
+
+One check builds each ``c_e`` once, as its own closed-form
+``hypergeom_series(N, k, e, N-2)``, and reads every ``j <= N-2`` off it:
+truncated coefficients are exact.  No ``c_e`` is derived from ``c_(e-1)``;
+their ratio is the recurrence the operator check asserts.  A solution is one
+dense integer x-polynomial per exponential degree over one denominator, and
+the operator runs on those integers; Fractions appear only in ``entries``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Mapping
+from itertools import zip_longest
+from math import lcm, perm
 
+from .exactnum import EpsSeries
 from .quasimap import hypergeom_series
 
 __all__ = [
@@ -29,117 +38,89 @@ __all__ = [
 
 @dataclass(frozen=True)
 class XEPoly:
-    """A finite sum ``sum c_{a,e} x^a exp(e x)`` truncated at ``e <= e_max``.
+    """A finite sum ``sum_e p_e(x) exp(e x)`` truncated at ``e <= e_max``.
 
-    Entries with zero coefficient are absent; every operation drops
-    exponential degrees beyond ``e_max``.
+    ``slices[e][a]`` is the integer numerator of the ``x^a e^(ex)``
+    coefficient over the one positive denominator ``den``, for
+    ``e = 0 .. e_max``; zero numerators are allowed and mean absent terms.
     """
 
-    e_max: int
-    entries: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    slices: tuple[tuple[int, ...], ...]
+    den: int = 1
 
-    @classmethod
-    def from_dict(cls, data: Mapping[tuple[int, int], Fraction], e_max: int) -> "XEPoly":
-        items = []
-        for (a, e), c in data.items():
-            if a < 0 or e < 0:
-                raise ValueError("powers must be non-negative")
-            if e <= e_max and c:
-                items.append(((a, e), Fraction(c)))
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The nonzero coefficients as ``((a, e), Fraction)`` pairs sorted by ``(a, e)``."""
+        den = self.den
+        items = [
+            ((a, e), Fraction(n, den))
+            for e, p in enumerate(self.slices)
+            for a, n in enumerate(p)
+            if n
+        ]
         items.sort()
-        return cls(e_max, tuple(items))
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.entries)
-
-    def coefficient(self, a: int, e: int) -> Fraction:
-        for key, c in self.entries:
-            if key == (a, e):
-                return c
-        return Fraction(0)
+        return tuple(items)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "XEPoly") -> "XEPoly":
-        if self.e_max != other.e_max:
-            raise ValueError("mismatched exponential truncations")
-        data = dict(self.entries)
-        for key, c in other.entries:
-            data[key] = data.get(key, Fraction(0)) + c
-        return XEPoly.from_dict(data, self.e_max)
-
-    def scale(self, factor) -> "XEPoly":
-        if not factor:
-            return XEPoly(self.e_max)
-        return XEPoly(
-            self.e_max, tuple((key, c * factor) for key, c in self.entries)
-        )
-
-    def __sub__(self, other: "XEPoly") -> "XEPoly":
-        return self + other.scale(-1)
-
-    def ddx(self) -> "XEPoly":
-        """Exact ``d/dx``: ``x^a e^(ex) -> a x^(a-1) e^(ex) + e x^a e^(ex)``."""
-        data: dict[tuple[int, int], Fraction] = {}
-        for (a, e), c in self.entries:
-            if a:
-                key = (a - 1, e)
-                data[key] = data.get(key, Fraction(0)) + a * c
-            if e:
-                key = (a, e)
-                data[key] = data.get(key, Fraction(0)) + e * c
-        return XEPoly.from_dict(data, self.e_max)
-
-    def shift_exp(self) -> "XEPoly":
-        """Multiply by ``e^x``; entries pushed past ``e_max`` are dropped."""
-        data = {}
-        for (a, e), c in self.entries:
-            if e + 1 <= self.e_max:
-                data[(a, e + 1)] = c
-        return XEPoly.from_dict(data, self.e_max)
+        return not any(map(any, self.slices))
 
 
-def build_solution(N: int, k: int, j: int, e_max: int) -> XEPoly:
+def _act(p: Sequence[int], c: int, b: int) -> list[int]:
+    """``c p + b p'`` for the x-polynomial ``p``.
+
+    On ``p(x) e^(ex)`` the factor ``b d/dx + i`` gives ``(c p + b p') e^(ex)``
+    with ``c = b e + i``.
+    """
+    out = [c * n for n in p]
+    for a in range(1, len(p)):
+        out[a - 1] += b * a * p[a]
+    return out
+
+
+def build_solution(series: list[EpsSeries], j: int) -> XEPoly:
     """The ``j``-th truncated solution built from the coefficient series.
 
-    Expanding ``d^j/d eps^j [c_e(eps) e^((e+eps)x)]`` at ``eps = 0`` by the
-    Leibniz rule gives ``sum_i C(j,i) i! c_{e,i} x^(j-i) e^(ex)`` where
-    ``c_{e,i}`` is the ``i``-th Taylor coefficient of the degree-``e``
-    hypergeometric coefficient series (``c_0 = 1``).  Valid for
-    ``0 <= j <= N-2``; for ``k >= N`` the result is a formal solution.
+    ``series[e]`` is ``c_e(eps)`` for ``e = 0 .. e_max``, all at one order
+    ``N-2``.  Expanding ``d^j/d eps^j [c_e(eps) e^((e+eps)x)]`` at
+    ``eps = 0`` by the Leibniz rule gives ``sum_i C(j,i) i! c_{e,i}
+    x^(j-i) e^(ex)``, where ``c_{e,i}`` is the ``i``-th Taylor coefficient
+    (``c_0 = 1``).  For ``k >= N`` the result is a formal solution.
     """
-    if not 0 <= j <= N - 2:
-        raise ValueError("need 0 <= j <= N-2")
-    if e_max < 0:
-        raise ValueError("e_max must be non-negative")
-    data: dict[tuple[int, int], Fraction] = {}
-    for e in range(e_max + 1):
-        series = hypergeom_series(N, k, e, j)
+    if not series or not 0 <= j <= series[0].order:
+        raise ValueError("need series for e = 0..e_max and 0 <= j <= N-2")
+    integers = [s.as_integers() for s in series]
+    den = lcm(*[d for _, d in integers])
+    slices = []
+    for nums, d in integers:
+        scale = den // d
+        p = [0] * (j + 1)
         for i in range(j + 1):
-            c = series.coefficient(i)
-            if c:
-                key = (j - i, e)
-                data[key] = data.get(key, Fraction(0)) + comb(j, i) * factorial(i) * c
-    return XEPoly.from_dict(data, e_max)
+            p[j - i] = perm(j, i) * nums[i] * scale
+        slices.append(tuple(p))
+    return XEPoly(tuple(slices), den)
 
 
 def apply_operator(N: int, k: int, p: XEPoly) -> XEPoly:
     """Apply ``(d/dx)^(N-1) - k e^x prod_{i=1..k-1} (k d/dx + i)`` exactly.
 
-    The product is empty for ``k = 1``.  The ``e^x`` factor raises the
-    exponential degree by one, so entries at ``e_max`` leave the truncation
-    window.
+    The product is empty for ``k = 1``.  The ``e^x`` factor moves each
+    slice up one exponential degree, so the top slice's image leaves the
+    truncation window and is not computed.
     """
-    left = p
-    for _ in range(N - 1):
-        left = left.ddx()
-    right = p
-    for i in range(1, k):
-        right = right.ddx().scale(k) + right.scale(i)
-    right = right.shift_exp().scale(k)
-    return left - right
+    top = len(p.slices) - 1
+    out = []
+    shifted: list[int] = []
+    for e, s in enumerate(p.slices):
+        left = s
+        for _ in range(N - 1):
+            left = _act(left, e, 1)
+        out.append(tuple([x - y for x, y in zip_longest(left, shifted, fillvalue=0)]))
+        if e < top:
+            shifted = [k * n for n in s]
+            for i in range(1, k):
+                shifted = _act(shifted, k * e + i, k)
+    return XEPoly(tuple(out), p.den)
 
 
 @dataclass(frozen=True)
@@ -169,23 +150,29 @@ class AnnihilationReport:
         }
 
 
-def verify_annihilation(N: int, k: int, j: int, e_max: int) -> AnnihilationReport:
-    """True iff the operator kills the truncated solution below the cutoff.
+def verify_annihilation(N: int, k: int, e_max: int) -> list[AnnihilationReport]:
+    """One report per ``j = 0 .. N-2``: does the operator kill the truncated solution?
 
-    The operator raises the exponential degree by at most one, so residual
-    entries at degree ``e_max`` would need solution coefficients beyond the
-    truncation; only degrees ``<= e_max - 1`` are trusted and checked.
+    Only residual degrees ``<= e_max - 1`` are checked and reported.  The
+    residual at degree ``e`` needs ``c_(e-1)`` and ``c_e`` alone, so degree
+    ``e_max`` is exact too; it stays outside the reported window.
     """
-    residual = apply_operator(N, k, build_solution(N, k, j, e_max))
-    witnesses = tuple(
-        (key, c) for key, c in residual.entries if key[1] <= e_max - 1
-    )
-    return AnnihilationReport(
-        N=N,
-        k=k,
-        j=j,
-        e_max=e_max,
-        formal=k >= N,
-        annihilated=not witnesses,
-        residual=witnesses,
-    )
+    if e_max < 0:
+        raise ValueError("e_max must be non-negative")
+    series = [hypergeom_series(N, k, e, N - 2) for e in range(e_max + 1)]
+    reports = []
+    for j in range(N - 1):
+        residual = apply_operator(N, k, build_solution(series, j))
+        witnesses = XEPoly(residual.slices[:e_max], residual.den).entries
+        reports.append(
+            AnnihilationReport(
+                N=N,
+                k=k,
+                j=j,
+                e_max=e_max,
+                formal=k >= N,
+                annihilated=not witnesses,
+                residual=witnesses,
+            )
+        )
+    return reports

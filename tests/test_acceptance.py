@@ -160,14 +160,13 @@ def test_criterion_6_operator_annihilation():
     failures = []
     for N in (3, 4, 5):
         for k in range(1, N):
-            for j in range(N - 1):
-                if not verify_annihilation(N, k, j, 4).annihilated:
-                    failures.append((N, k, j))
+            for report_obj in verify_annihilation(N, k, 4):
+                if not report_obj.annihilated:
+                    failures.append((N, k, report_obj.j))
     for (N, k) in [(3, 3), (3, 4)]:
-        for j in range(N - 1):
-            report_obj = verify_annihilation(N, k, j, 4)
+        for report_obj in verify_annihilation(N, k, 4):
             if not (report_obj.annihilated and report_obj.formal):
-                failures.append(("formal", N, k, j))
+                failures.append(("formal", N, k, report_obj.j))
     report(
         "criterion 6: operator annihilation for N=3..5, k<N, all j<=N-2 at "
         "e_max=4, plus formal-regime spot checks (3,3) and (3,4)",

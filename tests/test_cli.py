@@ -370,6 +370,30 @@ class TestUsageLines:
         assert err.endswith(f"\nqmres {argv[0]}: error: {message}\n")
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--N", "5..2"), ("--d", "3..1"), ("--k", "9..2")],
+        ids=["N", "d", "k"],
+    )
+    def test_reversed_range_names_itself(self, capsys, flag, value):
+        argv = {"--N": "3", "--d": "1", "--k": "1"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--jmax", "1", *(x for item in argv.items() for x in item)])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.endswith(f"error: argument {flag}: empty range '{value}'\n")
+
+    def test_malformed_range_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["givental", "--N", "3", "--k", "x"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --k: invalid parse_range value: 'x'\n"
+        )
+
+
 class TestLongestFirst:
     def test_cost_order_on_the_verify_parallel_grid(self):
         # the measured order of the costliest N = 4 cells at j_max = 3
@@ -411,6 +435,19 @@ class TestGivental:
         )
         assert code == EXIT_OK
         assert all(r["formal"] for r in json.loads(out))
+
+    @pytest.mark.parametrize("k", ["0", "0..2"])
+    def test_k_below_one_names_the_flag(self, capsys, monkeypatch, k):
+        def no_work(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.givode, "hypergeom_series", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["givental", "--N", "3", "--k", k])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith("usage: qmres givental")
+        assert f"error: --k must be at least 1, got {k.split('..')[0]}\n" in err
 
 
 class TestBench:

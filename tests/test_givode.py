@@ -5,95 +5,157 @@ from math import factorial
 
 import pytest
 
+from qmres import givode
+from qmres.exactnum import EpsSeries
 from qmres.givode import (
     XEPoly,
     apply_operator,
     build_solution,
     verify_annihilation,
 )
+from qmres.quasimap import hypergeom_series
+
+
+def coefficient_series(N, k, e_max):
+    """``c_e(eps)`` for ``e = 0..e_max`` at order ``N-2``, as a check builds them."""
+    return [hypergeom_series(N, k, e, N - 2) for e in range(e_max + 1)]
+
+
+def solution(N, k, j, e_max):
+    return build_solution(coefficient_series(N, k, e_max), j)
 
 
 class TestXEPoly:
     def test_ddx_product_rule(self):
-        # d/dx (x e^x) = e^x + x e^x
-        p = XEPoly.from_dict({(1, 1): Fraction(1)}, 3)
-        assert p.ddx().as_dict() == {(0, 1): 1, (1, 1): 1}
+        # d/dx (x e^x) = e^x + x e^x: the (d/dx)^(N-1) part for N = 2, with
+        # the e^x-shifted part pushed past e_max = 1
+        p = XEPoly(((), (0, 1)))
+        got = apply_operator(2, 1, p).entries
+        assert got == (((0, 1), 1), ((1, 1), 1))
 
     def test_shift_drops_overflow(self):
-        p = XEPoly.from_dict({(0, 2): Fraction(5), (1, 1): Fraction(2)}, 2)
-        assert p.shift_exp().as_dict() == {(1, 2): 2}
+        # p = 5 e^(2x) + 2x e^x at e_max = 2; for N = 2, k = 1 the operator is
+        # d/dx - e^x, and the shift of 5 e^(2x) leaves the window
+        p = XEPoly(((), (0, 2), (5,)))
+        residual = apply_operator(2, 1, p)
+        assert len(residual.slices) == 3
+        assert dict(residual.entries) == {(0, 1): 2, (1, 1): 2, (0, 2): 10, (1, 2): -2}
 
     def test_zero_coefficients_absent(self):
-        p = XEPoly.from_dict({(0, 0): Fraction(1)}, 2) - XEPoly.from_dict(
-            {(0, 0): Fraction(1)}, 2
-        )
+        p = XEPoly(((0, 0), (0,)), 3)
         assert p.is_zero
+        assert p.entries == ()
+
+    def test_entries_over_the_denominator_sorted_by_x_power(self):
+        p = XEPoly(((2, 0, 3), (4, 6)), 4)
+        assert p.entries == (
+            ((0, 0), Fraction(1, 2)),
+            ((0, 1), 1),
+            ((1, 1), Fraction(3, 2)),
+            ((2, 0), Fraction(3, 4)),
+        )
 
 
 class TestBuildSolution:
     def test_exponential_sum_for_smallest_case(self):
-        got = build_solution(2, 1, 0, 3)
-        assert got.as_dict() == {
+        got = solution(2, 1, 0, 3)
+        assert dict(got.entries) == {
             (0, e): Fraction(1, factorial(e)) for e in range(4)
         }
 
     def test_j0_has_no_x_powers(self):
         for (N, k) in [(2, 1), (4, 2), (3, 3)]:
-            sol = build_solution(N, k, 0, 3)
-            assert all(a == 0 for (a, e) in sol.as_dict())
+            sol = solution(N, k, 0, 3)
+            assert all(a == 0 for (a, e), _ in sol.entries)
 
     def test_x_coefficient_at_degree_zero(self):
-        sol = build_solution(3, 1, 1, 2)
-        assert sol.coefficient(1, 0) == 1
+        sol = solution(3, 1, 1, 2)
+        assert dict(sol.entries)[(1, 0)] == 1
 
     def test_j_range_enforced(self):
+        series = coefficient_series(3, 1, 3)
+        for j in (-1, 2):
+            with pytest.raises(ValueError):
+                build_solution(series, j)
         with pytest.raises(ValueError):
-            build_solution(3, 1, 2, 3)
+            build_solution([], 0)
 
 
 class TestApplyOperator:
     def test_zero_in_zero_out(self):
-        assert apply_operator(4, 2, XEPoly(3)).is_zero
+        assert apply_operator(4, 2, XEPoly(((),) * 4)).is_zero
 
     def test_telescoping_first_order(self):
         # (d/dx - e^x) sum e^{ex}/e! vanishes below the truncation edge
-        sol = build_solution(2, 1, 0, 4)
+        sol = solution(2, 1, 0, 4)
         residual = apply_operator(2, 1, sol)
-        assert all(e > 3 for (a, e) in residual.as_dict())
+        assert all(e > 3 for (a, e), _ in residual.entries)
+
+
+def record_series_calls(monkeypatch, perturb_degree=None):
+    """Record every ``hypergeom_series`` call a check makes.
+
+    With ``perturb_degree``, ``1/7`` is added to the ``eps^1`` coefficient of
+    that degree's series.
+    """
+    calls = []
+
+    def recording(N, k, d, j_max):
+        calls.append((N, k, d, j_max))
+        series = hypergeom_series(N, k, d, j_max)
+        if d == perturb_degree:
+            series = series + EpsSeries([0, Fraction(1, 7)], j_max)
+        return series
+
+    monkeypatch.setattr(givode, "hypergeom_series", recording)
+    return calls
 
 
 class TestVerifyAnnihilation:
     def test_smallest_case(self):
-        assert verify_annihilation(2, 1, 0, 4).annihilated
+        (report,) = verify_annihilation(2, 1, 4)
+        assert report.annihilated
 
     def test_fano_grid(self):
         for N in (3, 4, 5):
             for k in range(1, N):
-                for j in range(N - 1):
-                    report = verify_annihilation(N, k, j, 3)
-                    assert report.annihilated, (N, k, j, report.residual)
+                reports = verify_annihilation(N, k, 3)
+                assert [r.j for r in reports] == list(range(N - 1))
+                for report in reports:
+                    assert report.annihilated, (N, k, report.j, report.residual)
                     assert not report.formal
 
     def test_self_consistency_at_larger_truncation(self):
-        for j in range(4):
-            assert verify_annihilation(5, 3, j, 3).annihilated
+        assert all(r.annihilated for r in verify_annihilation(5, 3, 3))
 
     def test_formal_regime_flagged_and_annihilates(self):
         for (N, k) in [(3, 3), (3, 4)]:
-            for j in range(N - 1):
-                report = verify_annihilation(N, k, j, 4)
+            for report in verify_annihilation(N, k, 4):
                 assert report.formal
                 assert report.annihilated
 
-    def test_perturbation_detected(self):
-        sol = build_solution(3, 2, 1, 4) + XEPoly.from_dict(
-            {(0, 1): Fraction(1)}, 4
-        )
-        residual = apply_operator(3, 2, sol)
-        assert any(e <= 3 for (a, e) in residual.as_dict())
+    def test_one_series_per_degree(self, monkeypatch):
+        # every j shares one closed-form c_e per degree; none is derived from c_(e-1)
+        calls = record_series_calls(monkeypatch)
+        reports = verify_annihilation(5, 3, 6)
+        assert calls == [(5, 3, e, 3) for e in range(7)]
+        assert len(reports) == 4 and all(r.annihilated for r in reports)
+
+    def test_perturbation_detected(self, monkeypatch):
+        for N in (3, 4):
+            record_series_calls(monkeypatch, perturb_degree=2)
+            reports = verify_annihilation(N, 2, 4)
+            assert reports[0].annihilated  # j = 0 reads only c_(e,0)
+            for report in reports[1:]:
+                assert not report.annihilated, (N, report.j)
+                assert all(e <= 3 for (a, e), _ in report.residual)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            verify_annihilation(3, 1, -1)
 
     def test_report_record_shape(self):
-        rec = verify_annihilation(3, 1, 1, 4).as_record()
+        rec = verify_annihilation(3, 1, 4)[1].as_record()
         assert rec["annihilated"] is True
         assert rec["residual"] == []
         assert set(rec) == {"N", "k", "j", "e_max", "formal", "annihilated", "residual"}
@@ -104,6 +166,6 @@ class TestLinearIndependence:
         # the e^{0x} slice of the j-th solution is exactly x^j
         for N, k in [(4, 2), (5, 3), (3, 3)]:
             for j in range(N - 1):
-                sol = build_solution(N, k, j, 2)
-                slice0 = {a: c for (a, e), c in sol.as_dict().items() if e == 0}
+                sol = solution(N, k, j, 2)
+                slice0 = {a: c for (a, e), c in sol.entries if e == 0}
                 assert slice0 == {j: 1}

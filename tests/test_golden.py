@@ -2,17 +2,20 @@
 
 The digests were recorded before the term-ordering and multiply-kernel
 speedups (the two series digests before ``EpsSeries`` moved to integer
-numerators, the direct-residue digest before rational linear forms did) and
+numerators, the direct-residue digest before rational linear forms did, the
+givental residual digest before solutions became integer polynomials) and
 must never move: any change that reorders output, renders a term differently
 or changes a value fails here instead of relying on a manual ``diff`` of CLI
 runs.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from qmres import cli, resengine
+from qmres import cli, givode, resengine
+from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     Query,
     build_integrand,
@@ -62,6 +65,7 @@ CLI_GOLDENS = [
 INTEGRANDS_SHA256 = "abc6a500ef9ab9d4c9b077fc67913c4de82c21836fc73665ae8cd64a9b98cd89"
 CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a4554816675"
 DIRECT_SHA256 = "9313f29eef54381e23ed2f8ca46250c155c8d6eeff2b25148a71ec724f27a5b0"
+GIVENTAL_RESIDUAL_SHA256 = "0883165cf70176e5b3582229dd3c0cc11169458f9114c6883a10434e3e6f44d2"
 HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
 CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
 
@@ -72,6 +76,27 @@ CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760
 def test_cli_stdout_bytes(capsys, command, code, digest):
     got = cli.main(command.split())
     assert (got, _sha(capsys.readouterr().out)) == (code, digest)
+
+
+def test_givental_residual_bytes(capsys, monkeypatch):
+    """A perturbed ``c_3`` makes the givental checks list residual witnesses.
+
+    The perturbation adds ``1/7`` to the ``eps^1`` coefficient of every
+    degree-3 series of order ``>= 1``, the same value at every truncation
+    order, so the digest pins the witness order, values and rendering.
+    """
+    exact = givode.hypergeom_series
+
+    def perturbed(N, k, d, j_max):
+        series = exact(N, k, d, j_max)
+        if d == 3 and j_max >= 1:
+            series = series + EpsSeries([0, Fraction(1, 7)], j_max)
+        return series
+
+    monkeypatch.setattr(givode, "hypergeom_series", perturbed)
+    argv = "givental --N 3..5 --emax 5 --workers 1".split()
+    got = cli.main(argv)
+    assert (got, _sha(capsys.readouterr().out)) == (1, GIVENTAL_RESIDUAL_SHA256)
 
 
 def integrand_renderings() -> str:

@@ -26,10 +26,15 @@ and equality compare the monomial with the *set* of (form, power) pairs.
 Sorting happens only when rendering (``debug_str``) and when listing the pole
 sites of a step (``denominator_forms``).
 
-Residues are computed algebraically: the residue of ``e`` at ``z_i = r`` is
-the ``(z_i - r)^(M-1)`` Taylor coefficient of ``(z_i - r)^M e``, with ``M``
-the total multiplicity after grouping all denominator factors that vanish
-there, read straight off the factors by the generalised Leibniz rule.
+Residues are computed algebraically, one pass per step: the residue of ``e``
+at ``z_i = r`` is the ``(z_i - r)^(M-1)`` Taylor coefficient of
+``(z_i - r)^M e``, with ``M`` the total multiplicity after grouping all
+denominator factors that vanish there, read straight off the factors by the
+generalised Leibniz rule.  Each factor of a term that depends on ``z_i`` is
+substituted at ``r`` and normalized once, into its image: a scalar times a
+monic form or a variable.  Every way of sharing ``M-1`` among those factors
+then multiplies its binomial weights, the term's other factors and the
+images' remaining powers straight into one canonical term.
 
 Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
@@ -217,12 +222,12 @@ class _TermBuilder:
 
     __slots__ = ("coeff", "num", "den", "mono", "forms", "dead")
 
-    def __init__(self, coeff: Coeff):
+    def __init__(self, coeff: Coeff, mono: Iterable[tuple[int, int]] = ()):
         if isinstance(coeff, EpsSeries):
             self.coeff, self.num, self.den = coeff, 1, 1
         else:
             self.coeff, self.num, self.den = None, coeff.numerator, coeff.denominator
-        self.mono: dict[int, int] = {}
+        self.mono: dict[int, int] = dict(mono)
         self.forms: dict[tuple, list] = {}  # LinearForm.key -> [origin, power, form]
         self.dead = not coeff
 
@@ -237,13 +242,15 @@ class _TermBuilder:
         self.num *= n**power
         self.den *= d**power
 
-    def mul_scalar(self, c: Coeff, power: int):
-        """Multiply the coefficient by ``c^power``."""
+    def mul_scalar(self, c, power: int):
+        """Multiply the coefficient by ``c^power``; ``c`` may be an int pair ``(n, d)``."""
         if isinstance(c, EpsSeries):
             x = c**power
             self.coeff = x if self.coeff is None else self.coeff * x
             if not self.coeff:
                 self.dead = True
+        elif isinstance(c, tuple):
+            self._scale(*c, power)
         else:
             self._scale(c.numerator, c.denominator, power)
 
@@ -261,60 +268,21 @@ class _TermBuilder:
 
     def mul_form(self, mapping: Mapping[int, Coeff], power: int, origin: str = PLAIN):
         """Multiply by ``(sum_v mapping[v] z_v)^power``, normalizing first."""
-        if power == 0 or self.dead:
+        if power and not self.dead:
+            self.mul_image(_image(*_vector(mapping), power), power, origin)
+
+    def mul_image(self, image: tuple | None, power: int, origin: str):
+        """Multiply by ``image^power``, ``image`` as :func:`_image` returns it."""
+        if image is None:
+            self.dead = True
             return
-        items = sorted([(v, c) for v, c in mapping.items() if c])
-        vs, cs = tuple([v for v, _ in items]), [c for _, c in items]
-        if any(isinstance(c, EpsSeries) for c in cs):
-            cs = [c if isinstance(c, EpsSeries) else Fraction(c) for c in cs]
-            self.mul_vector(vs, cs, None, power, origin)
+        scalar, target = image
+        if scalar is not None:
+            self.mul_scalar(scalar, power)
+        if isinstance(target, int):
+            self.mul_mono(target, power)
         else:
-            den = lcm(*[c.denominator for c in cs])
-            nums = [c.numerator * (den // c.denominator) for c in cs]
-            self.mul_vector(vs, nums, den, power, origin)
-
-    def mul_vector(self, vs: tuple, nums: list, den: int | None, power: int, origin: str):
-        """Multiply by ``(sum_i nums[i]/den z_(vs[i]))^power``: the one normalization.
-
-        ``vs`` is sorted and no ``nums`` is zero; ``den`` is None for series
-        coefficients.  Rational ints divide out their pivot ``nums[0]/den``,
-        so a vector whose pivot equals ``den`` only loses its gcd.
-        """
-        if not vs:
-            if power > 0:
-                self.dead = True
-                return
-            raise PoleCollisionError(
-                "a denominator form vanished identically; the substitution "
-                "hit an unclaimed pole"
-            )
-        if den is not None:
-            pivot = nums[0]
-            if pivot != den:
-                self._scale(pivot, den, power)
-            if len(vs) == 1:
-                self.mul_mono(vs[0], power)
-                return
-            g = gcd(*nums) if pivot > 0 else -gcd(*nums)
-            if g != 1:
-                nums = [n // g for n in nums]
-            self._merge((vs, tuple(nums), pivot // g), origin, power)
-            return
-        if len(vs) == 1:
-            if power < 0 and not is_unit(nums[0]):
-                raise NonInvertiblePoleError(f"cannot divide by non-invertible coefficient on z{vs[0]}")
-            self.mul_scalar(nums[0], power)
-            self.mul_mono(vs[0], power)
-            return
-        pivot = next((c for c in nums if is_unit(c)), None)
-        if pivot is None:
-            raise NonInvertiblePoleError(
-                "linear form has no invertible coefficient; cannot normalize"
-            )
-        if pivot != 1:
-            nums = [c / pivot for c in nums]
-            self.mul_scalar(pivot, power)
-        self._merge((vs, tuple(nums), None), origin, power)
+            self._merge(target, origin, power)
 
     def _merge(self, key: tuple, origin: str, power: int, form: LinearForm | None = None):
         """Add ``power`` to the form ``key``; ``form``, if given, is reused by ``build``."""
@@ -346,6 +314,57 @@ class _TermBuilder:
             if power
         ]
         return Term(coeff, mono, tuple(forms))
+
+
+def _vector(mapping: Mapping[int, Coeff]) -> tuple:
+    """``(vars, nums, den)`` of ``sum_v mapping[v] z_v``, zero entries dropped.
+
+    Rational coefficients become ints over their least common denominator;
+    if any coefficient is a series, ``den`` is None and ``nums`` are them.
+    """
+    items = sorted([(v, c) for v, c in mapping.items() if c])
+    vs, cs = tuple([v for v, _ in items]), [c for _, c in items]
+    if any(isinstance(c, EpsSeries) for c in cs):
+        return vs, [c if isinstance(c, EpsSeries) else Fraction(c) for c in cs], None
+    den = lcm(*[c.denominator for c in cs])
+    return vs, [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
+    """The image ``(scalar, target)`` of ``sum_i nums[i]/den z_(vs[i])``: the one normalization.
+
+    The form is ``scalar * target``: ``target`` is its variable if it has
+    one entry, else the ``LinearForm.key`` of the monic form; ``scalar`` is
+    an int pair ``(n, d)``, a series, or None for 1.  Rational vectors divide
+    out their pivot ``nums[0]/den``.  A vanished form is None if raised to a
+    positive ``power`` and an error if to a negative one.
+    """
+    if not vs:
+        if power > 0:
+            return None
+        raise PoleCollisionError(
+            "a denominator form vanished identically; the substitution "
+            "hit an unclaimed pole"
+        )
+    if den is not None:
+        pivot = nums[0]
+        scalar = (pivot, den) if pivot != den else None
+        if len(vs) == 1:
+            return scalar, vs[0]
+        g = gcd(*nums) if pivot > 0 else -gcd(*nums)
+        return scalar, (vs, tuple([n // g for n in nums]), pivot // g)
+    if len(vs) == 1:
+        if power < 0 and not is_unit(nums[0]):
+            raise NonInvertiblePoleError(f"cannot divide by non-invertible coefficient on z{vs[0]}")
+        return nums[0], vs[0]
+    pivot = next((c for c in nums if is_unit(c)), None)
+    if pivot is None:
+        raise NonInvertiblePoleError(
+            "linear form has no invertible coefficient; cannot normalize"
+        )
+    if pivot == 1:
+        return None, (vs, tuple(nums), None)
+    return pivot, (vs, tuple([c / pivot for c in nums]), None)
 
 
 def make_term(
@@ -429,8 +448,7 @@ class RatExpr:
         """Multiply every term by ``coeff * monomial * forms``."""
         out = []
         for t in self.terms:
-            b = _TermBuilder(t.coeff * coeff)
-            b.mono = dict(t.mono)
+            b = _TermBuilder(t.coeff * coeff, t.mono)
             for f, p in t.forms:
                 b.mul_canonical(f, p)
             b.mul_factors(mono, forms)
@@ -473,98 +491,45 @@ def homogeneity_degree(expr: RatExpr) -> int:
     return degree
 
 
-def _taylor_coefficient(h: Term, var: int, n: int) -> list[Term]:
-    """``(1/n!) d^n/dz_var^n`` of one term, by the generalised Leibniz rule.
-
-    Every factor ``g^p`` that depends on ``z_var`` takes a share ``i`` of
-    ``n`` and contributes ``C(p, i) c^i g^(p-i)``, with ``c`` the ``z_var``
-    coefficient of ``g``; the monomial ``z_var^a`` is the factor ``g = z_var``
-    with ``c = 1``.  One term comes out per composition of ``n`` over those
-    factors whose binomials are all nonzero: exactly the terms that ``n``
-    rounds of product-rule differentiation leave after collection.  Changing
-    powers keeps every form in canonical scale, so every term stays canonical.
-    """
-    if n == 0:
-        return [h]
-    a = h.exponent_of(var)
-    factors = [(None, a, 1)] if a else []  # (form index or None, power, c)
-    for idx, (f, p) in enumerate(h.forms):
-        c = f.coeff_of(var)
-        if c is not None:
-            factors.append((idx, p, c))
-
-    def compose(pos: int, left: int, coeff):
-        _, p, c = factors[pos]
-        last = pos == len(factors) - 1
-        for i in (left,) if last else range(left + 1):
-            # generalised binomial C(p, i); for p >= 0 it vanishes once i > p
-            b = comb(p, i) if p >= 0 else (-1) ** i * comb(i - p - 1, i)
-            if not b:
-                break
-            w = coeff * b * c**i if i else coeff
-            if last:
-                yield w, (i,)
-            else:
-                for w_rest, rest in compose(pos + 1, left - i, w):
-                    yield w_rest, (i,) + rest
-
-    out: list[Term] = []
-    for w, shares in compose(0, n, h.coeff) if factors else ():
-        # c^i vanishes for a nilpotent series c; collection would drop the term
-        if not w:
-            continue
-        mono, forms = h.mono, list(h.forms)
-        for (idx, p, _), i in zip(factors, shares):
-            if idx is None:
-                mono = tuple((v, e - i if v == var else e) for v, e in mono)
-                mono = tuple((v, e) for v, e in mono if e)
-            else:
-                forms[idx] = (forms[idx][0], p - i)
-        out.append(Term(w, mono, tuple((f, p) for f, p in forms if p)))
-    return out
+def _binomial(p: int, i: int) -> int:
+    """The generalised binomial ``C(p, i)``; for ``p >= 0`` it vanishes once ``i > p``."""
+    return comb(p, i) if p >= 0 else (-1) ** i * comb(i - p - 1, i)
 
 
-def _subst_term(t: Term, var: int, value: Coeff, target: int) -> Term | None:
-    """Replace ``z_var`` by ``value * z_target`` in one term.
+def _shares(powers: list[int], n: int):
+    """Each way, in lexicographic order, to share ``n`` so that every ``C(p, i)`` is nonzero."""
+    if not powers:
+        if not n:
+            yield ()
+        return
+    p = powers[0]
+    for i in range((n if p < 0 else min(n, p)) + 1):
+        for tail in _shares(powers[1:], n - i):
+            yield (i,) + tail
+
+
+def _substituted(f: LinearForm, var: int, value: Coeff, target: int, power: int) -> tuple | None:
+    """The image of ``f`` with ``z_var`` replaced by ``value * z_target``.
 
     A rational form under a rational value ``p/q`` stays an integer vector:
     at ``value = 0`` it just drops its ``z_var`` entry; otherwise, over the
     denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
     ``z_target``.  Series forms and series values go through ``coeffs``.
     """
-    b = _TermBuilder(t.coeff)
-    for v, e in t.mono:
-        if v == var:
-            if e < 0 and not is_unit(value):
-                raise NonInvertiblePoleError(
-                    f"substituting z{var} -> c*z{target} with non-invertible c "
-                    f"into a pole of order {-e}"
-                )
-            b.mul_scalar(value, e)
-            if b.dead or not b.num:  # a nilpotent or zero value killed the term
-                return None
-            b.mul_mono(target, e)
-        else:
-            b.mul_mono(v, e)
-    for f, p in t.forms:
-        if var not in f.vars:
-            b.mul_canonical(f, p)
-        elif f.den is None or isinstance(value, EpsSeries):
-            mapping = dict(f.coeffs)
-            c = mapping.pop(var)
-            mapping[target] = mapping.get(target, 0) + c * value
-            b.mul_form(mapping, p, f.origin)
-        else:
-            i = f.vars.index(var)
-            vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
-            if value:
-                q = value.denominator
-                entries = dict(zip(vs, [n * q for n in nums]))
-                entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
-                vs = tuple(sorted([v for v, n in entries.items() if n]))
-                nums, den = [entries[v] for v in vs], den * q
-            b.mul_vector(vs, nums, den, p, f.origin)
-    return b.build()
+    if f.den is None or isinstance(value, EpsSeries):
+        mapping = dict(f.coeffs)
+        c = mapping.pop(var)
+        mapping[target] = mapping.get(target, 0) + c * value
+        return _image(*_vector(mapping), power)
+    i = f.vars.index(var)
+    vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
+    if value:
+        q = value.denominator
+        entries = dict(zip(vs, [n * q for n in nums]))
+        entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
+        vs = tuple(sorted([v for v, n in entries.items() if n]))
+        nums, den = [entries[v] for v in vs], den * q
+    return _image(vs, nums, den, power)
 
 
 def _residue(
@@ -574,26 +539,63 @@ def _residue(
 
     ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
     ``LinearForm.key`` of the pole form, whose ``z_var`` coefficient is
-    ``alpha``.
+    ``alpha``.  By the generalised Leibniz rule each factor ``g^p`` of the
+    rest of a term that depends on ``z_var`` (``z_var^a`` is ``g = z_var``)
+    takes a share ``i`` of ``M-1`` and contributes ``C(p, i) c^i g^(p-i)``,
+    ``c`` its ``z_var`` coefficient.  Each such ``g`` is substituted once per
+    term, into its image; each composition multiplies its weights, then the
+    other factors and the images' powers, into one builder.
     """
     live = tuple(v for v in expr.live_vars if v != var)
     out: list[Term | None] = []
     for t in expr.terms:
         if pole is None:
-            m = -t.exponent_of(var)
-            mono, forms = tuple((v, e) for v, e in t.mono if v != var), t.forms
+            m, a, forms = -t.exponent_of(var), 0, t.forms
         else:
-            m = -sum(p for f, p in t.forms if f.key == pole)
-            mono, forms = t.mono, tuple((f, p) for f, p in t.forms if f.key != pole)
+            m, a = -sum(p for f, p in t.forms if f.key == pole), t.exponent_of(var)
+            forms = [(f, p) for f, p in t.forms if f.key != pole]
         if m <= 0:
             continue
         coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
-        for h in _taylor_coefficient(Term(coeff, mono, forms), var, m - 1):
-            if pole is None and h.exponent_of(var) < 0:
-                raise EngineCorruptionError(
-                    f"z{var}=0 evaluation reached a term with a residual pole"
-                )
-            out.append(_subst_term(h, var, value, target))
+        mono = [(v, e) for v, e in t.mono if v != var]
+        # the factors that depend on z_var as (power, c), c None for z_var^a;
+        # each form's slot among them and, once needed, its image
+        moving, slot, images = [(a, None)] if a else [], {}, {}
+        for idx, (f, p) in enumerate(forms):
+            if var in f.vars:
+                n = f.nums[f.vars.index(var)]
+                slot[idx] = len(moving)
+                moving.append((p, n if f.den is None else (n, f.den)))
+        for shares in _shares([p for p, _ in moving], m - 1):
+            b = _TermBuilder(coeff, mono)
+            for (p, c), i in zip(moving, shares):
+                if i:
+                    b.num *= _binomial(p, i)
+                    if c is not None:
+                        b.mul_scalar(c, i)
+            if b.dead:  # c^i vanished for a nilpotent series c
+                continue
+            e = a - shares[0] if a else 0
+            if e:
+                if e < 0 and not is_unit(value):
+                    raise NonInvertiblePoleError(
+                        f"substituting z{var} -> c*z{target} with non-invertible c "
+                        f"into a pole of order {-e}"
+                    )
+                b.mul_scalar(value, e)
+                if b.dead or not b.num:  # a nilpotent value killed the term
+                    continue
+                b.mul_mono(target, e)
+            for idx, (f, p) in enumerate(forms):
+                s = slot.get(idx)
+                if s is None:
+                    b.mul_canonical(f, p)
+                elif p != shares[s] and not b.dead:
+                    q = p - shares[s]
+                    if idx not in images:
+                        images[idx] = _substituted(f, var, value, target, q)
+                    b.mul_image(images[idx], q, f.origin)
+            out.append(b.build())
     return RatExpr.of(live, out)
 
 
@@ -601,11 +603,11 @@ def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
     """The coefficient of ``z_var^(-1)`` in the Laurent expansion at ``z_var = 0``.
 
     For a term with pole order ``m`` it is the ``(m-1)``-th Taylor coefficient
-    of ``z^m * term`` at ``z_var = 0``; terms without a pole contribute
-    nothing.  All other denominator forms are analytic at the origin because
-    canonical scaling folds pure-``z_var`` forms into the monomial.  The
-    result drops ``var`` from the live variables and its total degree is one
-    higher than the input's.
+    of ``z^m * term`` at ``z_var = 0``, which :func:`_residue` reads off the
+    forms in one pass; the stripped monomial no longer holds ``z_var``, and
+    terms without a pole contribute nothing.  All forms are analytic at the
+    origin because canonical scaling folds pure-``z_var`` forms into the
+    monomial.  ``var`` leaves the live set; the degree rises by one.
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
@@ -618,23 +620,18 @@ def _normalize_root_form(
 ) -> tuple[tuple, Coeff, int, Coeff]:
     """Resolve a root request into (pole key, z_var coefficient, other var, root scale).
 
-    Returns the ``LinearForm.key`` identifying the grouped pole, the
-    canonical form's ``z_var`` coefficient, the other variable ``t`` and the
-    root coefficient ``c`` with ``z_var = c * z_t``.
+    Returns the ``LinearForm.key`` of the normalized form, which identifies
+    the grouped pole, its ``z_var`` coefficient, the other variable ``t``
+    and the root coefficient ``c`` with ``z_var = c * z_t``.
     """
-    items = form.coeffs if isinstance(form, LinearForm) else form.items()
-    mapping = {v: c for v, c in items if c}
-    if var not in mapping:
+    vs, nums, den = form.key if isinstance(form, LinearForm) else _vector(form)
+    if var not in vs:
         raise PrescriptionError(f"form is not linear in z{var}")
-    if len(mapping) != 2:
+    if len(vs) != 2:
         raise PrescriptionError(
             "residue at a form root needs a two-variable linear form"
         )
-    probe = _TermBuilder(1)
-    probe.mul_form(mapping, 1, PLAIN)
-    if probe.dead or len(probe.forms) != 1:
-        raise PrescriptionError("degenerate form has no isolated root")
-    pole = LinearForm(*next(iter(probe.forms)))
+    pole = LinearForm(*_image(vs, nums, den, 1)[1])
     alpha = pole.coeff_of(var)
     (other,) = [v for v in pole.vars if v != var]
     if not is_unit(alpha):
@@ -652,10 +649,11 @@ def residue_at_form_root(
 
     All denominator factors of a term that vanish on the root merge into one
     multiplicity-M pole (canonical scaling already made them syntactically
-    equal), and the residue is ``alpha^{-M}`` times the ``(M-1)``-th Taylor
-    coefficient of ``h`` at the root, with ``alpha`` the form's ``z_var``
-    coefficient and ``h`` the term without the grouped factor.  Terms analytic
-    at the root contribute nothing.  ``var`` leaves the live set; degree rises by one.
+    equal).  The residue is ``alpha^{-M}``, ``alpha`` the form's ``z_var``
+    coefficient, times the ``(M-1)``-th Taylor coefficient at the root of
+    the term without the grouped factor, which :func:`_residue` reads off
+    the monomial and forms in one pass.  Terms analytic at the root
+    contribute nothing.  ``var`` leaves the live set; degree rises by one.
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
@@ -750,8 +748,7 @@ def lift_to_series(expr: RatExpr, order: int) -> RatExpr:
     """Re-coefficient an expression over Fraction into the truncated-series ring."""
     out = []
     for t in expr.terms:
-        b = _TermBuilder(EpsSeries.constant(t.coeff, order))
-        b.mono = dict(t.mono)
+        b = _TermBuilder(EpsSeries.constant(t.coeff, order), t.mono)
         for f, p in t.forms:
             b.mul_form({v: EpsSeries.constant(c, order) for v, c in f.coeffs}, p, f.origin)
         out.append(b.build())

@@ -92,11 +92,11 @@ class TestApplyOperator:
         assert all(e > 3 for (a, e), _ in residual.entries)
 
 
-def record_series_calls(monkeypatch, perturb_degree=None):
+def record_series_calls(monkeypatch, perturb_degree=None, perturb_power=1):
     """Record every ``hypergeom_series`` call a check makes.
 
-    With ``perturb_degree``, ``1/7`` is added to the ``eps^1`` coefficient of
-    that degree's series.
+    With ``perturb_degree``, ``1/7`` is added to the ``eps^perturb_power``
+    coefficient of that degree's series.
     """
     calls = []
 
@@ -104,7 +104,8 @@ def record_series_calls(monkeypatch, perturb_degree=None):
         calls.append((N, k, d, j_max))
         series = hypergeom_series(N, k, d, j_max)
         if d == perturb_degree:
-            series = series + EpsSeries([0, Fraction(1, 7)], j_max)
+            shift = [0] * perturb_power + [Fraction(1, 7)]
+            series = series + EpsSeries(shift, j_max)
         return series
 
     monkeypatch.setattr(givode, "hypergeom_series", recording)
@@ -149,6 +150,15 @@ class TestVerifyAnnihilation:
             for report in reports[1:]:
                 assert not report.annihilated, (N, report.j)
                 assert all(e <= 3 for (a, e), _ in report.residual)
+
+    def test_top_degree_checked(self, monkeypatch):
+        # the residual at degree e_max reads c_(e_max - 1) and c_e_max alone
+        record_series_calls(monkeypatch, perturb_degree=6, perturb_power=0)
+        reports = verify_annihilation(5, 3, 6)
+        assert len(reports) == 4
+        for report in reports:
+            assert not report.annihilated, report.j
+            assert {e for (a, e), _ in report.residual} == {6}
 
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):

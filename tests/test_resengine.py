@@ -106,6 +106,14 @@ class TestResidueAtZero:
         got = residue_at_zero(e, 0)
         assert got.debug_str() == "(-1)*z1^-1"
 
+    def test_series_form_takes_a_leibniz_share(self):
+        # d/dz1 [1/(z0 + (1+e) z1)] at z1 = 0 is -(1+e)/z0^2
+        order = 4
+        one, eps = EpsSeries.constant(1, order), EpsSeries.eps(order)
+        e = RatExpr.of([0, 1], [make_term(one, {1: -2}, [({0: one, 1: one + eps}, -1)])])
+        got = residue_at_zero(e, 1)
+        assert got == RatExpr.of([0], [make_term(-(one + eps), {0: -2})])
+
     def test_analytic_point_gives_zero(self):
         e = expr_of([1, 2], (1, {1: 1}, [({1: 2, 2: -1}, -1)]))
         assert residue_at_zero(e, 1).is_zero
@@ -155,6 +163,18 @@ class TestResidueAtFormRoot:
         assert t.mono == ((1, 1),)
         # g(c z1, z1)/(1+e) with c = e/(1+e): (1 + 2e)/(1+e)^2
         assert t.coeff == (one + 2 * eps) / ((one + eps) ** 2)
+
+    def test_series_form_takes_a_leibniz_share(self):
+        # d/dz1 [1/(z0 + (1+e) z1)] at z1 = z2 is -(1+e)/(z0 + (1+e) z2)^2
+        order = 4
+        one, eps = EpsSeries.constant(1, order), EpsSeries.eps(order)
+        pole = {1: one, 2: -one}
+        e = RatExpr.of(
+            [0, 1, 2], [make_term(one, {}, [(pole, -2), ({0: one, 1: one + eps}, -1)])]
+        )
+        got = residue_at_form_root(e, 1, pole)
+        want = make_term(-(one + eps), {}, [({0: one, 2: one + eps}, -2)])
+        assert got == RatExpr.of([0, 2], [want])
 
     def test_grouped_multiplicity(self):
         # 1/((z1 - z2)(2 z1 - 2 z2) z1): proportional factors merge to a

@@ -39,7 +39,6 @@ from .resengine import (
     RatExpr,
     Term,
     iterated_residue,
-    lift_to_series,
     make_term,
     node_tag,
 )
@@ -206,19 +205,21 @@ def eval_cascade(q: Query) -> EpsSeries:
     Builds the ``j = 0`` integrand, multiplies by the closed form
     ``z_0 / ((1+eps) z_0 - eps z_1)`` of the descendant ladder
     ``sum_j ((z_1-z_0)/z_0)^j eps^j`` and takes iterated residues over the
-    series ring.  The first step takes the residue at the displaced simple
-    pole ``z_0 = eps/(1+eps) z_1`` together with ``z_0 = 0``; any vanishing
-    of the ``z_i = 0`` contributions must emerge from the algebra and is
-    never assumed.
+    series ring.  The multiply lifts only the term coefficients: a form
+    becomes a series form only when a coefficient is not constant, so the
+    integrand's rational forms are reused as they are and render as
+    constants on the series ring.  The first step takes the residue at the
+    displaced simple pole ``z_0 = eps/(1+eps) z_1`` together with
+    ``z_0 = 0``; any vanishing of the ``z_i = 0`` contributions must emerge
+    from the algebra and is never assumed.
     """
     if q.j_max is None:
         raise ValueError("series mode needs q.j_max")
     order = q.j_max
     base = build_integrand(replace(q, j=0, j_max=None))
-    lifted = lift_to_series(base, order)
     one = EpsSeries.constant(1, order)
     eps = EpsSeries.eps(order)
-    deformed = lifted.mul_term(
+    deformed = base.mul_term(
         coeff=one,
         mono={0: 1},
         forms=[({0: one + eps, 1: -eps}, -1, DEFORMATION)],

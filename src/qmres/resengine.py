@@ -10,11 +10,13 @@ integers: positive powers are numerator factors (the lazily-expanded Euler
 products), negative powers are denominator poles.  Linear forms are kept in
 a canonical scale, monic at their lowest-index unit coefficient, with the
 extracted scalar absorbed into the term coefficient; forms that degenerate
-to a single variable are folded into the monomial.  Over the rational ring
-a form is a vector of integer numerators over one positive denominator, so
+to a single variable are folded into the monomial.  A form is a series form
+only when a monic coefficient is not constant; on either ring every other
+form is a vector of integer numerators over one positive denominator, so
 comparing, hashing and merging forms, and evaluating one at ``z_i = 0``
-(drop an entry, divide by the gcd), run on ints; the rational scalars a
-term picks up on the way meet its coefficient once, as one integer ratio.
+(drop an entry, divide by the gcd), run on ints; rational forms render as
+constants on the series ring.  The rational scalars a term picks up on the
+way meet its coefficient once, as one integer ratio.
 Pole-collision detection is thus a syntactic check, and every operation
 (Taylor coefficients, substitution, residue extraction) stays closed on the
 term shape.
@@ -70,7 +72,6 @@ __all__ = [
     "residue_at_form_root",
     "default_pole_sites",
     "iterated_residue",
-    "lift_to_series",
 ]
 
 Coeff = Union[Fraction, EpsSeries, int]
@@ -113,12 +114,14 @@ class LinearForm:
 
     ``vars`` is sorted, every ``c_i`` is nonzero, there are at least two
     (single-variable forms fold into monomials), and the pivot, the first
-    unit ``c_i``, is 1.  Over the rational ring ``c_i = nums[i] / den``
-    with ints in lowest terms, ``den > 0`` and ``nums[0] == den``; over the
-    series ring ``den`` is None and ``nums`` are the coefficients.  So
-    rational forms compare and hash on ints.  ``coeffs`` and ``coeff_of``
-    hand out Fractions (or series); ``sort_key`` orders renderings and a
-    step's pole sites only.
+    unit ``c_i``, is 1.  A form is a series form only when some ``c_i`` is
+    not constant: then ``den`` is None and ``nums`` are the coefficients.
+    Otherwise, on either ring, ``c_i = nums[i] / den`` with ints in lowest
+    terms, ``den > 0`` and ``nums[0] == den``, so rational forms compare and
+    hash on ints.  ``coeffs`` and ``coeff_of`` hand out Fractions (or
+    series); ``sort_key`` orders renderings and a step's pole sites only.
+    Given a series ``order``, it and ``render`` treat a rational form as its
+    constant-series twin.
     """
 
     vars: tuple[int, ...]
@@ -144,18 +147,23 @@ class LinearForm:
         n = self.nums[self.vars.index(var)]
         return n if self.den is None else Fraction(n, self.den)
 
-    def sort_key(self):
-        # rationals (tag 0) order before series (tag 1, then their coefficients)
-        cs = [(v, (1, *c.coeffs) if isinstance(c, EpsSeries) else (0, c)) for v, c in self.coeffs]
+    def sort_key(self, order: int | None = None):
+        # rationals (tag 0) order before series (tag 1, then their coefficients);
+        # at series order J a rational c sorts as its twin (1, c, 0, ..., 0)
+        tag, tail = (0, ()) if order is None else (1, (0,) * order)
+        cs = [(v, (1, *c.coeffs) if self.den is None else (tag, c, *tail)) for v, c in self.coeffs]
         return tuple(cs), self.origin
 
-    def __str__(self):
+    def render(self, order: int | None = None) -> str:
+        twin = "" if self.den is None or order is None else f" + O(e^{order + 1})"
         parts = []
         for v, c in self.coeffs:
-            cs = f"({c})" if isinstance(c, EpsSeries) else str(c)
+            cs = f"({c}{twin})" if self.den is None or twin else str(c)
             parts.append(f"z{v}" if cs == "1" else f"-z{v}" if cs == "-1" else f"{cs}*z{v}")
         body = " + ".join(parts).replace("+ -", "- ")
         return f"({body})" if self.origin == PLAIN else f"({body})@{self.origin}"
+
+    __str__ = render
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,19 +200,22 @@ class Term:
     def __hash__(self):
         return hash((self.coeff, self.identity()))
 
-    def sorted_forms(self) -> list[tuple[LinearForm, int]]:
-        """The forms in rendering order."""
-        return sorted(self.forms, key=lambda fp: (fp[0].sort_key(), fp[1]))
+    @property
+    def order(self) -> int | None:
+        """The truncation order of a series coefficient; None over the rationals."""
+        return self.coeff.order if isinstance(self.coeff, EpsSeries) else None
 
     def sort_key(self):
-        return self.mono, tuple((f.sort_key(), p) for f, p in self.sorted_forms())
+        order = self.order
+        return self.mono, tuple(sorted([(f.sort_key(order), p) for f, p in self.forms]))
 
     def __str__(self):
+        order = self.order
         pieces = [f"({self.coeff})"]
         for v, e in self.mono:
             pieces.append(f"z{v}" if e == 1 else f"z{v}^{e}")
-        for f, p in self.sorted_forms():
-            pieces.append(str(f) if p == 1 else f"{f}^{p}")
+        for f, p in sorted(self.forms, key=lambda fp: (fp[0].sort_key(order), fp[1])):
+            pieces.append(f.render(order) + ("" if p == 1 else f"^{p}"))
         return "*".join(pieces)
 
 
@@ -320,12 +331,14 @@ def _vector(mapping: Mapping[int, Coeff]) -> tuple:
     """``(vars, nums, den)`` of ``sum_v mapping[v] z_v``, zero entries dropped.
 
     Rational coefficients become ints over their least common denominator;
-    if any coefficient is a series, ``den`` is None and ``nums`` are them.
+    if any coefficient is a series, ``den`` is None and ``nums`` are series,
+    the rational ones lifted to constants of the same order.
     """
     items = sorted([(v, c) for v, c in mapping.items() if c])
     vs, cs = tuple([v for v, _ in items]), [c for _, c in items]
-    if any(isinstance(c, EpsSeries) for c in cs):
-        return vs, [c if isinstance(c, EpsSeries) else Fraction(c) for c in cs], None
+    order = next((c.order for c in cs if isinstance(c, EpsSeries)), None)
+    if order is not None:
+        return vs, [c if isinstance(c, EpsSeries) else EpsSeries.constant(c, order) for c in cs], None
     den = lcm(*[c.denominator for c in cs])
     return vs, [c.numerator * (den // c.denominator) for c in cs], den
 
@@ -336,8 +349,10 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
     The form is ``scalar * target``: ``target`` is its variable if it has
     one entry, else the ``LinearForm.key`` of the monic form; ``scalar`` is
     an int pair ``(n, d)``, a series, or None for 1.  Rational vectors divide
-    out their pivot ``nums[0]/den``.  A vanished form is None if raised to a
-    positive ``power`` and an error if to a negative one.
+    out their pivot ``nums[0]/den``; series vectors their first unit, and if
+    every quotient is then constant the target is the rational key.  A
+    vanished form is None if raised to a positive ``power`` and an error if
+    to a negative one.
     """
     if not vs:
         if power > 0:
@@ -362,9 +377,13 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
         raise NonInvertiblePoleError(
             "linear form has no invertible coefficient; cannot normalize"
         )
-    if pivot == 1:
-        return None, (vs, tuple(nums), None)
-    return pivot, (vs, tuple([c / pivot for c in nums]), None)
+    scalar = None if pivot == 1 else pivot
+    nums = nums if scalar is None else [c / pivot for c in nums]
+    ints = [c.as_integers() for c in nums]
+    if any([any(n[1:]) for n, _ in ints]):
+        return scalar, (vs, tuple(nums), None)
+    den = lcm(*[d for _, d in ints])
+    return scalar, (vs, tuple([n[0] * (den // d) for n, d in ints]), den)
 
 
 def make_term(
@@ -462,7 +481,8 @@ class RatExpr:
             for f, p in t.forms:
                 if p < 0 and f.origin == origin:
                     seen.setdefault(f.key, f)
-        return sorted(seen.values(), key=LinearForm.sort_key)
+        order = self.terms[0].order if seen else None
+        return sorted(seen.values(), key=lambda f: f.sort_key(order))
 
     def debug_str(self) -> str:
         """Deterministic text rendering for golden tests: terms and forms sorted."""
@@ -742,15 +762,3 @@ def iterated_residue(expr: RatExpr):
             )
         result = result + t.coeff
     return result
-
-
-def lift_to_series(expr: RatExpr, order: int) -> RatExpr:
-    """Re-coefficient an expression over Fraction into the truncated-series ring."""
-    out = []
-    for t in expr.terms:
-        b = _TermBuilder(EpsSeries.constant(t.coeff, order), t.mono)
-        for f, p in t.forms:
-            b.mul_form({v: EpsSeries.constant(c, order) for v, c in f.coeffs}, p, f.origin)
-        out.append(b.build())
-    return RatExpr.of(expr.live_vars, out)
-

@@ -15,16 +15,18 @@ from helpers import (
     scalar_value,
     substitute,
 )
+from qmres import quasimap
 from qmres.exactnum import EpsSeries
+from qmres.quasimap import Query, eval_cascade
 from qmres.resengine import (
     DEFORMATION,
     EngineCorruptionError,
+    LinearForm,
     PoleCollisionError,
     PrescriptionError,
     RatExpr,
     homogeneity_degree,
     iterated_residue,
-    lift_to_series,
     make_term,
     node_tag,
     residue_at_form_root,
@@ -283,7 +285,7 @@ class TestIteratedResidue:
 class TestLiftAndDebug:
     def test_lift_to_series(self):
         e = expr_of([0, 1], (Fraction(3, 2), {0: -1, 1: -1}, []))
-        lifted = lift_to_series(e, 2)
+        lifted = e.mul_term(coeff=EpsSeries.constant(1, 2))
         assert isinstance(lifted.terms[0].coeff, EpsSeries)
         assert iterated_residue(lifted) == EpsSeries.constant(Fraction(3, 2), 2)
 
@@ -433,3 +435,72 @@ class TestCanonicalForm:
         assert got.debug_str() == (
             "(1 - e + e^2 - e^3 + O(e^4))*((1 + O(e^4))*z0 + (1 + O(e^4))*z2)^-1"
         )
+
+
+class TestSeriesRingForms:
+    """A form is a series form only when a monic coefficient is not constant."""
+
+    J = 3
+    one, eps = EpsSeries.constant(1, J), EpsSeries.eps(J)
+
+    def test_mixed_mapping_gives_a_series_key(self):
+        ((f, _),) = make_term(self.one, {}, [({0: 1, 1: self.eps}, -1)]).forms
+        assert f.den is None and f.nums == (self.one, self.eps)
+        assert all(type(c) is EpsSeries for c in f.nums)
+
+    def test_series_copy_merges_with_the_rational_form(self):
+        one, eps = self.one, self.eps
+        copies = [({0: one + eps, 1: 2 * (one + eps)}, -1), ({0: 1, 1: 2}, -1)]
+        t = make_term(one, {0: 1}, copies)
+        assert [p for _, p in t.forms] == [-2]
+        ((f, _),) = t.forms
+        assert (f.vars, f.nums, f.den) == ((0, 1), (1, 2), 1)
+        assert t.coeff == (one + eps).inverse()
+        e = RatExpr.of([0, 1], [t])
+        assert e.debug_str() == (
+            "(1 - e + e^2 - e^3 + O(e^4))*z0*((1 + O(e^4))*z0 + (2 + O(e^4))*z1)^-2"
+        )
+        # both copies make one double pole at z0 = -2 z1; the residue of z0 there is 1
+        got = residue_at_form_root(e, 0, {0: 1, 1: 2})
+        assert got == RatExpr.of([1], [make_term((one + eps).inverse())])
+
+    @pytest.mark.parametrize(
+        "q", [Query(3, 1, 2, j_max=3), Query(2, 4, 2, j_max=3)], ids=["fano", "general"]
+    )
+    def test_cascade_lifts_only_term_coefficients(self, monkeypatch, q):
+        seen = []
+        real = quasimap.iterated_residue
+        monkeypatch.setattr(quasimap, "iterated_residue", lambda e: seen.append(e) or real(e))
+        eval_cascade(q)
+        (deformed,) = seen
+        assert all(type(t.coeff) is EpsSeries for t in deformed.terms)
+        series = {f for t in deformed.terms for f, _ in t.forms if f.den is None}
+        assert [f.origin for f in series] == [DEFORMATION]
+
+    def test_pole_sites_sort_as_constant_series_twins(self):
+        J, one, eps, half = self.J, self.one, self.eps, Fraction(1, 2)
+        # two rational node forms among series ones that first differ at e^1
+        mappings = [
+            {1: one, 2: -half + eps},
+            {1: 1, 2: -half},
+            {1: one, 2: -half - eps},
+            {1: 1, 2: -1},
+            {1: one, 2: -one - eps},
+        ]
+        node = node_tag(1)
+        e = RatExpr.of([1, 2], [make_term(one, {}, [(m, -1, node)]) for m in mappings])
+        sites = e.denominator_forms(node)
+        want = [make_term(one, {}, [(mappings[i], -1, node)]).forms[0][0] for i in (4, 3, 2, 1, 0)]
+        assert sites == want
+        assert [f.den is None for f in sites] == [True, False, True, False, True]
+
+        def twin(f):  # a rational form as a series form with constant coefficients
+            if f.den is None:
+                return f
+            cs = tuple([EpsSeries.constant(c, J) for _, c in f.coeffs])
+            return LinearForm(f.vars, cs, None, f.origin)
+
+        twins = [twin(f) for f in sites]
+        assert twins == sorted(twins, key=LinearForm.sort_key)
+        assert [f.sort_key(J) for f in sites] == [g.sort_key() for g in twins]
+        assert [f.render(J) for f in sites] == [str(g) for g in twins]

@@ -235,11 +235,12 @@ class EpsSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = EpsSeries.constant(1, self.order)
-        base = self
+        if n == 0:
+            return EpsSeries.constant(1, self.order)
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base

@@ -229,23 +229,37 @@ def eval_cascade(q: Query) -> EpsSeries:
     return value
 
 
+def _times_linear(p: list[int], r: int, s: int) -> None:
+    """Multiply the integer series ``p`` in place by ``r + s eps``, truncated."""
+    for i in range(len(p) - 1, 0, -1):
+        p[i] = r * p[i] + s * p[i - 1]
+    p[0] *= r
+
+
 def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     """The coefficient series ``prod_{r<=kd}(r + k eps) / prod_{r<=d}(r + eps)^N``.
 
     Its ``eps^j`` Taylor coefficient is the closed-form side of the
     intersection-number equalities.  ``d = 0`` gives the empty products, 1.
+    Both products and the quotient run on integer lists, not on the series
+    ring, so a defect of ``EpsSeries`` arithmetic cannot reach ``rhs``.
     """
     if N < 2 or k < 1 or d < 0:
         raise ValueError("need N >= 2, k >= 1, d >= 0")
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
-    num = EpsSeries.constant(1, j_max)
+    num, den = [1] + [0] * j_max, [1] + [0] * j_max
     for r in range(1, k * d + 1):
-        num = num * EpsSeries.linear(r, k, j_max)
-    den = EpsSeries.constant(1, j_max)
+        _times_linear(num, r, k)
     for r in range(1, d + 1):
-        den = den * EpsSeries.linear(r, 1, j_max) ** N
-    return num / den
+        for _ in range(N):
+            _times_linear(den, r, 1)
+    # out[m] = a0^(J+1) [eps^m] num/den is an integer, so each // a0 is exact
+    a0, top = den[0], den[0] ** (j_max + 1)
+    out: list[int] = []
+    for m in range(j_max + 1):
+        out.append((num[m] * top - sum([den[i] * out[m - i] for i in range(1, m + 1)])) // a0)
+    return EpsSeries._of(out, top)
 
 
 def formal_two_point(q: Query, j_prime: int) -> Fraction:

@@ -377,8 +377,8 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
         raise NonInvertiblePoleError(
             "linear form has no invertible coefficient; cannot normalize"
         )
-    scalar = None if pivot == 1 else pivot
-    nums = nums if scalar is None else [c / pivot for c in nums]
+    scalar, inv = (None, None) if pivot == 1 else (pivot, pivot.inverse())
+    nums = nums if inv is None else [c * inv for c in nums]
     ints = [c.as_integers() for c in nums]
     if any([any(n[1:]) for n, _ in ints]):
         return scalar, (vs, tuple(nums), None)

@@ -1,5 +1,6 @@
 """Shared test utilities: the brute-force residue oracle, random instances,
-the polynomial expansion of numerator-only expressions and substitution.
+the polynomial expansion of numerator-only expressions, substitution and the
+series-ring product of the hypergeometric coefficients.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from qmres.exactnum import EpsSeries
 from qmres.resengine import PrescriptionError, RatExpr, make_term
 
 
@@ -174,3 +176,22 @@ def substitute(expr: RatExpr, var: int, value, target: int) -> RatExpr:
             forms.append((mapping, p, f.origin))
         terms.append(make_term(coeff, mono, forms))
     return RatExpr.of([v for v in expr.live_vars if v != var], terms)
+
+
+def ring_hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
+    """``prod_{r<=kd}(r + k eps) / prod_{r<=d}(r + eps)^N`` by ``EpsSeries`` arithmetic.
+
+    The reference ``hypergeom_series`` is pinned to: it shares no code with
+    that function's integer product.
+    """
+    if N < 2 or k < 1 or d < 0:
+        raise ValueError("need N >= 2, k >= 1, d >= 0")
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
+    num = EpsSeries.constant(1, j_max)
+    for r in range(1, k * d + 1):
+        num = num * EpsSeries.linear(r, k, j_max)
+    den = EpsSeries.constant(1, j_max)
+    for r in range(1, d + 1):
+        den = den * EpsSeries.linear(r, 1, j_max) ** N
+    return num / den

@@ -3,7 +3,8 @@
 The digests were recorded before the term-ordering and multiply-kernel
 speedups (the two series digests before ``EpsSeries`` moved to integer
 numerators, the direct-residue digest before rational linear forms did, the
-givental residual digest before solutions became integer polynomials) and
+givental residual digest before solutions became integer polynomials, the
+deep hypergeometric digest before ``hypergeom_series`` left the series ring) and
 must never move: any change that reorders output, renders a term differently
 or changes a value fails here instead of relying on a manual ``diff`` of CLI
 runs.
@@ -67,6 +68,7 @@ CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a45548166
 DIRECT_SHA256 = "9313f29eef54381e23ed2f8ca46250c155c8d6eeff2b25148a71ec724f27a5b0"
 GIVENTAL_RESIDUAL_SHA256 = "0883165cf70176e5b3582229dd3c0cc11169458f9114c6883a10434e3e6f44d2"
 HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
+HYPERGEOM_SERIES_DEEP_SHA256 = "9f74ad8dcfe3936307c92875e6efe5bb6b29cadc0a406499310c40b4ee337e38"
 CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
 
 
@@ -184,6 +186,29 @@ def test_hypergeom_series_bytes():
     """``str`` of ``hypergeom_series`` over N 2..6, k 1..N+2, d 1..3 at J = 6."""
     lines = [f"{N},{k},{d}: {hypergeom_series(N, k, d, 6)}" for N, k, d in SERIES_GRID]
     assert _sha("\n".join(lines)) == HYPERGEOM_SERIES_SHA256
+
+
+# (N, k, d, J) of the cascade-deep benchmark workload's compute requests
+CASCADE_DEEP_SHAPES = [
+    (2, 1, 6, 6), (2, 1, 14, 7), (2, 1, 22, 8), (2, 1, 30, 9), (2, 4, 8, 10),
+    (3, 4, 6, 11), (3, 4, 16, 12), (4, 4, 6, 6), (4, 4, 14, 7), (4, 4, 22, 8),
+    (4, 4, 30, 9), (5, 6, 6, 10), (5, 6, 16, 11), (6, 5, 6, 12), (6, 5, 14, 6),
+    (6, 5, 22, 7), (6, 5, 30, 8), (6, 6, 6, 9), (6, 6, 14, 10), (6, 6, 22, 11),
+    (6, 6, 30, 12), (6, 8, 6, 6),
+]
+
+
+def test_hypergeom_series_deep_bytes():
+    """``str`` of ``hypergeom_series`` at the shapes the benchmark workloads use.
+
+    The givental ones, N 5..8, k 1..N-1, e 0..14 at J = N-2, then the
+    cascade-deep ones.  Recorded on the series-ring product.
+    """
+    shapes = [
+        (N, k, e, N - 2) for N in range(5, 9) for k in range(1, N) for e in range(15)
+    ] + CASCADE_DEEP_SHAPES
+    lines = [f"{N},{k},{d},{J}: {hypergeom_series(N, k, d, J)}" for N, k, d, J in shapes]
+    assert _sha("\n".join(lines)) == HYPERGEOM_SERIES_DEEP_SHA256
 
 
 def test_cascade_series_bytes():

@@ -5,14 +5,16 @@ Each mutant is patched in-process with ``monkeypatch`` and undone after the
 test; no process is started and no file is written.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
 import test_golden
+import test_quasimap
 import test_resengine
 from helpers import PoleInstance, engine_expression, oracle_residue, scalar_value
-from qmres import resengine
+from qmres import cli, quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_direct, verify_theorem
 from qmres.resengine import (
@@ -69,9 +71,85 @@ def test_series_inverse_skipping_terms_caught_by_direct_residues(monkeypatch):
     assert inverse_skipping(9)(series) == series.inverse()
     # the denominator (1+e)^3 (2+e)^3 of the closed form has degree 6, so the
     # mutant first differs at e^6; eval_direct runs on Fractions only
+    rhs = [r.rhs for r in verify_theorem(Query(3, 1, 2, j_max=8))]
     monkeypatch.setattr(EpsSeries, "inverse", inverse_skipping(6))
     results = verify_theorem(Query(3, 1, 2, j_max=8))
     assert [r.match for r in results] == [True] * 6 + [False] * 3
+    # the closed form runs on integer lists, so the reference side is untouched
+    assert [r.rhs for r in results] == rhs
+
+
+def test_series_inverse_wrong_at_e7_leaves_rhs_exact(monkeypatch, capsys):
+    exact = EpsSeries.inverse
+
+    def inverse(self: EpsSeries) -> EpsSeries:
+        nums, den = exact(self).as_integers()
+        if len(nums) > 7:
+            nums = nums[:7] + (nums[7] + den,) + nums[8:]
+        return EpsSeries._of(list(nums), den)
+
+    monkeypatch.setattr(EpsSeries, "inverse", inverse)
+    argv = "compute --N 3 --k 2 --d 2 --j 8 --format json --evaluator".split()
+    assert cli.main([*argv, "direct"]) == 0
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["lhs"], record["rhs"], record["match"]) == ("-7145/128", "-7145/256", True)
+    assert cli.main([*argv, "cascade"]) == 1
+    [record] = json.loads(capsys.readouterr().out)
+    assert (record["rhs"], record["match"]) == ("-7145/256", False)
+
+
+def test_kernel_dropping_carry_caught_by_ring_product_and_direct_residues(monkeypatch):
+    q = Query(4, 3, 2, j_max=6)
+    # test_quasimap pins the intact kernel to the ring product over the whole grid
+    assert all(r.match for r in verify_theorem(q))
+
+    def times_linear(p, r, s):
+        # the numerator's factors r + k eps (k > 1) lose their carry into eps^5 and up
+        for i in range(len(p) - 1, 0, -1):
+            p[i] = r * p[i] + (s * p[i - 1] if i < 5 or s == 1 else 0)
+        p[0] *= r
+
+    monkeypatch.setattr(quasimap, "_times_linear", times_linear)
+    with pytest.raises(AssertionError):
+        test_quasimap.assert_matches_ring_product()
+    assert [r.match for r in verify_theorem(q)] == [True] * 5 + [False] * 2
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Patch ``EpsSeries.<name>`` to record each call; returns the record."""
+    calls = []
+    exact = getattr(EpsSeries, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(EpsSeries, name, wrapper)
+    return calls
+
+
+def test_image_inverts_the_pivot_once(monkeypatch):
+    pivot = EpsSeries([2, 1], 3)
+    nums = [pivot, EpsSeries([1, -1, 3], 3), EpsSeries([0, 1], 3)]
+    want = [c / pivot for c in nums]
+    calls = counting(monkeypatch, "inverse")
+    scalar, (vs, monic, den) = resengine._image((0, 1, 2), nums, None, -1)
+    assert (scalar, vs, list(monic), den) == (pivot, (0, 1, 2), want, None)
+    assert len(calls) == 1
+
+
+def test_pow_starts_from_the_first_odd_power(monkeypatch):
+    s = EpsSeries([2, 1, Fraction(1, 3), -1], 3)
+    want = {}
+    for n in range(-3, 5):
+        base, want[n] = s if n >= 0 else s.inverse(), EpsSeries.constant(1, 3)
+        for _ in range(abs(n)):
+            want[n] = want[n] * base
+    calls = counting(monkeypatch, "__mul__")
+    assert {n: s**n for n in range(-3, 5)} == want
+    calls.clear()
+    assert (s**1, s**-1) == (s, want[-1])
+    assert calls == []
 
 
 def test_demoting_on_constant_terms_caught_by_direct_residues(monkeypatch):

@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from helpers import expand
+from helpers import expand, ring_hypergeom_series
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     IntersectionResult,
@@ -173,6 +174,55 @@ class TestHypergeomSeries:
 
     def test_degree_zero_is_one(self):
         assert hypergeom_series(3, 2, 0, 4) == EpsSeries.constant(1, 4)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="need N >= 2, k >= 1, d >= 0"):
+            hypergeom_series(3, 2, -1, 4)
+        with pytest.raises(ValueError, match="j_max must be non-negative"):
+            hypergeom_series(3, 2, 1, -1)
+
+    def test_equals_ring_product(self):
+        assert_matches_ring_product()
+
+    def test_uses_no_series_arithmetic(self, monkeypatch):
+        want = [ring_value(key).as_integers() for key in HYPERGEOM_GRID]
+
+        def refuse(*args):
+            raise AssertionError("EpsSeries arithmetic called")
+
+        for name in ("__mul__", "__rmul__", "inverse", "__truediv__", "__pow__"):
+            monkeypatch.setattr(EpsSeries, name, refuse)
+        assert [hypergeom_series(*key).as_integers() for key in HYPERGEOM_GRID] == want
+
+
+# N 2..8, k 1..N+3, d 0..14 at J 0, 1, 3, 6 and 12
+HYPERGEOM_GRID = [
+    (N, k, d, J)
+    for N in range(2, 9)
+    for k in range(1, N + 4)
+    for d in range(15)
+    for J in (0, 1, 3, 6, 12)
+]
+
+
+@cache
+def ring_value(key: tuple[int, int, int, int]) -> EpsSeries:
+    """``ring_hypergeom_series`` at ``key``, computed once per session.
+
+    Only an intact series ring may fill this cache: a test that patches
+    ``EpsSeries`` must not call it while patched.
+    """
+    return ring_hypergeom_series(*key)
+
+
+def assert_matches_ring_product():
+    """``hypergeom_series`` equals the series-ring product, stored integers included.
+
+    Stops at the first grid point that differs.
+    """
+    for key in HYPERGEOM_GRID:
+        got, want = hypergeom_series(*key), ring_value(key)
+        assert (got, got.as_integers()) == (want, want.as_integers()), key
 
 
 class TestFormalTwoPoint:

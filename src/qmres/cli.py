@@ -43,20 +43,6 @@ EXIT_ENGINE = 3
 
 WORKERS_ENV = "QMRES_WORKERS"
 
-RECORD_FIELDS = [
-    "N",
-    "k",
-    "d",
-    "j",
-    "regime",
-    "m",
-    "lhs",
-    "lhs_over_k",
-    "rhs",
-    "match",
-    "evaluator",
-]
-
 # A cache record stores the key and the value only; every derived field is
 # recomputed when it is loaded, so a stale record cannot pass a wrong answer.
 # Records without a "schema" key predate it and are read as schema 1.
@@ -114,20 +100,16 @@ def record_key(rec: dict) -> tuple:
 # ---------------------------------------------------------------- output
 
 
-def render_records(records: list[dict], fmt: str, fields: list[str]) -> str:
+def render_records(records: list[dict], fmt: str) -> str:
+    """Render non-empty ``records``; csv and text take their header from the first."""
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
+    rows = [list(records[0])] + [[_csv_cell(v) for v in rec.values()] for rec in records]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({f: _csv_cell(rec.get(f)) for f in fields})
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
-    lines = ["  ".join(f"{f:>10}" for f in fields)]
-    for rec in records:
-        lines.append("  ".join(f"{_csv_cell(rec.get(f)):>10}" for f in fields))
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(f"{cell:>10}" for cell in row) + "\n" for row in rows)
 
 
 def _csv_cell(value) -> str:
@@ -224,26 +206,22 @@ def _verify_task(
 def _compute_records(
     q: Query, evaluators: list[str], cache: dict[tuple, Fraction]
 ) -> list[dict]:
+    """One record per evaluator; with both, each takes the other's value as ``cross``."""
     assert q.j is not None
-    hyper = hypergeom_series(q.N, q.k, q.d, q.j)
-    rhs = hyper.coefficient(q.j)
-    records = []
+    rhs = hypergeom_series(q.N, q.k, q.d, q.j).coefficient(q.j)
+    values = {}
     for evaluator in evaluators:
         lhs = cache.get((q.N, q.k, q.d, q.j, q.regime, evaluator))
         if lhs is None and evaluator == "direct":
             lhs = eval_direct(q)
         elif lhs is None:
             lhs = eval_cascade(replace(q, j_max=q.j)).coefficient(q.j)
-        result = IntersectionResult(
-            query=q,
-            lhs=lhs,
-            lhs_over_k=lhs / q.k,
-            rhs=rhs,
-            match=lhs / q.k == rhs,
-            evaluator=evaluator,
-        )
-        records.append(record_from_result(result))
-    return records
+        values[evaluator] = lhs
+    other = {"direct": "cascade", "cascade": "direct"}
+    return [
+        record_from_result(IntersectionResult(q, lhs, rhs, e, values.get(other[e])))
+        for e, lhs in values.items()
+    ]
 
 
 def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
@@ -284,34 +262,32 @@ def _require_cells(cells: list, args, parser):
         parser.error(f"the grid is empty: no cell for --N {args.N[0]}..{args.N[-1]}")
 
 
+def _check_cell(parser, N: int, k: int, d: int):
+    """Let ``Query`` judge one grid cell; a bad value is a usage error naming its flag."""
+    try:
+        Query(N, k, d)
+    except ValueError as exc:
+        # each of Query's messages starts with the name of the field at fault
+        parser.error(f"--{exc}, got {dict(N=N, k=k, d=d)[str(exc).split()[0]]}")
+
+
 # ---------------------------------------------------------------- commands
-
-
-def _regime_ks(regime: str, N: int, k_range: list[int] | None) -> list[int]:
-    if k_range is None:
-        return list(range(1, N)) if regime == FANO else list(range(N, N + 3))
-    if regime == FANO:
-        return [k for k in k_range if 1 <= k < N]
-    return [k for k in k_range if k >= N]
 
 
 def cmd_verify(args, parser) -> int:
     if args.jmax < 0:
         parser.error("--jmax must be non-negative")
-    regimes = [FANO, GENERAL] if args.regime == "both" else [args.regime]
     tasks = []
-    for regime in regimes:
-        for N in args.N:
-            ks = _regime_ks(regime, N, args.k)
-            if args.k is not None and not ks:
-                parser.error(
-                    f"k range {args.k} has no {regime}-regime value for N={N}"
-                )
-            for k in ks:
-                for d in args.d:
-                    tasks.append((N, k, d, args.jmax))
+    for N in args.N:
+        ks = args.k if args.k is not None else range(1, N + 3)
+        ks = [k for k in ks if args.regime in ("both", FANO if k < N else GENERAL)]
+        if not ks and args.k is not None:
+            parser.error(f"k range {args.k} has no {args.regime}-regime value for N={N}")
+        for k in ks:
+            for d in args.d:
+                _check_cell(parser, N, k, d)
+                tasks.append((N, k, d, args.jmax))
     _require_cells(tasks, args, parser)
-    tasks.sort()
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     cached_lhs = {t: _cached_task(cache, t) for t in tasks}
@@ -323,13 +299,13 @@ def cmd_verify(args, parser) -> int:
         rows = fresh_by_task[t] if t in fresh_by_task else _verify_task(t, cached_lhs[t])
         records.extend(rows)
     append_cache(args.cache, cache, records)
-    write_output(render_records(records, args.format, RECORD_FIELDS), args.output)
+    write_output(render_records(records, args.format), args.output)
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
 
 
 def _cached_task(cache: dict, task: tuple) -> list[Fraction] | None:
     N, k, d, j_max = task
-    regime = FANO if k < N else GENERAL
+    regime = Query(N, k, d).regime
     values = []
     for j in range(j_max + 1):
         lhs = cache.get((N, k, d, j, regime, "direct"))
@@ -354,11 +330,8 @@ def cmd_compute(args, parser) -> int:
     records = _compute_records(q, evaluators, cache)
     records.sort(key=record_key)
     append_cache(args.cache, cache, records)
-    write_output(render_records(records, args.format, RECORD_FIELDS), args.output)
+    write_output(render_records(records, args.format), args.output)
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
-
-
-GIVENTAL_FIELDS = ["N", "k", "j", "e_max", "formal", "annihilated", "residual"]
 
 
 def _givental_task(task: tuple[int, int, int]) -> list[dict]:
@@ -383,11 +356,8 @@ def cmd_givental(args, parser) -> int:
     tasks.sort()
     check_writable(args.output)
     records = [rec for rows in _run_tasks(tasks, _givental_task, args.workers) for rec in rows]
-    write_output(render_records(records, args.format, GIVENTAL_FIELDS), args.output)
+    write_output(render_records(records, args.format), args.output)
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
-
-
-BENCH_FIELDS = ["N", "k", "d", "J", "t_direct_total", "t_cascade", "speedup"]
 
 
 def cmd_bench(args, parser) -> int:
@@ -399,6 +369,8 @@ def cmd_bench(args, parser) -> int:
         for k in (args.k if args.k is not None else range(1, N))
         for d in args.d
     ]
+    for N, k, d in cells:
+        _check_cell(parser, N, k, d)
     _require_cells(cells, args, parser)
     check_writable(args.output)
     rows = []
@@ -425,7 +397,7 @@ def cmd_bench(args, parser) -> int:
                 "speedup": f"{t_direct / t_cascade:.3f}" if t_cascade > 0 else "inf",
             }
         )
-    write_output(render_records(rows, args.format, BENCH_FIELDS), args.output)
+    write_output(render_records(rows, args.format), args.output)
     return EXIT_OK
 
 

@@ -96,11 +96,6 @@ class EpsSeries:
         """The series ``e`` itself, truncated at ``order``."""
         return cls([0, 1], order)
 
-    @classmethod
-    def linear(cls, a, b, order: int) -> "EpsSeries":
-        """The polynomial ``a + b*e``, truncated at ``order``."""
-        return cls([a, b], order)
-
     # -- structure ----------------------------------------------------
 
     @property

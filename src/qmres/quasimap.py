@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .exactnum import EpsSeries
@@ -52,9 +52,7 @@ __all__ = [
     "eval_cascade",
     "hypergeom_series",
     "formal_two_point",
-    "hori_expand",
     "verify_theorem",
-    "leading_closed_form",
 ]
 
 FANO = "fano"
@@ -103,14 +101,24 @@ class Query:
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """One verified intersection number: both sides of the equality."""
+    """One intersection number; ``match`` is derived, so it cannot disagree with the values.
+
+    ``cross`` is the other evaluator's value at the same level, when it ran.
+    """
 
     query: Query
     lhs: Fraction
-    lhs_over_k: Fraction
     rhs: Fraction
-    match: bool
     evaluator: str
+    cross: Fraction | None = None
+
+    @property
+    def lhs_over_k(self) -> Fraction:
+        return self.lhs / self.query.k
+
+    @property
+    def match(self) -> bool:
+        return self.lhs_over_k == self.rhs and (self.cross is None or self.cross == self.lhs)
 
 
 def _ek(u: int, v: int, k: int):
@@ -280,35 +288,18 @@ def formal_two_point(q: Query, j_prime: int) -> Fraction:
     return value
 
 
-def hori_expand(q: Query) -> Fraction:
-    """Binomial reduction of the multi-pointed number to bare two-point ones.
-
-    ``sum_{i=0}^{min(m,j)} C(m,i) d^(m-i) * formal_two_point(j-i)``; by the
-    integrand-level binomial identity this equals ``eval_direct(q)`` exactly.
-    """
-    if q.regime != GENERAL:
-        raise ValueError(f"query {q} is not in the general regime")
-    if q.j is None:
-        raise ValueError("hori_expand needs a fixed q.j")
-    m = q.m
-    assert m is not None
-    total = Fraction(0)
-    for i in range(min(m, q.j) + 1):
-        total += comb(m, i) * q.d ** (m - i) * formal_two_point(q, q.j - i)
-    return total
-
-
 def verify_theorem(
     q: Query, direct: Sequence[Fraction] | None = None
 ) -> list[IntersectionResult]:
     """Check the intersection-number equality for every ``j <= q.j_max``.
 
-    For each level the direct residue value, the matching coefficient of the
-    cascade generating function, and the hypergeometric coefficient are
-    compared; ``match`` requires all three to agree exactly.  A mismatch is
-    a reported result, not an error.  ``direct`` supplies already known
-    ``eval_direct`` values (read from a cache) in place of recomputing them;
-    the cascade and hypergeometric checks run either way.
+    Each level's result holds the direct residue value as ``lhs``, the
+    hypergeometric coefficient as ``rhs`` and the matching coefficient of the
+    cascade generating function as ``cross``, so its ``match`` requires all
+    three to agree exactly.  A mismatch is a reported result, not an error.
+    ``direct`` supplies already known ``eval_direct`` values (read from a
+    cache) in place of recomputing them; the cascade and hypergeometric
+    checks run either way.
     """
     if q.j_max is None:
         raise ValueError("verify_theorem needs q.j_max")
@@ -318,22 +309,6 @@ def verify_theorem(
     for j in range(q.j_max + 1):
         qj = replace(q, j=j)
         lhs = eval_direct(qj) if direct is None else direct[j]
-        lhs_over_k = lhs / q.k
-        rhs = hyper.coefficient(j)
-        match = lhs_over_k == rhs and cascade.coefficient(j) == lhs
-        results.append(
-            IntersectionResult(
-                query=qj,
-                lhs=lhs,
-                lhs_over_k=lhs_over_k,
-                rhs=rhs,
-                match=match,
-                evaluator="direct",
-            )
-        )
+        cross = cascade.coefficient(j)
+        results.append(IntersectionResult(qj, lhs, hyper.coefficient(j), "direct", cross))
     return results
-
-
-def leading_closed_form(N: int, k: int, d: int) -> Fraction:
-    """The ``j = 0`` value ``(kd)! / (d!)^N`` of the coefficient series."""
-    return Fraction(factorial(k * d), factorial(d) ** N)

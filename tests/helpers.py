@@ -1,6 +1,7 @@
 """Shared test utilities: the brute-force residue oracle, random instances,
-the polynomial expansion of numerator-only expressions, substitution and the
-series-ring product of the hypergeometric coefficients.
+the polynomial expansion of numerator-only expressions, substitution, the
+series-ring product of the hypergeometric coefficients, the binomial
+reduction to bare two-point numbers and the ``j = 0`` closed form.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -16,9 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from qmres.exactnum import EpsSeries
+from qmres.quasimap import GENERAL, Query, formal_two_point
 from qmres.resengine import PrescriptionError, RatExpr, make_term
 
 
@@ -190,8 +192,31 @@ def ring_hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
         raise ValueError("j_max must be non-negative")
     num = EpsSeries.constant(1, j_max)
     for r in range(1, k * d + 1):
-        num = num * EpsSeries.linear(r, k, j_max)
+        num = num * EpsSeries([r, k], j_max)
     den = EpsSeries.constant(1, j_max)
     for r in range(1, d + 1):
-        den = den * EpsSeries.linear(r, 1, j_max) ** N
+        den = den * EpsSeries([r, 1], j_max) ** N
     return num / den
+
+
+def hori_expand(q: Query) -> Fraction:
+    """Binomial reduction of the multi-pointed number to bare two-point ones.
+
+    ``sum_{i=0}^{min(m,j)} C(m,i) d^(m-i) * formal_two_point(j-i)``; by the
+    integrand-level binomial identity this equals ``eval_direct(q)`` exactly.
+    """
+    if q.regime != GENERAL:
+        raise ValueError(f"query {q} is not in the general regime")
+    if q.j is None:
+        raise ValueError("hori_expand needs a fixed q.j")
+    m = q.m
+    assert m is not None
+    total = Fraction(0)
+    for i in range(min(m, q.j) + 1):
+        total += comb(m, i) * q.d ** (m - i) * formal_two_point(q, q.j - i)
+    return total
+
+
+def leading_closed_form(N: int, k: int, d: int) -> Fraction:
+    """The ``j = 0`` value ``(kd)! / (d!)^N`` of the coefficient series."""
+    return Fraction(factorial(k * d), factorial(d) ** N)

@@ -14,6 +14,8 @@ import pytest
 from helpers import (
     engine_expression,
     expand,
+    hori_expand,
+    leading_closed_form,
     oracle_residue,
     random_pole_instance,
     scalar_value,
@@ -26,9 +28,7 @@ from qmres.quasimap import (
     eval_cascade,
     eval_direct,
     formal_two_point,
-    hori_expand,
     hypergeom_series,
-    leading_closed_form,
 )
 from qmres.resengine import (
     RatExpr,

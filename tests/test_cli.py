@@ -103,6 +103,18 @@ class TestVerify:
         assert {(r["N"], r["k"]) for r in records} == {(2, 2), (2, 3)}
         assert all(r["m"] is not None for r in records)
 
+    def test_explicit_k_in_both_regimes(self, capsys):
+        # each (N, k) cell is in its own regime; neither needs a value for every N
+        code, out, _ = run_cli(
+            capsys, "verify", "--N", "2..3", "--k", "2", "--d", "1", "--jmax", "1"
+        )
+        assert code == EXIT_OK
+        records = json.loads(out)
+        assert [(r["N"], r["k"], r["j"], r["regime"]) for r in records] == [
+            (2, 2, 0, "general"), (2, 2, 1, "general"), (3, 2, 0, "fano"), (3, 2, 1, "fano"),
+        ]
+        assert all(r["match"] for r in records)
+
     def test_invalid_k_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--regime", "fano", "--N", "2", "--k", "5..6",
@@ -272,6 +284,37 @@ class TestUnwritablePaths:
             main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
                   "--output", str(target)])
         assert target.read_text() == "kept\n"
+
+
+class TestInvalidCells:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--N", "2..3", "--d", "0..1", "--jmax", "1"], "--d must be at least 1, got 0"),
+            (
+                ["verify", "--regime", "general", "--N", "1..3", "--d", "1", "--jmax", "1"],
+                "--N must be at least 2, got 1",
+            ),
+            (
+                ["verify", "--regime", "fano", "--N", "3", "--k", "0..2", "--d", "1", "--jmax", "1"],
+                "--k must be at least 1, got 0",
+            ),
+            (["bench", "--N", "3", "--k", "0..2", "--d", "1"], "--k must be at least 1, got 0"),
+        ],
+        ids=["verify-d", "verify-N", "verify-k", "bench-k"],
+    )
+    def test_rejected_before_any_evaluation(self, capsys, monkeypatch, argv, message):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated before the cells were checked")
+
+        monkeypatch.setattr("qmres.cli.verify_theorem", evaluated)
+        monkeypatch.setattr("qmres.cli.eval_direct", evaluated)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith(f"usage: qmres {argv[0]} [-h]")
+        assert err.endswith(f"error: {message}\n")
 
 
 class TestWorkers:

@@ -59,21 +59,21 @@ class TestRational:
 
 class TestEpsSeries:
     def test_geometric_inverse_identity(self):
-        one_plus = EpsSeries.linear(1, 1, 3)
+        one_plus = EpsSeries([1, 1], 3)
         geom = EpsSeries([1, -1, 1, -1])
         assert one_plus * geom == EpsSeries.constant(1, 3)
 
     def test_invert_two_plus_eps(self):
         # long division by hand: 1/(2+e) = 1/2 - e/4 + e^2/8
-        inv = EpsSeries.linear(2, 1, 2).inverse()
+        inv = EpsSeries([2, 1], 2).inverse()
         assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
 
     def test_coefficient_extraction(self):
-        geo = EpsSeries.linear(1, 1, 3).inverse()
+        geo = EpsSeries([1, 1], 3).inverse()
         assert geo.coefficient(1) == -1
         assert EpsSeries([5, 2, 9]).coefficient(0) == 5
         # binomial expansion: [e^2] (1+e)^-4 = C(5,2) = 10
-        quartic = EpsSeries.linear(1, 1, 2) ** (-4)
+        quartic = EpsSeries([1, 1], 2) ** (-4)
         assert quartic.coefficient(2) == 10
 
     def test_coefficient_out_of_range(self):
@@ -99,7 +99,7 @@ class TestEpsSeries:
             1 / EpsSeries.eps(3)
 
     def test_mixed_number_arithmetic(self):
-        s = EpsSeries.linear(1, 1, 2)
+        s = EpsSeries([1, 1], 2)
         assert Fraction(1, 2) * s == EpsSeries([Fraction(1, 2), Fraction(1, 2)], 2)
         assert 1 + EpsSeries.eps(2) == s
         assert (s - 1).coefficient(0) == 0
@@ -119,7 +119,7 @@ class TestEpsSeries:
         assert not is_unit(Fraction(0))
 
     def test_negative_power(self):
-        s = EpsSeries.linear(1, 1, 4)
+        s = EpsSeries([1, 1], 4)
         assert s ** (-2) * s ** 2 == EpsSeries.constant(1, 4)
 
     @given(series(), series(), series())
@@ -191,10 +191,10 @@ class TestCachedHash:
 
     def test_equal_series_from_different_routes_hash_equal(self):
         assert hash(EpsSeries([1, 2, 0])) == hash(EpsSeries([1, 2, 0, 0, 0]))
-        product = EpsSeries.linear(1, 1, 3) * EpsSeries.linear(1, -1, 3)
+        product = EpsSeries([1, 1], 3) * EpsSeries([1, -1], 3)
         literal = EpsSeries([1, 0, -1, 0])
         assert product == literal and hash(product) == hash(literal)
-        halved = EpsSeries.linear(2, 4, 4) * EpsSeries.constant(Fraction(1, 2), 4)
+        halved = EpsSeries([2, 4], 4) * EpsSeries.constant(Fraction(1, 2), 4)
         assert hash(halved) == hash(EpsSeries([1, 2], 4))
 
 

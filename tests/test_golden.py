@@ -4,7 +4,8 @@ The digests were recorded before the term-ordering and multiply-kernel
 speedups (the two series digests before ``EpsSeries`` moved to integer
 numerators, the direct-residue digest before rational linear forms did, the
 givental residual digest before solutions became integer polynomials, the
-deep hypergeometric digest before ``hypergeom_series`` left the series ring) and
+deep hypergeometric digest before ``hypergeom_series`` left the series ring, the
+two text-format CLI digests before the column lists were read off the records) and
 must never move: any change that reorders output, renders a term differently
 or changes a value fails here instead of relying on a manual ``diff`` of CLI
 runs.
@@ -60,6 +61,16 @@ CLI_GOLDENS = [
         "givental --N 3..4 --k 3..4 --emax 4 --format csv",
         0,
         "5541e1e5c7dadd22fc24dc5085becdf537baea1847a95455ffc88bb80dcc3eac",
+    ),
+    (
+        "givental --N 3..4 --emax 3 --format text",
+        0,
+        "b7a7ec6111c2b7f16ec084be33378f4749cdb880ec223addbd7736207a69344b",
+    ),
+    (
+        "compute --N 5 --k 3 --d 2 --j 3 --evaluator both --format text",
+        0,
+        "a7971ce0e627a16f362d80c318c3c8d7eb968828bfb85d4a399498b9db45215e",
     ),
 ]
 

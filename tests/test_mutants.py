@@ -5,11 +5,13 @@ Each mutant is patched in-process with ``monkeypatch`` and undone after the
 test; no process is started and no file is written.
 """
 
+import inspect
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+import test_exactnum
 import test_golden
 import test_quasimap
 import test_resengine
@@ -96,6 +98,16 @@ def test_series_inverse_wrong_at_e7_leaves_rhs_exact(monkeypatch, capsys):
     assert cli.main([*argv, "cascade"]) == 1
     [record] = json.loads(capsys.readouterr().out)
     assert (record["rhs"], record["match"]) == ("-7145/256", False)
+    # with both evaluators each record is cross-checked against the other,
+    # and agrees with the verdict verify gives the same level
+    assert cli.main([*argv, "both"]) == 1
+    cascade, direct = json.loads(capsys.readouterr().out)
+    assert (direct["evaluator"], direct["match"], cascade["match"]) == ("direct", False, False)
+    verify = "verify --regime fano --N 3 --k 2 --d 2 --jmax 8".split()
+    assert cli.main(verify) == 1
+    row = json.loads(capsys.readouterr().out)[8]
+    assert direct == row
+    assert {f: cascade[f] for f in ("j", "rhs", "match")} == {f: row[f] for f in ("j", "rhs", "match")}
 
 
 def test_kernel_dropping_carry_caught_by_ring_product_and_direct_residues(monkeypatch):
@@ -113,6 +125,83 @@ def test_kernel_dropping_carry_caught_by_ring_product_and_direct_residues(monkey
     with pytest.raises(AssertionError):
         test_quasimap.assert_matches_ring_product()
     assert [r.match for r in verify_theorem(q)] == [True] * 5 + [False] * 2
+
+
+def test_product_denominator_wrong_from_order_5_caught(monkeypatch):
+    exact = EpsSeries.__mul__
+
+    def mul(self, other):
+        # the convolution over the lcm of the operands' denominators, not their product
+        out = exact(self, other)
+        if out is NotImplemented or out.order < 5:
+            return out
+        return exact(out, gcd(self._den, self._operand(other)[1]))
+
+    pairs = [
+        (EpsSeries([Fraction(1, 2), 1, Fraction(-3, 4)], J), EpsSeries([Fraction(1, 6), 0, 5], J))
+        for J in (4, 5)
+    ]
+    q = Query(3, 1, 2, j_max=8)
+    assert all(r.match for r in verify_theorem(q))
+    monkeypatch.setattr(EpsSeries, "__mul__", mul)
+    monkeypatch.setattr(EpsSeries, "__rmul__", mul)
+    # the Fraction schoolbook product, and eval_direct and rhs, use no series product
+    assert [list((a * b).coeffs) == test_exactnum.schoolbook(a, b) for a, b in pairs] == [True, False]
+    assert not any(r.match for r in verify_theorem(q))
+
+
+def test_fill_without_sign_fix_caught_by_direct_residues(monkeypatch):
+    def fill(self, nums, den):
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        object.__setattr__(self, "_num", tuple(nums))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_hash", None)
+
+    q = Query(3, 2, 2, j_max=4)
+    assert all(r.match for r in verify_theorem(q))
+    monkeypatch.setattr(EpsSeries, "_fill", fill)
+    # dividing by a negative scalar leaves a negative denominator behind
+    assert EpsSeries([1, 2], 3) / -2 != EpsSeries([Fraction(-1, 2), -1], 3)
+    # eval_direct runs on Fractions, and rhs divides by the positive (d!)^N only
+    assert not any(r.match for r in verify_theorem(q))
+
+
+def test_record_with_a_wrong_lhs_caught_by_cli_digest(monkeypatch, capsys):
+    command, code, digest = test_golden.CLI_GOLDENS[0]
+    exact = cli.record_from_result
+
+    def record_from_result(r):
+        return {**exact(r), "lhs": str(r.lhs + 1)}
+
+    monkeypatch.setattr(cli, "record_from_result", record_from_result)
+    assert cli.main(command.split()) == code
+    out = capsys.readouterr().out
+    assert all(rec["match"] for rec in json.loads(out))
+    assert test_golden._sha(out) != digest
+
+
+def test_residue_dropping_series_share_weight_caught_by_hand_values(monkeypatch):
+    # _residue with c^i left out of a Leibniz share whenever c is a series
+    src = inspect.getsource(resengine._residue)
+    assert src.count("b.mul_scalar(c, i)") == 1
+    src = src.replace(
+        "b.mul_scalar(c, i)", "if not isinstance(c, EpsSeries): b.mul_scalar(c, i)"
+    )
+    namespace = dict(vars(resengine))
+    exec(src, namespace)
+    checks = [
+        test_resengine.TestResidueAtZero().test_series_form_takes_a_leibniz_share,
+        test_resengine.TestResidueAtFormRoot().test_series_form_takes_a_leibniz_share,
+    ]
+    for check in checks:
+        check()
+    monkeypatch.setattr(resengine, "_residue", namespace["_residue"])
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
 
 
 def counting(monkeypatch, name: str) -> list:

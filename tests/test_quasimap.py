@@ -6,7 +6,7 @@ from functools import cache
 
 import pytest
 
-from helpers import expand, ring_hypergeom_series
+from helpers import expand, hori_expand, leading_closed_form, ring_hypergeom_series
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     IntersectionResult,
@@ -16,9 +16,7 @@ from qmres.quasimap import (
     eval_cascade,
     eval_direct,
     formal_two_point,
-    hori_expand,
     hypergeom_series,
-    leading_closed_form,
     verify_theorem,
 )
 from qmres.resengine import RatExpr, homogeneity_degree, node_tag
@@ -281,3 +279,23 @@ class TestVerifyTheorem:
         assert isinstance(r, IntersectionResult)
         assert r.evaluator == "direct"
         assert r.lhs_over_k == r.lhs / 2
+        assert r.cross == r.lhs
+
+
+class TestIntersectionResult:
+    Q = Query(3, 2, 1, j=0)
+
+    def test_verdict_without_cross(self):
+        r = IntersectionResult(self.Q, Fraction(4), Fraction(2), "direct")
+        assert (r.cross, r.lhs_over_k, r.match) == (None, 2, True)
+
+    def test_cross_must_equal_lhs(self):
+        lhs = Fraction(4)
+        assert IntersectionResult(self.Q, lhs, Fraction(2), "direct", cross=lhs).match
+        assert not IntersectionResult(self.Q, lhs, Fraction(2), "direct", cross=lhs + 1).match
+
+    def test_derived_fields_follow_lhs(self):
+        r = IntersectionResult(self.Q, Fraction(4), Fraction(2), "cascade", cross=Fraction(4))
+        moved = replace(r, lhs=Fraction(5))
+        assert (moved.lhs_over_k, moved.match) == (Fraction(5, 2), False)
+        assert replace(r, lhs=Fraction(5), rhs=Fraction(5, 2), cross=Fraction(5)).match

@@ -1,7 +1,8 @@
 """Shared test utilities: the brute-force residue oracle, random instances,
 the polynomial expansion of numerator-only expressions, substitution, the
-series-ring product of the hypergeometric coefficients, the binomial
-reduction to bare two-point numbers and the ``j = 0`` closed form.
+factor-wise residue kernel, the series-ring product of the hypergeometric
+coefficients, the binomial reduction to bare two-point numbers and the
+``j = 0`` closed form.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -19,9 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from qmres.exactnum import EpsSeries
+from qmres.exactnum import EpsSeries, is_unit
 from qmres.quasimap import GENERAL, Query, formal_two_point
-from qmres.resengine import PrescriptionError, RatExpr, make_term
+from qmres.resengine import (
+    Coeff,
+    LinearForm,
+    NonInvertiblePoleError,
+    PrescriptionError,
+    RatExpr,
+    Term,
+    _binomial,
+    _image,
+    _shares,
+    _TermBuilder,
+    _vector,
+    make_term,
+)
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,102 @@ def substitute(expr: RatExpr, var: int, value, target: int) -> RatExpr:
             forms.append((mapping, p, f.origin))
         terms.append(make_term(coeff, mono, forms))
     return RatExpr.of([v for v in expr.live_vars if v != var], terms)
+
+
+# The residue kernel as it read before the moving factors of a step became one
+# list: the monomial z_var^a has its own block and each form its slot.
+# ``factorwise_residue`` is that ``_residue``, pinned equal to the library's.
+
+
+def _substituted(f: LinearForm, var: int, value: Coeff, target: int, power: int) -> tuple | None:
+    """The image of ``f`` with ``z_var`` replaced by ``value * z_target``.
+
+    A rational form under a rational value ``p/q`` stays an integer vector:
+    at ``value = 0`` it just drops its ``z_var`` entry; otherwise, over the
+    denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
+    ``z_target``.  Series forms and series values go through ``coeffs``.
+    """
+    if f.den is None or isinstance(value, EpsSeries):
+        mapping = dict(f.coeffs)
+        c = mapping.pop(var)
+        mapping[target] = mapping.get(target, 0) + c * value
+        return _image(*_vector(mapping), power)
+    i = f.vars.index(var)
+    vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
+    if value:
+        q = value.denominator
+        entries = dict(zip(vs, [n * q for n in nums]))
+        entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
+        vs = tuple(sorted([v for v, n in entries.items() if n]))
+        nums, den = [entries[v] for v in vs], den * q
+    return _image(vs, nums, den, power)
+
+
+def factorwise_residue(
+    expr: RatExpr, var: int, pole: tuple | None, alpha: Coeff, value: Coeff, target: int
+) -> RatExpr:
+    """Residue in ``z_var`` at ``z_var = value * z_target``, for both pole sites.
+
+    ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
+    ``LinearForm.key`` of the pole form, whose ``z_var`` coefficient is
+    ``alpha``.  By the generalised Leibniz rule each factor ``g^p`` of the
+    rest of a term that depends on ``z_var`` (``z_var^a`` is ``g = z_var``)
+    takes a share ``i`` of ``M-1`` and contributes ``C(p, i) c^i g^(p-i)``,
+    ``c`` its ``z_var`` coefficient.  Each such ``g`` is substituted once per
+    term, into its image; each composition multiplies its weights, then the
+    other factors and the images' powers, into one builder.
+    """
+    live = tuple(v for v in expr.live_vars if v != var)
+    out: list[Term | None] = []
+    for t in expr.terms:
+        if pole is None:
+            m, a, forms = -t.exponent_of(var), 0, t.forms
+        else:
+            m, a = -sum(p for f, p in t.forms if f.key == pole), t.exponent_of(var)
+            forms = [(f, p) for f, p in t.forms if f.key != pole]
+        if m <= 0:
+            continue
+        coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
+        mono = [(v, e) for v, e in t.mono if v != var]
+        # the factors that depend on z_var as (power, c), c None for z_var^a;
+        # each form's slot among them and, once needed, its image
+        moving, slot, images = [(a, None)] if a else [], {}, {}
+        for idx, (f, p) in enumerate(forms):
+            if var in f.vars:
+                n = f.nums[f.vars.index(var)]
+                slot[idx] = len(moving)
+                moving.append((p, n if f.den is None else (n, f.den)))
+        for shares in _shares([p for p, _ in moving], m - 1):
+            b = _TermBuilder(coeff, mono)
+            for (p, c), i in zip(moving, shares):
+                if i:
+                    b.num *= _binomial(p, i)
+                    if c is not None:
+                        b.mul_scalar(c, i)
+            if b.dead:  # c^i vanished for a nilpotent series c
+                continue
+            e = a - shares[0] if a else 0
+            if e:
+                if e < 0 and not is_unit(value):
+                    raise NonInvertiblePoleError(
+                        f"substituting z{var} -> c*z{target} with non-invertible c "
+                        f"into a pole of order {-e}"
+                    )
+                b.mul_scalar(value, e)
+                if b.dead or not b.num:  # a nilpotent value killed the term
+                    continue
+                b.mul_mono(target, e)
+            for idx, (f, p) in enumerate(forms):
+                s = slot.get(idx)
+                if s is None:
+                    b.mul_canonical(f, p)
+                elif p != shares[s] and not b.dead:
+                    q = p - shares[s]
+                    if idx not in images:
+                        images[idx] = _substituted(f, var, value, target, q)
+                    b.mul_image(images[idx], q, f.origin)
+            out.append(b.build())
+    return RatExpr.of(live, out)
 
 
 def ring_hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:

@@ -5,7 +5,17 @@ import json
 import pytest
 
 from qmres import cli
-from qmres.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main, parse_range, pool_size
+from qmres.cli import (
+    EXIT_ENGINE,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    parse_range,
+    pool_size,
+)
+from qmres.exactnum import EpsSeries
+from qmres.resengine import PoleCollisionError
 
 
 def run_cli(capsys, *argv):
@@ -60,8 +70,6 @@ class TestCompute:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a wrong closed-form side to exercise the failure path
-        from qmres.exactnum import EpsSeries
-
         monkeypatch.setattr(
             "qmres.cli.hypergeom_series",
             lambda N, k, d, j_max: EpsSeries.constant(999, j_max),
@@ -309,6 +317,46 @@ class TestInvalidCells:
 
         monkeypatch.setattr("qmres.cli.verify_theorem", evaluated)
         monkeypatch.setattr("qmres.cli.eval_direct", evaluated)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith(f"usage: qmres {argv[0]} [-h]")
+        assert err.endswith(f"error: {message}\n")
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "0"], "eval_direct"),
+            (["verify", "--N", "3", "--d", "1", "--jmax", "1", "--workers", "1"], "verify_theorem"),
+        ],
+        ids=["compute", "verify"],
+    )
+    def test_engine_error_exits_3(self, capsys, monkeypatch, argv, target):
+        def failing(*args, **kwargs):
+            raise PoleCollisionError("a crafted collision")
+
+        monkeypatch.setattr(cli, target, failing)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
+
+    def test_bench_disagreement_exits_3_before_any_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "eval_cascade", lambda q: EpsSeries.constant(999, q.j_max))
+        code, out, err = run_cli(capsys, "bench", "--N", "3", "--k", "2", "--d", "1..2", "--jmax", "1")
+        assert (code, out, err) == (EXIT_ENGINE, "", "evaluator disagreement at N=3 k=2 d=1\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--N", "3", "--d", "1", "--jmax", "-1"], "--jmax must be non-negative"),
+            (["bench", "--N", "3", "--d", "1", "--jmax", "-1"], "--jmax must be non-negative"),
+            (["givental", "--N", "3", "--emax", "-1"], "--emax must be non-negative"),
+        ],
+        ids=["verify-jmax", "bench-jmax", "givental-emax"],
+    )
+    def test_negative_order_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         err = capsys.readouterr().err

@@ -10,18 +10,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     engine_expression,
+    factorwise_residue,
     oracle_residue,
     random_pole_instance,
     scalar_value,
     substitute,
 )
-from qmres import quasimap
+from qmres import quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_cascade
 from qmres.resengine import (
     DEFORMATION,
     EngineCorruptionError,
+    EngineError,
     LinearForm,
+    NonInvertiblePoleError,
     PoleCollisionError,
     PrescriptionError,
     RatExpr,
@@ -504,3 +507,138 @@ class TestSeriesRingForms:
         assert twins == sorted(twins, key=LinearForm.sort_key)
         assert [f.sort_key(J) for f in sites] == [g.sort_key() for g in twins]
         assert [f.render(J) for f in sites] == [str(g) for g in twins]
+
+
+class TestErrorPaths:
+    """Bad requests and non-invertible poles fail with their own error class."""
+
+    J = 3
+    one, eps = EpsSeries.constant(1, J), EpsSeries.eps(J)
+    e = expr_of([0, 1, 2], (1, {0: -1, 1: -1}, [({0: 1, 1: 2}, -1), ({0: 1, 2: -1}, -1)]))
+
+    def test_variable_not_live(self):
+        with pytest.raises(PrescriptionError, match="z5 is not a live variable"):
+            residue_at_zero(self.e, 5)
+        with pytest.raises(PrescriptionError, match="z5 is not a live variable"):
+            residue_at_form_root(self.e, 5, {5: 1, 0: -1})
+
+    def test_root_variable_not_live(self):
+        with pytest.raises(PrescriptionError, match="root variable z3 is not live"):
+            residue_at_form_root(self.e, 0, {0: 1, 3: -1})
+
+    def test_root_form_without_the_variable(self):
+        with pytest.raises(PrescriptionError, match="form is not linear in z0"):
+            residue_at_form_root(self.e, 0, {1: 1, 2: -1})
+
+    def test_three_variable_root_form(self):
+        with pytest.raises(PrescriptionError, match="needs a two-variable linear form"):
+            residue_at_form_root(self.e, 0, {0: 1, 1: 1, 2: 1})
+
+    def test_iterated_residue_of_zero(self):
+        with pytest.raises(PrescriptionError, match="zero expression"):
+            iterated_residue(RatExpr((), (0, 1)))
+
+    def test_series_form_without_a_unit(self):
+        one, eps = self.one, self.eps
+        with pytest.raises(NonInvertiblePoleError, match="no invertible coefficient"):
+            make_term(one, {}, [({0: eps, 1: 2 * eps}, -1)])
+        e = RatExpr.of([0, 1], [make_term(one, {0: -1, 1: -1})])
+        with pytest.raises(NonInvertiblePoleError, match="no invertible coefficient"):
+            residue_at_form_root(e, 0, {0: eps, 1: -eps})
+
+    def test_nilpotent_variable_to_a_negative_power(self):
+        with pytest.raises(NonInvertiblePoleError, match="non-invertible coefficient on z0"):
+            make_term(self.one, {}, [({0: self.eps}, -1)])
+
+    def test_nilpotent_pole_coefficient(self):
+        one, eps = self.one, self.eps
+        e = RatExpr.of([0, 1], [make_term(one, {1: -1}, [({0: one, 1: one}, -1)])])
+        with pytest.raises(NonInvertiblePoleError, match="pole form is not invertible"):
+            residue_at_form_root(e, 0, {0: eps, 1: one})
+
+    def test_monomial_at_a_nilpotent_root(self):
+        # 1/(z0 (z0 - e z1)) at z0 = e z1: the monomial becomes 1/(e z1)
+        one, eps = self.one, self.eps
+        pole = {0: one, 1: -eps}
+        e = RatExpr.of([0, 1], [make_term(one, {0: -1}, [(pole, -1)])])
+        with pytest.raises(NonInvertiblePoleError):
+            residue_at_form_root(e, 0, pole)
+
+
+J_FUZZ = 3
+ONE, EPS = EpsSeries.constant(1, J_FUZZ), EpsSeries.eps(J_FUZZ)
+UNITS = {
+    False: [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3)],
+    True: [ONE, -ONE, 2 * ONE, ONE + EPS, 2 - EPS, Fraction(-1, 2) + 3 * EPS * EPS],
+}
+NILPOTENT = [EPS, -2 * EPS, EPS * EPS, Fraction(1, 3) * EPS - EPS * EPS]
+LIVE = (0, 1, 2, 3)
+
+
+@st.composite
+def residue_requests(draw):
+    """A random multi-form expression and one residue request on it.
+
+    On the series ring coefficients may be nilpotent.  At a form root the
+    terms carry proportional copies of the pole, so pole orders reach 6, and
+    ``z_var`` to powers of both signs; other forms may or may not hold ``z_var``.
+    """
+    series = draw(st.booleans())
+
+    def scalar(unit=False):
+        pool = UNITS[series] + ([] if unit or not series else NILPOTENT)
+        return draw(st.sampled_from(pool))
+
+    var = draw(st.sampled_from(LIVE))
+    other = draw(st.sampled_from([v for v in LIVE if v != var]))
+    at_root = draw(st.booleans())
+    # one of the pole's coefficients may be nilpotent, so may the root's scale
+    first_unit = draw(st.booleans())
+    pole = {var: scalar(unit=first_unit), other: scalar(unit=not first_unit)}
+    power = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        mono = {v: draw(st.integers(-2, 2)) for v in LIVE}
+        forms = []
+        if at_root:
+            mono[var] = draw(st.integers(-3, 3))
+            for _ in range(draw(st.integers(1, 3))):
+                s = scalar(unit=True)
+                copy = {v: s * c for v, c in pole.items()}
+                forms.append((copy, draw(st.sampled_from([-2, -2, -1, 1]))))
+        else:
+            mono[var] = draw(st.integers(-6, 2))
+        for _ in range(draw(st.integers(0, 3))):
+            vs = draw(st.lists(st.sampled_from(LIVE), min_size=2, max_size=3, unique=True))
+            forms.append(({v: scalar(unit=not i) for i, v in enumerate(vs)}, draw(power)))
+        terms.append(make_term(scalar(), mono, forms))
+    return RatExpr.of(LIVE, terms), var, pole if at_root else None
+
+
+def outcome(residue, *args):
+    """The sorted rendering of a residue, or the class of the error it raised."""
+    try:
+        return residue(*args).debug_str()
+    except EngineError as exc:
+        return type(exc)
+
+
+def reference_at_root(expr, var, form):
+    pole, alpha, other, c = resengine._normalize_root_form(var, form)
+    return factorwise_residue(expr, var, pole, alpha, c, other)
+
+
+class TestFactorwiseReference:
+    """The residue kernel equals the factor-wise kernel it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(residue_requests())
+    def test_matches_factorwise_residue(self, request):
+        expr, var, pole = request
+        if pole is None:
+            got = outcome(residue_at_zero, expr, var)
+            want = outcome(factorwise_residue, expr, var, None, 1, 0, var)
+        else:
+            got = outcome(residue_at_form_root, expr, var, pole)
+            want = outcome(reference_at_root, expr, var, pole)
+        assert got == want

@@ -32,7 +32,8 @@ Residues are computed algebraically, one pass per step: the residue of ``e``
 at ``z_i = r`` is the ``(z_i - r)^(M-1)`` Taylor coefficient of
 ``(z_i - r)^M e``, with ``M`` the total multiplicity after grouping all
 denominator factors that vanish there, read straight off the factors by the
-generalised Leibniz rule.  Each factor of a term that depends on ``z_i`` is
+generalised Leibniz rule.  Each factor of a term that depends on ``z_i``,
+the monomial ``z_i^a`` at a form root among them as the vector ``z_i``, is
 substituted at ``r`` and normalized once, into its image: a scalar times a
 monic form or a variable.  Every way of sharing ``M-1`` among those factors
 then multiplies its binomial weights, the term's other factors and the
@@ -42,7 +43,8 @@ Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
 ``node(i)`` marks descendants of the factor ``(2 z_i - z_{i-1} - z_{i+1})``,
 ``deformation`` marks the displaced-pole factor of the generating-function
-evaluator, and ``plain`` marks everything else.
+evaluator, and ``plain`` marks everything else.  A form keeps one origin:
+two origins meeting on one form is an engine bug.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ def node_tag(index: int) -> str:
     return f"node({index})"
 
 
-_ORIGIN_RANK = {PLAIN: 0, DEFORMATION: 1}  # node tags rank 2
-
-
 class EngineError(Exception):
     """Base class for residue-engine failures."""
 
@@ -118,8 +117,8 @@ class LinearForm:
     not constant: then ``den`` is None and ``nums`` are the coefficients.
     Otherwise, on either ring, ``c_i = nums[i] / den`` with ints in lowest
     terms, ``den > 0`` and ``nums[0] == den``, so rational forms compare and
-    hash on ints.  ``coeffs`` and ``coeff_of`` hand out Fractions (or
-    series); ``sort_key`` orders renderings and a step's pole sites only.
+    hash on ints.  ``coeffs`` hands out Fractions (or series); ``sort_key``
+    orders renderings and a step's pole sites only.
     Given a series ``order``, it and ``render`` treat a rational form as its
     constant-series twin.
     """
@@ -140,12 +139,6 @@ class LinearForm:
         if den is None:
             return tuple(zip(self.vars, self.nums))
         return tuple([(v, Fraction(n, den)) for v, n in zip(self.vars, self.nums)])
-
-    def coeff_of(self, var: int):
-        if var not in self.vars:
-            return None
-        n = self.nums[self.vars.index(var)]
-        return n if self.den is None else Fraction(n, self.den)
 
     def sort_key(self, order: int | None = None):
         # rationals (tag 0) order before series (tag 1, then their coefficients);
@@ -225,7 +218,7 @@ class _TermBuilder:
     Responsible for the canonical-scale rules: zero coefficients are dropped,
     single-variable forms fold into the monomial, the pivot coefficient is
     divided out into the term coefficient, and proportional forms merge with
-    their powers added (resolving origin tags by specificity).  Rational
+    their powers added; they must share one origin tag.  Rational
     scalars (the term's own, pivots, folds) gather in the int pair
     ``num / den``, which ``build`` turns into one Fraction; series scalars
     multiply ``coeff`` (None until the first) as they come.
@@ -300,16 +293,10 @@ class _TermBuilder:
         slot = self.forms.get(key)
         if slot is None:
             self.forms[key] = [origin, power, form]
-            return
-        if slot[0] != origin:
-            ra, rb = _ORIGIN_RANK.get(slot[0], 2), _ORIGIN_RANK.get(origin, 2)
-            if ra == rb == 2:
-                raise EngineCorruptionError(
-                    f"two distinct node tags collided: {slot[0]} vs {origin}"
-                )
-            if rb > ra:
-                slot[0] = origin
-        slot[1] += power
+        elif slot[0] != origin:
+            raise EngineCorruptionError(f"two origins met on one form: {slot[0]} vs {origin}")
+        else:
+            slot[1] += power
 
     def build(self) -> Term | None:
         if self.dead or not self.num:
@@ -320,7 +307,7 @@ class _TermBuilder:
             coeff = self.coeff if self.num == self.den else self.coeff * Fraction(self.num, self.den)
         mono = tuple(sorted((v, e) for v, e in self.mono.items() if e))
         forms = [
-            (f if f is not None and f.origin == origin else LinearForm(*key, origin), power)
+            (f if f is not None else LinearForm(*key, origin), power)
             for key, (origin, power, f) in self.forms.items()
             if power
         ]
@@ -402,8 +389,6 @@ def make_term(
 def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict = {}
     for t in terms:
-        if t is None:
-            continue
         key = t.identity()
         prev = acc.get(key)
         if prev is None:
@@ -528,25 +513,27 @@ def _shares(powers: list[int], n: int):
             yield (i,) + tail
 
 
-def _substituted(f: LinearForm, var: int, value: Coeff, target: int, power: int) -> tuple | None:
-    """The image of ``f`` with ``z_var`` replaced by ``value * z_target``.
+def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) -> tuple | None:
+    """The image of the form ``key`` with ``z_var`` replaced by ``value * z_target``.
 
     A rational form under a rational value ``p/q`` stays an integer vector:
     at ``value = 0`` it just drops its ``z_var`` entry; otherwise, over the
     denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
-    ``z_target``.  Series forms and series values go through ``coeffs``.
+    ``z_target``.  Series forms and series values go through a mapping, where
+    a ``z_var`` coefficient of 1 (as on the vector ``z_var``) adds ``value`` itself.
     """
-    if f.den is None or isinstance(value, EpsSeries):
-        mapping = dict(f.coeffs)
+    vs, nums, den = key
+    i = vs.index(var)
+    if den is None or isinstance(value, EpsSeries):
+        mapping = dict(zip(vs, nums if den is None else [Fraction(n, den) for n in nums]))
         c = mapping.pop(var)
-        mapping[target] = mapping.get(target, 0) + c * value
+        mapping[target] = mapping.get(target, 0) + (value if c == 1 else c * value)
         return _image(*_vector(mapping), power)
-    i = f.vars.index(var)
-    vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
+    c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
     if value:
         q = value.denominator
         entries = dict(zip(vs, [n * q for n in nums]))
-        entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
+        entries[target] = entries.get(target, 0) + c * value.numerator
         vs = tuple(sorted([v for v, n in entries.items() if n]))
         nums, den = [entries[v] for v in vs], den * q
     return _image(vs, nums, den, power)
@@ -560,61 +547,49 @@ def _residue(
     ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
     ``LinearForm.key`` of the pole form, whose ``z_var`` coefficient is
     ``alpha``.  By the generalised Leibniz rule each factor ``g^p`` of the
-    rest of a term that depends on ``z_var`` (``z_var^a`` is ``g = z_var``)
-    takes a share ``i`` of ``M-1`` and contributes ``C(p, i) c^i g^(p-i)``,
-    ``c`` its ``z_var`` coefficient.  Each such ``g`` is substituted once per
-    term, into its image; each composition multiplies its weights, then the
-    other factors and the images' powers, into one builder.
+    rest of a term that depends on ``z_var`` takes a share ``i`` of ``M-1``
+    and contributes ``C(p, i) c^i g^(p-i)``, ``c`` its ``z_var`` coefficient;
+    at a form root ``z_var^a`` is one such factor, the vector ``z_var``.
+    Each such ``g`` is substituted once per term, into its image; each
+    composition multiplies its weights, then the other factors and the
+    images' powers, into one builder.
     """
     live = tuple(v for v in expr.live_vars if v != var)
     out: list[Term | None] = []
     for t in expr.terms:
-        if pole is None:
-            m, a, forms = -t.exponent_of(var), 0, t.forms
-        else:
-            m, a = -sum(p for f, p in t.forms if f.key == pole), t.exponent_of(var)
-            forms = [(f, p) for f, p in t.forms if f.key != pole]
+        a = t.exponent_of(var)
+        m = -a if pole is None else 0
+        # the factors that depend on z_var as (key, power, origin, c), and the rest
+        moving = [(((var,), (1,), 1), a, PLAIN, (1, 1))] if a and pole is not None else []
+        rest = []
+        for f, p in t.forms:
+            if f.key == pole:
+                m -= p
+            elif var in f.vars:
+                n = f.nums[f.vars.index(var)]
+                moving.append((f.key, p, f.origin, n if f.den is None else (n, f.den)))
+            else:
+                rest.append((f, p))
         if m <= 0:
             continue
         coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
         mono = [(v, e) for v, e in t.mono if v != var]
-        # the factors that depend on z_var as (power, c), c None for z_var^a;
-        # each form's slot among them and, once needed, its image
-        moving, slot, images = [(a, None)] if a else [], {}, {}
-        for idx, (f, p) in enumerate(forms):
-            if var in f.vars:
-                n = f.nums[f.vars.index(var)]
-                slot[idx] = len(moving)
-                moving.append((p, n if f.den is None else (n, f.den)))
-        for shares in _shares([p for p, _ in moving], m - 1):
+        images = {}
+        for shares in _shares([p for _, p, _, _ in moving], m - 1):
             b = _TermBuilder(coeff, mono)
-            for (p, c), i in zip(moving, shares):
+            for (_, p, _, c), i in zip(moving, shares):
                 if i:
                     b.num *= _binomial(p, i)
-                    if c is not None:
-                        b.mul_scalar(c, i)
+                    b.mul_scalar(c, i)
             if b.dead:  # c^i vanished for a nilpotent series c
                 continue
-            e = a - shares[0] if a else 0
-            if e:
-                if e < 0 and not is_unit(value):
-                    raise NonInvertiblePoleError(
-                        f"substituting z{var} -> c*z{target} with non-invertible c "
-                        f"into a pole of order {-e}"
-                    )
-                b.mul_scalar(value, e)
-                if b.dead or not b.num:  # a nilpotent value killed the term
-                    continue
-                b.mul_mono(target, e)
-            for idx, (f, p) in enumerate(forms):
-                s = slot.get(idx)
-                if s is None:
-                    b.mul_canonical(f, p)
-                elif p != shares[s] and not b.dead:
-                    q = p - shares[s]
-                    if idx not in images:
-                        images[idx] = _substituted(f, var, value, target, q)
-                    b.mul_image(images[idx], q, f.origin)
+            for f, p in rest:
+                b.mul_canonical(f, p)
+            for s, ((key, p, origin, _), i) in enumerate(zip(moving, shares)):
+                if p != i and not b.dead:
+                    if s not in images:
+                        images[s] = _substituted(key, var, value, target, p - i)
+                    b.mul_image(images[s], p - i, origin)
             out.append(b.build())
     return RatExpr.of(live, out)
 
@@ -651,15 +626,15 @@ def _normalize_root_form(
         raise PrescriptionError(
             "residue at a form root needs a two-variable linear form"
         )
-    pole = LinearForm(*_image(vs, nums, den, 1)[1])
-    alpha = pole.coeff_of(var)
-    (other,) = [v for v in pole.vars if v != var]
+    key = _image(vs, nums, den, 1)[1]
+    coeffs = dict(LinearForm(*key).coeffs)
+    alpha = coeffs.pop(var)
+    ((other, c),) = coeffs.items()
     if not is_unit(alpha):
         raise NonInvertiblePoleError(
             f"z{var} coefficient of the pole form is not invertible"
         )
-    c = -pole.coeff_of(other)
-    return pole.key, alpha, other, c if alpha == 1 else c / alpha
+    return key, alpha, other, -c if alpha == 1 else -c / alpha
 
 
 def residue_at_form_root(
@@ -738,15 +713,13 @@ def iterated_residue(expr: RatExpr):
     zero = expr.terms[0].coeff * 0
     current = expr
     for step in range(last + 1):
-        total: RatExpr | None = None
+        total = None  # "zero" is always the first site
         for site in default_pole_sites(current, step, last):
             if isinstance(site, str):
                 part = residue_at_zero(current, step)
             else:
                 part = residue_at_form_root(current, step, site)
             total = part if total is None else total + part
-        if total is None:
-            total = RatExpr((), tuple(v for v in current.live_vars if v != step))
         current = total
         if current.terms:
             if homogeneity_degree(current) != degree + step + 1:

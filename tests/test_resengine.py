@@ -21,6 +21,7 @@ from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_cascade
 from qmres.resengine import (
     DEFORMATION,
+    PLAIN,
     EngineCorruptionError,
     EngineError,
     LinearForm,
@@ -563,6 +564,18 @@ class TestErrorPaths:
         e = RatExpr.of([0, 1], [make_term(one, {0: -1}, [(pole, -1)])])
         with pytest.raises(NonInvertiblePoleError):
             residue_at_form_root(e, 0, pole)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(PLAIN, node_tag(1)), (DEFORMATION, node_tag(1)), (node_tag(1), node_tag(2))],
+        ids=["plain-node", "deformation-node", "node-node"],
+    )
+    def test_two_origins_on_one_form(self, first, second):
+        # proportional copies are one form, which keeps one origin
+        forms = [({0: 1, 1: 2}, -1, first), ({0: 2, 1: 4}, -1, second)]
+        with pytest.raises(EngineCorruptionError) as exc:
+            make_term(1, {}, forms)
+        assert first in str(exc.value) and second in str(exc.value)
 
 
 J_FUZZ = 3

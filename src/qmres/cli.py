@@ -262,13 +262,13 @@ def _require_cells(cells: list, args, parser):
         parser.error(f"the grid is empty: no cell for --N {args.N[0]}..{args.N[-1]}")
 
 
-def _check_cell(parser, N: int, k: int, d: int):
-    """Let ``Query`` judge one grid cell; a bad value is a usage error naming its flag."""
+def _check_cell(parser, **fields) -> Query:
+    """Let ``Query`` judge one cell; a bad value is a usage error naming its flag."""
     try:
-        Query(N, k, d)
+        return Query(**fields)
     except ValueError as exc:
         # each of Query's messages starts with the name of the field at fault
-        parser.error(f"--{exc}, got {dict(N=N, k=k, d=d)[str(exc).split()[0]]}")
+        parser.error(f"--{exc}, got {fields[str(exc).split()[0]]}")
 
 
 # ---------------------------------------------------------------- commands
@@ -285,7 +285,7 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"k range {args.k} has no {args.regime}-regime value for N={N}")
         for k in ks:
             for d in args.d:
-                _check_cell(parser, N, k, d)
+                _check_cell(parser, N=N, k=k, d=d)
                 tasks.append((N, k, d, args.jmax))
     _require_cells(tasks, args, parser)
     check_writable(args.output, args.cache)
@@ -316,10 +316,7 @@ def _cached_task(cache: dict, task: tuple) -> list[Fraction] | None:
 
 
 def cmd_compute(args, parser) -> int:
-    try:
-        q = Query(args.N, args.k, args.d, j=args.j)
-    except ValueError as exc:
-        parser.error(str(exc))
+    q = _check_cell(parser, N=args.N, k=args.k, d=args.d, j=args.j)
     if args.regime is not None and args.regime != q.regime:
         parser.error(
             f"requested regime {args.regime!r} but N={q.N}, k={q.k} is {q.regime}"
@@ -370,7 +367,7 @@ def cmd_bench(args, parser) -> int:
         for d in args.d
     ]
     for N, k, d in cells:
-        _check_cell(parser, N, k, d)
+        _check_cell(parser, N=N, k=k, d=d)
     _require_cells(cells, args, parser)
     check_writable(args.output)
     rows = []

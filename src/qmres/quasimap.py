@@ -123,7 +123,7 @@ class IntersectionResult:
 
 def _ek(u: int, v: int, k: int):
     """The ``make_term`` arguments of :func:`ek_factor`, shared with the integrand."""
-    forms = [({u: Fraction(i), v: Fraction(k - i)}, 1, PLAIN) for i in range(1, k)]
+    forms = [({u: i, v: k - i}, 1, PLAIN) for i in range(1, k)]
     return k * k, {u: 1, v: 1}, forms
 
 
@@ -156,7 +156,7 @@ def _piece(q: Query, level: int, power: int, pole: int, scale: int = 1) -> Term 
     mono = {l: -N for l in range(d + 1)}
     mono[0] += N - 2 - level
     mono[d] -= pole
-    forms: list[tuple] = [({0: Fraction(-1), 1: Fraction(1)}, power, PLAIN)]
+    forms: list[tuple] = [({0: -1, 1: 1}, power, PLAIN)]
     for l in range(1, d + 1):
         c, ek_mono, ek_forms = _ek(l - 1, l, k)
         coeff *= c
@@ -167,7 +167,7 @@ def _piece(q: Query, level: int, power: int, pole: int, scale: int = 1) -> Term 
         coeff /= k
         mono[l] -= 1
         forms.append(
-            ({l - 1: Fraction(-1), l: Fraction(2), l + 1: Fraction(-1)}, -1, node_tag(l))
+            ({l - 1: -1, l: 2, l + 1: -1}, -1, node_tag(l))
         )
     return make_term(coeff, mono, forms)
 

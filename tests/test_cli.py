@@ -308,8 +308,12 @@ class TestInvalidCells:
                 "--k must be at least 1, got 0",
             ),
             (["bench", "--N", "3", "--k", "0..2", "--d", "1"], "--k must be at least 1, got 0"),
+            (["compute", "--N", "1", "--k", "1", "--d", "1", "--j", "0"], "--N must be at least 2, got 1"),
+            (["compute", "--N", "3", "--k", "0", "--d", "1", "--j", "0"], "--k must be at least 1, got 0"),
+            (["compute", "--N", "3", "--k", "1", "--d", "0", "--j", "0"], "--d must be at least 1, got 0"),
+            (["compute", "--N", "3", "--k", "1", "--d", "1", "--j", "-1"], "--j must be non-negative, got -1"),
         ],
-        ids=["verify-d", "verify-N", "verify-k", "bench-k"],
+        ids=["verify-d", "verify-N", "verify-k", "bench-k", "compute-N", "compute-k", "compute-d", "compute-j"],
     )
     def test_rejected_before_any_evaluation(self, capsys, monkeypatch, argv, message):
         def evaluated(*args, **kwargs):

@@ -523,12 +523,12 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
     a ``z_var`` coefficient of 1 (as on the vector ``z_var``) adds ``value`` itself.
     """
     vs, nums, den = key
-    i = vs.index(var)
     if den is None or isinstance(value, EpsSeries):
         mapping = dict(zip(vs, nums if den is None else [Fraction(n, den) for n in nums]))
         c = mapping.pop(var)
         mapping[target] = mapping.get(target, 0) + (value if c == 1 else c * value)
         return _image(*_vector(mapping), power)
+    i = vs.index(var)
     c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
     if value:
         q = value.denominator

@@ -1,8 +1,8 @@
 """Shared test utilities: the brute-force residue oracle, random instances,
 the polynomial expansion of numerator-only expressions, substitution, the
-factor-wise residue kernel, the series-ring product of the hypergeometric
-coefficients, the binomial reduction to bare two-point numbers and the
-``j = 0`` closed form.
+factor-wise residue kernel, the piece-by-piece integrand builder, the
+series-ring product of the hypergeometric coefficients, the binomial
+reduction to bare two-point numbers and the ``j = 0`` closed form.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -21,8 +21,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qmres.exactnum import EpsSeries, is_unit
-from qmres.quasimap import GENERAL, Query, formal_two_point
+from qmres.quasimap import FANO, GENERAL, Query, formal_two_point
 from qmres.resengine import (
+    PLAIN,
     Coeff,
     LinearForm,
     NonInvertiblePoleError,
@@ -35,6 +36,7 @@ from qmres.resengine import (
     _TermBuilder,
     _vector,
     make_term,
+    node_tag,
 )
 
 
@@ -288,6 +290,66 @@ def factorwise_residue(
                     b.mul_image(images[idx], q, f.origin)
             out.append(b.build())
     return RatExpr.of(live, out)
+
+
+# The integrand builder as it read before the shared factors were built once
+# per integrand: each piece rebuilds and renormalises the Euler products, the
+# measure and the node factors.  ``piecewise_integrand`` is pinned equal to
+# ``build_integrand``, and its bare piece to the one ``formal_two_point`` takes.
+
+
+def _ek(u: int, v: int, k: int):
+    """The ``make_term`` arguments of :func:`ek_factor`, shared with the integrand."""
+    forms = [({u: i, v: k - i}, 1, PLAIN) for i in range(1, k)]
+    return k * k, {u: 1, v: 1}, forms
+
+
+def _piece(q: Query, level: int, power: int, pole: int, scale: int = 1) -> Term | None:
+    """``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the shared factors.
+
+    The shared factors are the Euler products ``e_k(z_{l-1}, z_l)``, the
+    measure ``prod z_l^-N`` and the middle node factors
+    ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``; their total coefficient is
+    ``k^(d+1)``.
+    """
+    N, k, d = q.N, q.k, q.d
+    coeff = Fraction(scale)
+    mono = {l: -N for l in range(d + 1)}
+    mono[0] += N - 2 - level
+    mono[d] -= pole
+    forms: list[tuple] = [({0: -1, 1: 1}, power, PLAIN)]
+    for l in range(1, d + 1):
+        c, ek_mono, ek_forms = _ek(l - 1, l, k)
+        coeff *= c
+        for v, e in ek_mono.items():
+            mono[v] += e
+        forms.extend(ek_forms)
+    for l in range(1, d):
+        coeff /= k
+        mono[l] -= 1
+        forms.append(
+            ({l - 1: -1, l: 2, l + 1: -1}, -1, node_tag(l))
+        )
+    return make_term(coeff, mono, forms)
+
+
+def piecewise_integrand(q: Query, bare: bool = False) -> RatExpr:
+    """``build_integrand(q)`` built one piece at a time.
+
+    With ``bare``, the general-regime piece at level ``q.j`` without the
+    insertion factor, as ``formal_two_point(q, q.j)`` integrates it.
+    """
+    j, m = q.j, 1 + (q.k - q.N) * q.d
+    if bare:
+        terms = [_piece(q, j, j, q.m)]
+    elif q.regime == FANO:
+        terms = [_piece(q, j, j - m, 0)]
+    else:
+        terms = [
+            _piece(q, j - i, j - i, m, comb(m, i) * q.d ** (m - i))
+            for i in range(m + 1)
+        ]
+    return RatExpr.of(range(q.d + 1), terms)
 
 
 def ring_hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:

@@ -6,7 +6,14 @@ from functools import cache
 
 import pytest
 
-from helpers import expand, hori_expand, leading_closed_form, ring_hypergeom_series
+from helpers import (
+    expand,
+    hori_expand,
+    leading_closed_form,
+    piecewise_integrand,
+    ring_hypergeom_series,
+)
+from qmres import quasimap
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     IntersectionResult,
@@ -119,6 +126,22 @@ class TestIntegrands:
             ((0, 1), (1, 1)): Fraction(4),
             ((1, 2),): Fraction(4),
         }
+
+    def test_equals_piecewise_build(self, monkeypatch):
+        # a wider grid than the integrand digest, which stops at d = 2
+        taken = []
+        monkeypatch.setattr(quasimap, "iterated_residue", lambda e: taken.append(e) or Fraction(0))
+        for N in range(2, 8):
+            for k in range(1, N + 4):
+                for d in range(1, 5):
+                    for j in range(7):
+                        q = Query(N, k, d, j=j)
+                        pairs = [(build_integrand(q), piecewise_integrand(q))]
+                        if q.regime == "general":
+                            formal_two_point(q, j)
+                            pairs.append((taken.pop(), piecewise_integrand(q, bare=True)))
+                        for got, want in pairs:
+                            assert (got, got.debug_str()) == (want, want.debug_str()), q
 
     def test_fano_d2_debug_rendering(self):
         e = build_integrand(Query(3, 1, 2, j=0))

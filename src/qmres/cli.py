@@ -154,18 +154,18 @@ def write_output(text: str, path: str | None):
 def load_cache(path: str | None) -> dict[tuple, Fraction]:
     """Map each cached record's key to its ``lhs``, the only value trusted.
 
-    Every other field is re-derived by the caller.  A malformed line, or a
-    record whose ``schema`` is not :data:`CACHE_SCHEMA`, raises ValueError
-    naming ``path:line``.
+    Every other field is re-derived by the caller.  A malformed line (one
+    that is not UTF-8 among them), or a record whose ``schema`` is not
+    :data:`CACHE_SCHEMA`, raises ValueError naming ``path:line``.
     """
     cache: dict[tuple, Fraction] = {}
     if path and os.path.exists(path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = line.decode().strip()
+                    if not line:
+                        continue
                     rec = json.loads(line)
                     cache[record_key(rec)] = Fraction(rec["lhs"])
                 except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
@@ -196,10 +196,11 @@ def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[d
 
 
 def _verify_task(
-    task: tuple[int, int, int, int], direct: list[Fraction] | None = None
+    cached: dict[tuple, list[Fraction]], task: tuple[int, int, int, int]
 ) -> list[dict]:
+    """The records of one ``verify`` cell; ``cached`` maps a cell to its known direct values."""
     N, k, d, j_max = task
-    results = verify_theorem(Query(N, k, d, j_max=j_max), direct)
+    results = verify_theorem(Query(N, k, d, j_max=j_max), cached.get(task))
     return [record_from_result(r) for r in results]
 
 
@@ -290,14 +291,12 @@ def cmd_verify(args, parser) -> int:
     _require_cells(tasks, args, parser)
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
-    cached_lhs = {t: _cached_task(cache, t) for t in tasks}
+    cached = {t: lhs for t in tasks if (lhs := _cached_task(cache, t)) is not None}
     # longest first, so the pool does not end on one large cell; output keeps grid order
-    pending = sorted((t for t in tasks if cached_lhs[t] is None), key=cell_cost, reverse=True)
-    fresh_by_task = dict(zip(pending, _run_tasks(pending, _verify_task, args.workers)))
-    records: list[dict] = []
-    for t in tasks:
-        rows = fresh_by_task[t] if t in fresh_by_task else _verify_task(t, cached_lhs[t])
-        records.extend(rows)
+    order = sorted(tasks, key=cell_cost, reverse=True)
+    worker = functools.partial(_verify_task, cached)
+    rows = dict(zip(order, _run_tasks(order, worker, args.workers)))
+    records = [rec for t in tasks for rec in rows[t]]
     append_cache(args.cache, cache, records)
     write_output(render_records(records, args.format), args.output)
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH

@@ -35,7 +35,6 @@ from typing import Sequence
 from .exactnum import EpsSeries
 from .resengine import (
     DEFORMATION,
-    PLAIN,
     RatExpr,
     Term,
     iterated_residue,
@@ -121,10 +120,9 @@ class IntersectionResult:
         return self.lhs_over_k == self.rhs and (self.cross is None or self.cross == self.lhs)
 
 
-def _ek(u: int, v: int, k: int):
-    """The ``make_term`` arguments of :func:`ek_factor`, shared with the integrand."""
-    forms = [({u: i, v: k - i}, 1, PLAIN) for i in range(1, k)]
-    return k * k, {u: 1, v: 1}, forms
+def _euler_forms(u: int, v: int, k: int) -> list[tuple]:
+    """The interior factors ``i z_u + (k-i) z_v``, ``0 < i < k``, of :func:`ek_factor`."""
+    return [({u: i, v: k - i}, 1) for i in range(1, k)]
 
 
 def ek_factor(u: int, v: int, k: int) -> Term:
@@ -138,38 +136,32 @@ def ek_factor(u: int, v: int, k: int) -> Term:
         raise ValueError("k must be at least 1")
     if u == v:
         raise ValueError("ek_factor needs two distinct variables")
-    term = make_term(*_ek(u, v, k))
+    term = make_term(k * k, {u: 1, v: 1}, _euler_forms(u, v, k))
     assert term is not None
     return term
 
 
-def _piece(q: Query, level: int, power: int, pole: int, scale: int = 1) -> Term | None:
-    """``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the shared factors.
+def _integrand(q: Query, pieces: list[tuple[int, int, int, int]]) -> RatExpr:
+    """The integrand with one piece per ``(scale, level, power, pole)``.
 
-    The shared factors are the Euler products ``e_k(z_{l-1}, z_l)``, the
-    measure ``prod z_l^-N`` and the middle node factors
-    ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``; their total coefficient is
-    ``k^(d+1)``.
+    A piece is ``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the
+    shared factors: the Euler products ``e_k(z_{l-1}, z_l)``, the measure
+    ``prod z_l^-N`` and the middle node factors
+    ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``.  Those make one term,
+    normalised once, with coefficient ``k^(d+1)`` and ``z_l^(1-N)`` for every
+    ``l``: the measure's ``z_l^-N``, times the monomial end ``k z_l`` of each
+    adjacent Euler product, over the node factor's ``z_l``.
     """
     N, k, d = q.N, q.k, q.d
-    coeff = Fraction(scale)
-    mono = {l: -N for l in range(d + 1)}
-    mono[0] += N - 2 - level
-    mono[d] -= pole
-    forms: list[tuple] = [({0: -1, 1: 1}, power, PLAIN)]
-    for l in range(1, d + 1):
-        c, ek_mono, ek_forms = _ek(l - 1, l, k)
-        coeff *= c
-        for v, e in ek_mono.items():
-            mono[v] += e
-        forms.extend(ek_forms)
-    for l in range(1, d):
-        coeff /= k
-        mono[l] -= 1
-        forms.append(
-            ({l - 1: -1, l: 2, l + 1: -1}, -1, node_tag(l))
-        )
-    return make_term(coeff, mono, forms)
+    forms = [f for l in range(1, d + 1) for f in _euler_forms(l - 1, l, k)]
+    forms += [({l - 1: -1, l: 2, l + 1: -1}, -1, node_tag(l)) for l in range(1, d)]
+    shared = make_term(k ** (d + 1), dict.fromkeys(range(d + 1), 1 - N), forms)
+    expr = RatExpr.of(range(d + 1), [shared])
+    terms: list[Term] = []
+    for scale, level, power, pole in pieces:
+        mono = {0: N - 2 - level, d: -pole}
+        terms += expr.mul_term(scale, mono, [({0: -1, 1: 1}, power)]).terms
+    return RatExpr.of(expr.live_vars, terms)
 
 
 def build_integrand(q: Query) -> RatExpr:
@@ -187,13 +179,9 @@ def build_integrand(q: Query) -> RatExpr:
         raise ValueError("fixed-j integrand needs q.j")
     j, m = q.j, 1 + (q.k - q.N) * q.d
     if q.regime == FANO:
-        terms = [_piece(q, j, j - m, 0)]
-    else:
-        terms = [
-            _piece(q, j - i, j - i, m, comb(m, i) * q.d ** (m - i))
-            for i in range(m + 1)
-        ]
-    return RatExpr.of(range(q.d + 1), terms)
+        return _integrand(q, [(1, j, j - m, 0)])
+    pieces = [(comb(m, i) * q.d ** (m - i), j - i, j - i, m) for i in range(m + 1)]
+    return _integrand(q, pieces)
 
 
 def eval_direct(q: Query) -> Fraction:
@@ -282,8 +270,7 @@ def formal_two_point(q: Query, j_prime: int) -> Fraction:
         raise ValueError(f"query {q} is not in the general regime")
     if j_prime < 0:
         raise ValueError("j_prime must be non-negative")
-    expr = RatExpr.of(range(q.d + 1), [_piece(q, j_prime, j_prime, q.m)])
-    value = iterated_residue(expr)
+    value = iterated_residue(_integrand(q, [(1, j_prime, j_prime, q.m)]))
     assert isinstance(value, Fraction)
     return value
 

@@ -263,17 +263,17 @@ class _TermBuilder:
         self._merge(form.key, form.origin, power, form)
 
     def mul_factors(self, mono: Mapping[int, int] | None, forms: Iterable[tuple]):
-        """Multiply by a monomial and ``(mapping, power[, origin])`` form items."""
+        """Multiply by a monomial and ``(mapping, power[, origin])`` form items.
+
+        Each item is ``(sum_v mapping[v] z_v)^power``, normalized first.
+        """
         if mono:
             for v, e in mono.items():
                 self.mul_mono(v, e)
         for mapping, power, *origin in forms:
-            self.mul_form(mapping, power, *origin)
-
-    def mul_form(self, mapping: Mapping[int, Coeff], power: int, origin: str = PLAIN):
-        """Multiply by ``(sum_v mapping[v] z_v)^power``, normalizing first."""
-        if power and not self.dead:
-            self.mul_image(_image(*_vector(mapping), power), power, origin)
+            if power and not self.dead:
+                image = _image(*_vector(mapping), power)
+                self.mul_image(image, power, origin[0] if origin else PLAIN)
 
     def mul_image(self, image: tuple | None, power: int, origin: str):
         """Multiply by ``image^power``, ``image`` as :func:`_image` returns it."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qmres import cli
+from qmres import cli, quasimap
 from qmres.cli import (
     EXIT_ENGINE,
     EXIT_MISMATCH,
@@ -201,6 +201,15 @@ class TestCache:
             main(args)
         assert exc.value.code == EXIT_USAGE
         assert f"{cache}:2: malformed cache record" in capsys.readouterr().err
+
+    def test_line_not_utf8_named(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b'\xff\xfe{"N": 2}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "1",
+                  "--cache", str(cache)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"{cache}:1: malformed cache record: 'utf-8' codec" in capsys.readouterr().err
 
     def test_record_stores_key_and_value_only(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -512,6 +521,27 @@ class TestLongestFirst:
         assert handed == sorted(handed, key=cli.cell_cost, reverse=True)
         keys = [(r["N"], r["k"], r["d"], r["j"]) for r in json.loads(out)]
         assert keys == sorted(keys) and len(keys) == 20
+
+    def test_warm_verify_hands_every_cell_to_the_workers(self, capsys, monkeypatch, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ["verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--cache", str(cache)]
+        _, cold, _ = run_cli(capsys, *args)
+        handed = []
+
+        def serial(tasks, worker, workers):
+            handed.extend(tasks)
+            return [worker(t) for t in tasks]
+
+        def no_direct(q):
+            raise AssertionError(f"eval_direct ran on a cached cell: {q}")
+
+        monkeypatch.setattr(cli, "_run_tasks", serial)
+        # verify_theorem, which the workers run, calls eval_direct from quasimap
+        monkeypatch.setattr(quasimap, "eval_direct", no_direct)
+        monkeypatch.setattr(cli, "eval_direct", no_direct)
+        code, warm, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK and warm == cold
+        assert len(handed) == 10 and handed == sorted(handed, key=cli.cell_cost, reverse=True)
 
 
 class TestGivental:

@@ -13,7 +13,7 @@ from helpers import (
     piecewise_integrand,
     ring_hypergeom_series,
 )
-from qmres import quasimap
+from qmres import quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import (
     IntersectionResult,
@@ -142,6 +142,15 @@ class TestIntegrands:
                             pairs.append((taken.pop(), piecewise_integrand(q, bare=True)))
                         for got, want in pairs:
                             assert (got, got.debug_str()) == (want, want.debug_str()), q
+
+    @pytest.mark.parametrize("q", [Query(2, 4, 3, j=6), Query(3, 5, 2, j=2)])
+    def test_shared_factors_normalised_once(self, monkeypatch, q):
+        # each Euler and node form once, then the plain form (z_1 - z_0) once per piece
+        calls = []
+        vector = resengine._vector
+        monkeypatch.setattr(resengine, "_vector", lambda m: calls.append(m) or vector(m))
+        build_integrand(q)
+        assert len(calls) <= q.d * (q.k - 1) + (q.d - 1) + (q.m + 1)
 
     def test_fano_d2_debug_rendering(self):
         e = build_integrand(Query(3, 1, 2, j=0))

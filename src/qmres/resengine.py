@@ -10,23 +10,17 @@ integers: positive powers are numerator factors (the lazily-expanded Euler
 products), negative powers are denominator poles.  Linear forms are kept in
 a canonical scale, monic at their lowest-index unit coefficient, with the
 extracted scalar absorbed into the term coefficient; forms that degenerate
-to a single variable are folded into the monomial.  A form is a series form
-only when a monic coefficient is not constant; on either ring every other
-form is a vector of integer numerators over one positive denominator, so
-comparing, hashing and merging forms, and evaluating one at ``z_i = 0``
-(drop an entry, divide by the gcd), run on ints; rational forms render as
-constants on the series ring.  The rational scalars a term picks up on the
-way meet its coefficient once, as one integer ratio.
-Pole-collision detection is thus a syntactic check, and every operation
-(Taylor coefficients, substitution, residue extraction) stays closed on the
-term shape.
+to a single variable are folded into the monomial.  On either ring a form
+whose monic coefficients are all constant is a vector of integer numerators
+over one positive denominator, so comparing, hashing, merging and
+substituting it run on ints.  Pole-collision detection is thus a syntactic
+check, and every operation (Taylor coefficients, substitution, residue
+extraction) stays closed on the term shape.
 
-A term keeps its forms in the order they were multiplied in, and an
-expression keeps its terms in the order they were collected; both orders are
-deterministic but carry no meaning.  Term identity is order-free: collection
-and equality compare the monomial with the *set* of (form, power) pairs.
-Sorting happens only when rendering (``debug_str``) and when listing the pole
-sites of a step (``denominator_forms``).
+Terms keep their forms, and expressions their terms, in a deterministic order
+that carries no meaning: identity compares the monomial with the *set* of
+(form, power) pairs.  Sorting happens only when rendering (``debug_str``) and
+when listing the pole sites of a step (``denominator_forms``).
 
 Residues are computed algebraically, one pass per step: the residue of ``e``
 at ``z_i = r`` is the ``(z_i - r)^(M-1)`` Taylor coefficient of
@@ -35,9 +29,10 @@ denominator factors that vanish there, read straight off the factors by the
 generalised Leibniz rule.  Each factor of a term that depends on ``z_i``,
 the monomial ``z_i^a`` at a form root among them as the vector ``z_i``, is
 substituted at ``r`` and normalized once, into its image: a scalar times a
-monic form or a variable.  Every way of sharing ``M-1`` among those factors
-then multiplies its binomial weights, the term's other factors and the
-images' remaining powers straight into one canonical term.
+monic form or a variable, the target.  Factors with one target and one sign
+of power form a group whose Taylor coefficients up to ``M-1`` are computed
+once; every way of sharing ``M-1`` among the groups multiplies theirs, the
+term's other factors and the targets' remaining powers into one term.
 
 Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
@@ -113,14 +108,12 @@ class LinearForm:
 
     ``vars`` is sorted, every ``c_i`` is nonzero, there are at least two
     (single-variable forms fold into monomials), and the pivot, the first
-    unit ``c_i``, is 1.  A form is a series form only when some ``c_i`` is
-    not constant: then ``den`` is None and ``nums`` are the coefficients.
-    Otherwise, on either ring, ``c_i = nums[i] / den`` with ints in lowest
-    terms, ``den > 0`` and ``nums[0] == den``, so rational forms compare and
-    hash on ints.  ``coeffs`` hands out Fractions (or series); ``sort_key``
-    orders renderings and a step's pole sites only.
-    Given a series ``order``, it and ``render`` treat a rational form as its
-    constant-series twin.
+    unit ``c_i``, is 1.  A series form (some ``c_i`` not constant) has ``den``
+    None and the ``c_i`` as ``nums``; otherwise, on either ring,
+    ``c_i = nums[i] / den``, ints in lowest terms with ``den > 0`` and
+    ``nums[0] == den``.  ``sort_key`` orders renderings and a step's pole
+    sites only; given a series ``order``, it and ``render`` treat a rational
+    form as its constant-series twin.
     """
 
     vars: tuple[int, ...]
@@ -198,30 +191,37 @@ class Term:
         """The truncation order of a series coefficient; None over the rationals."""
         return self.coeff.order if isinstance(self.coeff, EpsSeries) else None
 
-    def sort_key(self):
-        order = self.order
-        return self.mono, tuple(sorted([(f.sort_key(order), p) for f, p in self.forms]))
-
     def __str__(self):
-        order = self.order
-        pieces = [f"({self.coeff})"]
-        for v, e in self.mono:
-            pieces.append(f"z{v}" if e == 1 else f"z{v}^{e}")
-        for f, p in sorted(self.forms, key=lambda fp: (fp[0].sort_key(order), fp[1])):
-            pieces.append(f.render(order) + ("" if p == 1 else f"^{p}"))
-        return "*".join(pieces)
+        return _render([self])[0]
+
+
+def _render(terms: Iterable[Term]) -> list[str]:
+    """The terms' texts, sorted on monomial, then on their sorted forms.
+
+    Each distinct form is sorted and rendered once; its rank stands in for it.
+    """
+    rows = [(t, t.order) for t in terms]
+    distinct = dict.fromkeys((f, order) for t, order in rows for f, _ in t.forms)
+    keys = {(f, order): f.sort_key(order) for f, order in distinct}
+    rank = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+    text = {(f, order): f.render(order) for f, order in distinct}
+    out = []
+    for t, order in rows:
+        forms = sorted([(rank[keys[f, order]], p, f) for f, p in t.forms], key=lambda x: x[:2])
+        pieces = [f"({t.coeff})"] + [f"z{v}" if e == 1 else f"z{v}^{e}" for v, e in t.mono]
+        pieces += [text[f, order] + ("" if p == 1 else f"^{p}") for _, p, f in forms]
+        out.append(((t.mono, tuple([(r, p) for r, p, _ in forms])), "*".join(pieces)))
+    return [s for _, s in sorted(out, key=lambda x: x[0])]
 
 
 class _TermBuilder:
     """Accumulates factors of one term and normalizes them.
 
-    Responsible for the canonical-scale rules: zero coefficients are dropped,
-    single-variable forms fold into the monomial, the pivot coefficient is
-    divided out into the term coefficient, and proportional forms merge with
-    their powers added; they must share one origin tag.  Rational
-    scalars (the term's own, pivots, folds) gather in the int pair
-    ``num / den``, which ``build`` turns into one Fraction; series scalars
-    multiply ``coeff`` (None until the first) as they come.
+    Zero coefficients are dropped, single-variable forms fold into the
+    monomial, pivots move into the coefficient, and proportional forms merge
+    with their powers added; they must share one origin tag.  Rational
+    scalars gather in the int pair ``num / den``, which ``build`` turns into
+    one Fraction; series scalars multiply ``coeff`` (None until the first).
     """
 
     __slots__ = ("coeff", "num", "den", "mono", "forms", "dead")
@@ -263,10 +263,7 @@ class _TermBuilder:
         self._merge(form.key, form.origin, power, form)
 
     def mul_factors(self, mono: Mapping[int, int] | None, forms: Iterable[tuple]):
-        """Multiply by a monomial and ``(mapping, power[, origin])`` form items.
-
-        Each item is ``(sum_v mapping[v] z_v)^power``, normalized first.
-        """
+        """Multiply by a monomial and each ``(sum_v mapping[v] z_v)^power[, origin]``."""
         if mono:
             for v, e in mono.items():
                 self.mul_mono(v, e)
@@ -333,20 +330,17 @@ def _vector(mapping: Mapping[int, Coeff]) -> tuple:
 def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
     """The image ``(scalar, target)`` of ``sum_i nums[i]/den z_(vs[i])``: the one normalization.
 
-    The form is ``scalar * target``: ``target`` is its variable if it has
-    one entry, else the ``LinearForm.key`` of the monic form; ``scalar`` is
-    an int pair ``(n, d)``, a series, or None for 1.  Rational vectors divide
-    out their pivot ``nums[0]/den``; series vectors their first unit, and if
-    every quotient is then constant the target is the rational key.  A
-    vanished form is None if raised to a positive ``power`` and an error if
-    to a negative one.
+    ``target`` is the variable of a one-entry form, else the monic form's
+    ``LinearForm.key``; ``scalar`` is an int pair ``(n, d)``, a series, or
+    None for 1.  Series vectors divide out their first unit, and if every
+    quotient is then constant the target is the rational key.  A vanished
+    form is None to a positive ``power`` and an error to a negative one.
     """
     if not vs:
         if power > 0:
             return None
         raise PoleCollisionError(
-            "a denominator form vanished identically; the substitution "
-            "hit an unclaimed pole"
+            "a denominator form vanished identically; the substitution hit an unclaimed pole"
         )
     if den is not None:
         pivot = nums[0]
@@ -361,9 +355,7 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
         return nums[0], vs[0]
     pivot = next((c for c in nums if is_unit(c)), None)
     if pivot is None:
-        raise NonInvertiblePoleError(
-            "linear form has no invertible coefficient; cannot normalize"
-        )
+        raise NonInvertiblePoleError("linear form has no invertible coefficient; cannot normalize")
     scalar, inv = (None, None) if pivot == 1 else (pivot, pivot.inverse())
     nums = nums if inv is None else [c * inv for c in nums]
     ints = [c.as_integers() for c in nums]
@@ -376,11 +368,7 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
 def make_term(
     coeff: Coeff, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
 ) -> Term | None:
-    """Build one canonical term.
-
-    ``forms`` items are ``(mapping, power)`` or ``(mapping, power, origin)``.
-    Returns None when the term is identically zero.
-    """
+    """One canonical term from ``(mapping, power[, origin])`` form items; None if zero."""
     b = _TermBuilder(coeff)
     b.mul_factors(mono, forms)
     return b.build()
@@ -473,7 +461,7 @@ class RatExpr:
         """Deterministic text rendering for golden tests: terms and forms sorted."""
         if not self.terms:
             return "0"
-        return " + ".join(str(t) for t in sorted(self.terms, key=Term.sort_key))
+        return " + ".join(_render(self.terms))
 
     def __str__(self):
         return self.debug_str()
@@ -516,11 +504,10 @@ def _shares(powers: list[int], n: int):
 def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) -> tuple | None:
     """The image of the form ``key`` with ``z_var`` replaced by ``value * z_target``.
 
-    A rational form under a rational value ``p/q`` stays an integer vector:
-    at ``value = 0`` it just drops its ``z_var`` entry; otherwise, over the
-    denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
-    ``z_target``.  Series forms and series values go through a mapping, where
-    a ``z_var`` coefficient of 1 (as on the vector ``z_var``) adds ``value`` itself.
+    A rational form under a rational value ``p/q`` stays an integer vector
+    over ``den * q`` (at ``value = 0``, over ``den``).  Series forms and
+    series values go through a mapping, where a ``z_var`` coefficient of 1
+    (as on the vector ``z_var``) adds ``value`` itself.
     """
     vs, nums, den = key
     if den is None or isinstance(value, EpsSeries):
@@ -539,20 +526,48 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
     return _image(vs, nums, den, power)
 
 
+def _group_poly(members: list, top: int) -> tuple[list, int | None]:
+    """``[u^n]``, ``n <= top``, of ``prod (s + c u)^p`` over a group's ``(s, c, p)``.
+
+    Int pairs give ``(nums, den)``, ints over one denominator; if an ``s`` or
+    ``c`` is a series, ``den`` is None and ``nums`` are ring elements.
+    """
+    series = any(isinstance(x, EpsSeries) for s, c, _ in members for x in (s, c))
+    nums, den = [1], 1
+    for s, c, p in members:
+        size = (min(p, top) if p > 0 else top) + 1
+        if series:
+            s, c = [x if isinstance(x, EpsSeries) else Fraction(*x) for x in (s, c)]
+            f = [_binomial(p, i) * c**i * s ** (p - i) for i in range(size)]
+        else:  # (a + b u)^p / d^p, over a^(top - p) if p < 0
+            (sn, sd), (cn, cd) = s, c
+            a, b, d, e = sn * cd, cn * sd, sd * cd, p if p > 0 else top
+            f = [_binomial(p, i) * b**i * a ** (e - i) * d ** max(-p, 0) for i in range(size)]
+            den *= d ** max(p, 0) * a ** (e - p)
+        nums = [
+            sum(nums[j] * f[n - j] for j in range(max(0, n - size + 1), min(n + 1, len(nums))))
+            for n in range(min(top + 1, len(nums) + size - 1))
+        ]
+    return nums, None if series else den
+
+
 def _residue(
     expr: RatExpr, var: int, pole: tuple | None, alpha: Coeff, value: Coeff, target: int
 ) -> RatExpr:
     """Residue in ``z_var`` at ``z_var = value * z_target``, for both pole sites.
 
-    ``pole`` is None for the monomial pole ``z_var^-M``; otherwise it is the
-    ``LinearForm.key`` of the pole form, whose ``z_var`` coefficient is
-    ``alpha``.  By the generalised Leibniz rule each factor ``g^p`` of the
-    rest of a term that depends on ``z_var`` takes a share ``i`` of ``M-1``
-    and contributes ``C(p, i) c^i g^(p-i)``, ``c`` its ``z_var`` coefficient;
-    at a form root ``z_var^a`` is one such factor, the vector ``z_var``.
-    Each such ``g`` is substituted once per term, into its image; each
-    composition multiplies its weights, then the other factors and the
-    images' powers, into one builder.
+    ``pole`` is None for the monomial pole ``z_var^-M``, else the key of the
+    pole form, whose ``z_var`` coefficient is ``alpha``.  The residue is
+    ``alpha^-M [t^(M-1)]`` of the rest of a term, ``t = z_var - value z_target``.
+    Each factor ``g^p`` of it that depends on ``z_var`` (at a form root
+    ``z_var^a`` too, as the vector ``z_var``) is substituted once, into its
+    image ``s T``, so ``g = s T + c t`` with ``c`` its ``z_var`` coefficient.
+    Factors group by ``(T, sign of p)`` into ``T^P prod (s + c u)^p``,
+    ``u = t / T``; by the generalised Leibniz rule each way of sharing
+    ``M-1`` among the groups builds one term from the other factors and each
+    group's ``[u^n] T^(P-n)``.  A simple pole, or a term with an image that
+    cannot be normalized, shares over single factors instead, each taking
+    ``C(p, i) c^i`` and its image only where used.
     """
     live = tuple(v for v in expr.live_vars if v != var)
     out: list[Term | None] = []
@@ -574,22 +589,49 @@ def _residue(
             continue
         coeff = t.coeff if alpha == 1 else t.coeff * alpha ** (-m)
         mono = [(v, e) for v, e in t.mono if v != var]
-        images = {}
-        for shares in _shares([p for _, p, _, _ in moving], m - 1):
+        images = None
+        if m > 1:
+            try:
+                images = [_substituted(key, var, value, target, p) for key, p, _, _ in moving]
+            except (PoleCollisionError, NonInvertiblePoleError):
+                pass  # sharing over single factors needs an image only where it is used
+        if images is None:  # a simple pole, or an image that cannot be normalized
+            for shares in _shares([p for _, p, _, _ in moving], m - 1):
+                b = _TermBuilder(coeff, mono)
+                for (_, p, _, c), i in zip(moving, shares):
+                    if i:
+                        b.num *= _binomial(p, i)
+                        b.mul_scalar(c, i)
+                if b.dead:  # c^i vanished for a nilpotent series c
+                    continue
+                for f, p in rest:
+                    b.mul_canonical(f, p)
+                for (key, p, origin, _), i in zip(moving, shares):
+                    if p != i and not b.dead:
+                        b.mul_image(_substituted(key, var, value, target, p - i), p - i, origin)
+                out.append(b.build())
+            continue
+        # (T, p > 0) -> [T, origin, P, members]; a vanished image has T None and s = 0
+        groups: dict[tuple, list] = {}
+        for (_, p, origin, c), image in zip(moving, images):
+            s, T = image or ((0, 1), None)
+            group = groups.setdefault((T, p > 0), [T, origin, 0, []])
+            if group[1] != origin and isinstance(T, tuple):
+                raise EngineCorruptionError(f"two origins met on one form: {group[1]} vs {origin}")
+            group[2] += p
+            group[3].append(((1, 1) if s is None else s, c, p))
+        polys = [_group_poly(members, m - 1) for _, _, _, members in groups.values()]
+        for shares in _shares([P for _, _, P, _ in groups.values()], m - 1):
             b = _TermBuilder(coeff, mono)
-            for (_, p, _, c), i in zip(moving, shares):
-                if i:
-                    b.num *= _binomial(p, i)
-                    b.mul_scalar(c, i)
-            if b.dead:  # c^i vanished for a nilpotent series c
+            for (nums, den), n in zip(polys, shares):
+                b.mul_scalar(nums[n] if den is None else (nums[n], den), 1)
+            if b.dead or not b.num:
                 continue
             for f, p in rest:
                 b.mul_canonical(f, p)
-            for s, ((key, p, origin, _), i) in enumerate(zip(moving, shares)):
-                if p != i and not b.dead:
-                    if s not in images:
-                        images[s] = _substituted(key, var, value, target, p - i)
-                    b.mul_image(images[s], p - i, origin)
+            for (T, origin, P, _), n in zip(groups.values(), shares):
+                if P != n:
+                    b.mul_image((None, T), P - n, origin)
             out.append(b.build())
     return RatExpr.of(live, out)
 
@@ -597,12 +639,9 @@ def _residue(
 def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
     """The coefficient of ``z_var^(-1)`` in the Laurent expansion at ``z_var = 0``.
 
-    For a term with pole order ``m`` it is the ``(m-1)``-th Taylor coefficient
-    of ``z^m * term`` at ``z_var = 0``, which :func:`_residue` reads off the
-    forms in one pass; the stripped monomial no longer holds ``z_var``, and
-    terms without a pole contribute nothing.  All forms are analytic at the
-    origin because canonical scaling folds pure-``z_var`` forms into the
-    monomial.  ``var`` leaves the live set; the degree rises by one.
+    :func:`_residue` reads it off each term with a pole; all forms are
+    analytic at the origin, as canonical scaling folds pure-``z_var`` forms
+    into the monomial.  ``var`` leaves the live set; the degree rises by one.
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
@@ -615,25 +654,20 @@ def _normalize_root_form(
 ) -> tuple[tuple, Coeff, int, Coeff]:
     """Resolve a root request into (pole key, z_var coefficient, other var, root scale).
 
-    Returns the ``LinearForm.key`` of the normalized form, which identifies
-    the grouped pole, its ``z_var`` coefficient, the other variable ``t``
-    and the root coefficient ``c`` with ``z_var = c * z_t``.
+    The key of the normalized form identifies the grouped pole; the root is
+    ``z_var = c * z_t``, ``t`` the other variable.
     """
     vs, nums, den = form.key if isinstance(form, LinearForm) else _vector(form)
     if var not in vs:
         raise PrescriptionError(f"form is not linear in z{var}")
     if len(vs) != 2:
-        raise PrescriptionError(
-            "residue at a form root needs a two-variable linear form"
-        )
+        raise PrescriptionError("residue at a form root needs a two-variable linear form")
     key = _image(vs, nums, den, 1)[1]
     coeffs = dict(LinearForm(*key).coeffs)
     alpha = coeffs.pop(var)
     ((other, c),) = coeffs.items()
     if not is_unit(alpha):
-        raise NonInvertiblePoleError(
-            f"z{var} coefficient of the pole form is not invertible"
-        )
+        raise NonInvertiblePoleError(f"z{var} coefficient of the pole form is not invertible")
     return key, alpha, other, -c if alpha == 1 else -c / alpha
 
 
@@ -644,11 +678,8 @@ def residue_at_form_root(
 
     All denominator factors of a term that vanish on the root merge into one
     multiplicity-M pole (canonical scaling already made them syntactically
-    equal).  The residue is ``alpha^{-M}``, ``alpha`` the form's ``z_var``
-    coefficient, times the ``(M-1)``-th Taylor coefficient at the root of
-    the term without the grouped factor, which :func:`_residue` reads off
-    the monomial and forms in one pass.  Terms analytic at the root
-    contribute nothing.  ``var`` leaves the live set; degree rises by one.
+    equal), which :func:`_residue` reads the residue off.  Terms analytic at
+    the root contribute nothing.  ``var`` leaves the live set; degree rises by one.
     """
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
@@ -680,24 +711,18 @@ def _check_step_invariants(expr: RatExpr, step: int, last: int):
     for t in expr.terms:
         for f, _ in t.forms:
             if f.origin in stale:
-                raise EngineCorruptionError(
-                    f"form {f} with consumed origin survived step {step}"
-                )
+                raise EngineCorruptionError(f"form {f} with consumed origin survived step {step}")
             if step + 1 <= last - 1 and f.origin == node_tag(step + 1):
                 if set(f.vars) != {step + 1, step + 2}:
-                    raise EngineCorruptionError(
-                        f"descendant form {f} lost its two-variable shape"
-                    )
+                    raise EngineCorruptionError(f"descendant form {f} lost its two-variable shape")
 
 
 def iterated_residue(expr: RatExpr):
     """Integrate all variables in ascending index order and return the constant.
 
     Preconditions: the live variables are exactly ``0..d`` and the expression
-    is homogeneous of degree ``-(d+1)``, so that after ``d+1`` residue steps
-    (each raising the degree by one) the result is a degree-0 constant of the
-    coefficient ring.  At every step the residues over the step's pole set
-    are summed.
+    is homogeneous of degree ``-(d+1)``, so that ``d+1`` residue steps, each
+    summed over the step's pole set, leave a constant of the coefficient ring.
     """
     if not expr.terms:
         raise PrescriptionError("iterated residue of the zero expression")
@@ -707,9 +732,7 @@ def iterated_residue(expr: RatExpr):
     last = live[-1]
     degree = homogeneity_degree(expr)
     if degree != -(last + 1):
-        raise PrescriptionError(
-            f"integrand degree {degree} does not match -(d+1) = {-(last + 1)}"
-        )
+        raise PrescriptionError(f"integrand degree {degree} does not match -(d+1) = {-(last + 1)}")
     zero = expr.terms[0].coeff * 0
     current = expr
     for step in range(last + 1):
@@ -723,15 +746,11 @@ def iterated_residue(expr: RatExpr):
         current = total
         if current.terms:
             if homogeneity_degree(current) != degree + step + 1:
-                raise EngineCorruptionError(
-                    f"degree did not rise by one at step {step}"
-                )
+                raise EngineCorruptionError(f"degree did not rise by one at step {step}")
             _check_step_invariants(current, step, last)
     result = zero
     for t in current.terms:
         if t.mono or t.forms:
-            raise PrescriptionError(
-                f"iterated residue left a non-constant term {t}"
-            )
+            raise PrescriptionError(f"iterated residue left a non-constant term {t}")
         result = result + t.coeff
     return result

@@ -183,25 +183,60 @@ def test_record_with_a_wrong_lhs_caught_by_cli_digest(monkeypatch, capsys):
     assert test_golden._sha(out) != digest
 
 
-def test_residue_dropping_series_share_weight_caught_by_hand_values(monkeypatch):
-    # _residue with c^i left out of a Leibniz share whenever c is a series
-    src = inspect.getsource(resengine._residue)
-    assert src.count("b.mul_scalar(c, i)") == 1
-    src = src.replace(
-        "b.mul_scalar(c, i)", "if not isinstance(c, EpsSeries): b.mul_scalar(c, i)"
-    )
+def rebuilt(fn, old: str, new: str):
+    """``fn`` executed from its source with the one ``old`` replaced by ``new``."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
     namespace = dict(vars(resengine))
-    exec(src, namespace)
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+def assert_caught(monkeypatch, name: str, mutant, checks: list):
+    for check in checks:
+        check()
+    monkeypatch.setattr(resengine, name, mutant)
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
+
+
+def test_residue_dropping_series_share_weight_caught_by_hand_values(monkeypatch):
+    # c^i left out of a series group's polynomial whenever c is a series
+    mutant = rebuilt(
+        resengine._group_poly, "c**i * s", "(1 if isinstance(c, EpsSeries) else c**i) * s"
+    )
     checks = [
         test_resengine.TestResidueAtZero().test_series_form_takes_a_leibniz_share,
         test_resengine.TestResidueAtFormRoot().test_series_form_takes_a_leibniz_share,
     ]
-    for check in checks:
-        check()
-    monkeypatch.setattr(resengine, "_residue", namespace["_residue"])
-    for check in checks:
-        with pytest.raises(AssertionError):
-            check()
+    assert_caught(monkeypatch, "_group_poly", mutant, checks)
+
+
+GROUP_CHECKS = [
+    test_resengine.TestImageGroups().test_both_signs_on_one_target,
+    test_resengine.TestImageGroups().test_monomial_shares_the_root_variable,
+]
+
+
+def test_group_key_without_sign_caught_by_hand_values(monkeypatch):
+    # a group of both signs bounds its share by its total power P >= 0
+    mutant = rebuilt(resengine._residue, "groups.setdefault((T, p > 0),", "groups.setdefault((T,),")
+    assert_caught(monkeypatch, "_residue", mutant, GROUP_CHECKS)
+
+
+def test_group_poly_truncated_caught_by_hand_values_and_direct_residues(monkeypatch):
+    exact = resengine._group_poly
+
+    def group_poly(members, top):
+        # the coefficient of u^(M-1) is dropped
+        nums, den = exact(members, top)
+        return nums[:top] + [0] * len(nums[top:]), den
+
+    q = Query(3, 2, 2, j_max=4)
+    assert all(r.match for r in verify_theorem(q))
+    assert_caught(monkeypatch, "_group_poly", group_poly, GROUP_CHECKS)
+    assert not all(r.match for r in verify_theorem(q))
 
 
 def counting(monkeypatch, name: str) -> list:

@@ -171,6 +171,17 @@ class TestEvalDirect:
         assert isinstance(value, Fraction)
         assert value == 1  # geometric series coefficient (-1)^4
 
+    def test_one_build_per_group_share(self, monkeypatch):
+        # the k-1 Euler forms of e_k(z_0, z_1) share one image at z_0 = 0 and at
+        # each node root, so the Leibniz shares run over a few groups, not 2^(k-1)
+        # compositions over single factors (5,894 builds that way)
+        calls = []
+        build = resengine._TermBuilder.build
+        monkeypatch.setattr(resengine._TermBuilder, "build", lambda b: calls.append(1) or build(b))
+        for j in range(7):
+            eval_direct(Query(6, 8, 3, j=j))
+        assert len(calls) <= 300
+
 
 class TestEvalCascade:
     def test_generating_function_small(self):

@@ -29,6 +29,7 @@ from qmres.resengine import (
     PoleCollisionError,
     PrescriptionError,
     RatExpr,
+    Term,
     homogeneity_degree,
     iterated_residue,
     make_term,
@@ -588,6 +589,39 @@ NILPOTENT = [EPS, -2 * EPS, EPS * EPS, Fraction(1, 3) * EPS - EPS * EPS]
 LIVE = (0, 1, 2, 3)
 
 
+class TestImageGroups:
+    """Factors whose images share a target ``T`` take their Leibniz shares as one group."""
+
+    def test_both_signs_on_one_target(self):
+        # [z0^3] (z0 + z1)^2 / (2 z0 + z1): z1 (1 + x)^2 (1 + 2x)^-1 at x^3 is -2 z1
+        e = expr_of([0, 1], (1, {0: -4}, [({0: 1, 1: 1}, 2), ({0: 2, 1: 1}, -1)]))
+        assert residue_at_zero(e, 0).debug_str() == "(-2)*z1^-2"
+
+    def test_monomial_shares_the_root_variable(self):
+        # z0^2 / ((z0 - z1)^3 (z0 + z1)) at z0 = z1: [u^2] (1 + u)^2 / (2 + u) is 1/8
+        e = expr_of([0, 1], (1, {0: 2}, [({0: 1, 1: -1}, -3), ({0: 1, 1: 1}, -1)]))
+        assert residue_at_form_root(e, 0, {0: 1, 1: -1}).debug_str() == "(1/8)*z1^-1"
+
+    def test_series_group_matches_factorwise(self):
+        # 2 z2 (z1 + e z0)^2 (z1 + (1+e) z0)^-1 (z0 + z1 + z2)^-2 / z0^4: two groups on z1
+        one, eps = ONE, EPS
+        forms = [
+            ({0: eps, 1: one}, 2),
+            ({0: one + eps, 1: one}, -1),
+            ({0: one, 1: one, 2: one}, -2),
+        ]
+        e = RatExpr.of(LIVE[:3], [make_term(2 * one, {0: -4, 2: 1}, forms)])
+        want = factorwise_residue(e, 0, None, 1, 0, 0)
+        assert residue_at_zero(e, 0) == want and not want.is_zero
+
+    def test_two_origins_in_one_group(self):
+        forms = [({0: 1, 1: 1, 2: 1}, -1, node_tag(1)), ({0: 2, 1: 1, 2: 1}, -1)]
+        e = RatExpr.of([0, 1, 2], [make_term(1, {0: -2}, forms)])
+        with pytest.raises(EngineCorruptionError) as exc:
+            residue_at_zero(e, 0)
+        assert node_tag(1) in str(exc.value) and PLAIN in str(exc.value)
+
+
 @st.composite
 def residue_requests(draw):
     """A random multi-form expression and one residue request on it.
@@ -595,6 +629,10 @@ def residue_requests(draw):
     On the series ring coefficients may be nilpotent.  At a form root the
     terms carry proportional copies of the pole, so pole orders reach 6, and
     ``z_var`` to powers of both signs; other forms may or may not hold ``z_var``.
+    Some forms ``u T + c (z_var - r z_other)``, powers of both signs, share
+    the image target ``T`` at the site ``z_var = r z_other`` (``r = 0`` at
+    zero), and so can the monomial; a term may also carry a copy of the pole
+    (at zero, of ``z_var``) outside canonical scale, whose image vanishes.
     """
     series = draw(st.booleans())
 
@@ -603,11 +641,20 @@ def residue_requests(draw):
         return draw(st.sampled_from(pool))
 
     var = draw(st.sampled_from(LIVE))
-    other = draw(st.sampled_from([v for v in LIVE if v != var]))
+    others = st.sampled_from([v for v in LIVE if v != var])
+    other = draw(others)
     at_root = draw(st.booleans())
     # one of the pole's coefficients may be nilpotent, so may the root's scale
     first_unit = draw(st.booleans())
     pole = {var: scalar(unit=first_unit), other: scalar(unit=not first_unit)}
+    r = -pole[other] / pole[var] if at_root and first_unit else 0
+    shared = draw(st.lists(others, min_size=1, max_size=2, unique=True))
+    target = {v: scalar(unit=not i) for i, v in enumerate(shared)}
+    if at_root:
+        vs, nums, den = make_term(1, {}, [(pole, 1)]).forms[0][0].key
+        twin = LinearForm(vs, tuple([2 * n for n in nums]), den and 2 * den)
+    else:
+        twin = LinearForm((var,), (1,), 1)
     power = st.sampled_from([-3, -2, -1, 1, 2, 3])
     terms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -624,7 +671,16 @@ def residue_requests(draw):
         for _ in range(draw(st.integers(0, 3))):
             vs = draw(st.lists(st.sampled_from(LIVE), min_size=2, max_size=3, unique=True))
             forms.append(({v: scalar(unit=not i) for i, v in enumerate(vs)}, draw(power)))
-        terms.append(make_term(scalar(), mono, forms))
+        for _ in range(draw(st.integers(0, 3))):
+            u, c = scalar(unit=True), scalar()
+            member = {v: u * x for v, x in target.items()}
+            member[var] = c
+            member[other] = member.get(other, 0) - c * r
+            forms.append((member, draw(st.sampled_from([-2, -1, 1, 2]))))
+        t = make_term(scalar(), mono, forms)
+        if t is not None and draw(st.integers(0, 3)) == 0:
+            t = Term(t.coeff, t.mono, t.forms + ((twin, draw(st.integers(1, 2))),))
+        terms.append(t)
     return RatExpr.of(LIVE, terms), var, pole if at_root else None
 
 

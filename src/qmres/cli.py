@@ -283,7 +283,9 @@ def cmd_verify(args, parser) -> int:
         ks = args.k if args.k is not None else range(1, N + 3)
         ks = [k for k in ks if args.regime in ("both", FANO if k < N else GENERAL)]
         if not ks and args.k is not None:
-            parser.error(f"k range {args.k} has no {args.regime}-regime value for N={N}")
+            parser.error(
+                f"--k {args.k[0]}..{args.k[-1]} has no {args.regime}-regime value for N={N}"
+            )
         for k in ks:
             for d in args.d:
                 _check_cell(parser, N=N, k=k, d=d)

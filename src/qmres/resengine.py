@@ -26,13 +26,16 @@ Residues are computed algebraically, one pass per step: the residue of ``e``
 at ``z_i = r`` is the ``(z_i - r)^(M-1)`` Taylor coefficient of
 ``(z_i - r)^M e``, with ``M`` the total multiplicity after grouping all
 denominator factors that vanish there, read straight off the factors by the
-generalised Leibniz rule.  Each factor of a term that depends on ``z_i``,
-the monomial ``z_i^a`` at a form root among them as the vector ``z_i``, is
-substituted at ``r`` and normalized once, into its image: a scalar times a
-monic form or a variable, the target.  Factors with one target and one sign
-of power form a group whose Taylor coefficients up to ``M-1`` are computed
-once; every way of sharing ``M-1`` among the groups multiplies theirs, the
-term's other factors and the targets' remaining powers into one term.
+generalised Leibniz rule.  The factors of a term that depend on ``z_i``,
+the monomial ``z_i^a`` at a form root among them as the vector ``z_i``, fall
+into groups whose Taylor coefficients up to ``M-1`` are computed once; every
+way of sharing ``M-1`` among the groups multiplies theirs, the term's other
+factors and the groups' remaining powers into one term.  At ``M > 1`` each
+factor is substituted at ``r`` and normalized once, into its image: a scalar
+times a monic form or a variable, the target, and factors with one target
+and one sign of power form a group.  At a simple pole, or when an image
+cannot be normalized, each factor is a group of its own, and its image is
+taken only where a way of sharing leaves it a nonzero power.
 
 Each denominator form carries an origin tag so that the iterated-residue
 prescription can recognise which poles belong to which integration step:
@@ -529,6 +532,8 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
 def _group_poly(members: list, top: int) -> tuple[list, int | None]:
     """``[u^n]``, ``n <= top``, of ``prod (s + c u)^p`` over a group's ``(s, c, p)``.
 
+    An image group has a member per factor; a factor alone is the one member
+    ``(1, c, p)``, whose ``[u^n]`` is the Leibniz weight ``C(p, n) c^n``.
     Int pairs give ``(nums, den)``, ints over one denominator; if an ``s`` or
     ``c`` is a series, ``den`` is None and ``nums`` are ring elements.
     """
@@ -560,14 +565,15 @@ def _residue(
     pole form, whose ``z_var`` coefficient is ``alpha``.  The residue is
     ``alpha^-M [t^(M-1)]`` of the rest of a term, ``t = z_var - value z_target``.
     Each factor ``g^p`` of it that depends on ``z_var`` (at a form root
-    ``z_var^a`` too, as the vector ``z_var``) is substituted once, into its
-    image ``s T``, so ``g = s T + c t`` with ``c`` its ``z_var`` coefficient.
-    Factors group by ``(T, sign of p)`` into ``T^P prod (s + c u)^p``,
-    ``u = t / T``; by the generalised Leibniz rule each way of sharing
-    ``M-1`` among the groups builds one term from the other factors and each
-    group's ``[u^n] T^(P-n)``.  A simple pole, or a term with an image that
-    cannot be normalized, shares over single factors instead, each taking
-    ``C(p, i) c^i`` and its image only where used.
+    ``z_var^a`` too, as the vector ``z_var``) has the image ``s T`` at the
+    root, so ``g = s T + c t`` with ``c`` its ``z_var`` coefficient.  The
+    factors fall into groups ``T^P prod (s + c u)^p``, ``u = t / T``; by the
+    generalised Leibniz rule each way of sharing ``M-1`` among the groups
+    builds one term from the other factors and each group's
+    ``[u^n] T^(P-n)``.  At ``M > 1`` every image is taken up front and the
+    factors group by ``(T, sign of p)``.  At a simple pole, or when an image
+    cannot be normalized, each factor is its own group with ``s = 1`` and
+    ``T`` the factor, which is imaged only where ``P - n`` is nonzero.
     """
     live = tuple(v for v in expr.live_vars if v != var)
     out: list[Term | None] = []
@@ -594,44 +600,36 @@ def _residue(
             try:
                 images = [_substituted(key, var, value, target, p) for key, p, _, _ in moving]
             except (PoleCollisionError, NonInvertiblePoleError):
-                pass  # sharing over single factors needs an image only where it is used
+                pass  # single factors need an image only where it is used
+        # the groups [T, origin, P, members]; a factor alone has its form key as T
         if images is None:  # a simple pole, or an image that cannot be normalized
-            for shares in _shares([p for _, p, _, _ in moving], m - 1):
-                b = _TermBuilder(coeff, mono)
-                for (_, p, _, c), i in zip(moving, shares):
-                    if i:
-                        b.num *= _binomial(p, i)
-                        b.mul_scalar(c, i)
-                if b.dead:  # c^i vanished for a nilpotent series c
-                    continue
-                for f, p in rest:
-                    b.mul_canonical(f, p)
-                for (key, p, origin, _), i in zip(moving, shares):
-                    if p != i and not b.dead:
-                        b.mul_image(_substituted(key, var, value, target, p - i), p - i, origin)
-                out.append(b.build())
-            continue
-        # (T, p > 0) -> [T, origin, P, members]; a vanished image has T None and s = 0
-        groups: dict[tuple, list] = {}
-        for (_, p, origin, c), image in zip(moving, images):
-            s, T = image or ((0, 1), None)
-            group = groups.setdefault((T, p > 0), [T, origin, 0, []])
-            if group[1] != origin and isinstance(T, tuple):
-                raise EngineCorruptionError(f"two origins met on one form: {group[1]} vs {origin}")
-            group[2] += p
-            group[3].append(((1, 1) if s is None else s, c, p))
-        polys = [_group_poly(members, m - 1) for _, _, _, members in groups.values()]
-        for shares in _shares([P for _, _, P, _ in groups.values()], m - 1):
+            groups = [[key, origin, p, [((1, 1), c, p)]] for key, p, origin, c in moving]
+        else:  # keyed (T, p > 0); a vanished image has T None and s = 0
+            by_target: dict[tuple, list] = {}
+            for (_, p, origin, c), image in zip(moving, images):
+                s, T = image or ((0, 1), None)
+                group = by_target.setdefault((T, p > 0), [T, origin, 0, []])
+                if group[1] != origin and isinstance(T, tuple):
+                    raise EngineCorruptionError(
+                        f"two origins met on one form: {group[1]} vs {origin}"
+                    )
+                group[2] += p
+                group[3].append(((1, 1) if s is None else s, c, p))
+            groups = list(by_target.values())
+        # at a simple pole every share is 0 and every weight 1, so none is multiplied in
+        polys = [_group_poly(members, m - 1) for _, _, _, members in groups] if m > 1 else []
+        for shares in _shares([P for _, _, P, _ in groups], m - 1):
             b = _TermBuilder(coeff, mono)
             for (nums, den), n in zip(polys, shares):
                 b.mul_scalar(nums[n] if den is None else (nums[n], den), 1)
-            if b.dead or not b.num:
+            if b.dead or not b.num:  # a weight vanished, for a nilpotent series c too
                 continue
             for f, p in rest:
                 b.mul_canonical(f, p)
-            for (T, origin, P, _), n in zip(groups.values(), shares):
-                if P != n:
-                    b.mul_image((None, T), P - n, origin)
+            for (T, origin, P, _), n in zip(groups, shares):
+                if P != n and not b.dead:
+                    image = (None, T) if images else _substituted(T, var, value, target, P - n)
+                    b.mul_image(image, P - n, origin)
             out.append(b.build())
     return RatExpr.of(live, out)
 

@@ -452,6 +452,14 @@ class TestEmptyGrid:
         assert exc.value.code == EXIT_USAGE
         assert "--N" in out.err and out.out == ""
 
+    def test_k_range_without_a_regime_value(self, capsys):
+        # the flag and its range in the syntax the command line takes
+        with pytest.raises(SystemExit) as exc:
+            main("verify --regime general --N 3 --k 1..2 --d 1 --jmax 1".split())
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == ""
+        assert out.err.endswith(": error: --k 1..2 has no general-regime value for N=3\n")
+
 
 class TestUsageLines:
     @pytest.mark.parametrize(

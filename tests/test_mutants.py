@@ -20,6 +20,7 @@ from qmres import cli, quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_direct, verify_theorem
 from qmres.resengine import (
+    NonInvertiblePoleError,
     PoleCollisionError,
     RatExpr,
     make_term,
@@ -221,8 +222,23 @@ GROUP_CHECKS = [
 
 def test_group_key_without_sign_caught_by_hand_values(monkeypatch):
     # a group of both signs bounds its share by its total power P >= 0
-    mutant = rebuilt(resengine._residue, "groups.setdefault((T, p > 0),", "groups.setdefault((T,),")
+    mutant = rebuilt(
+        resengine._residue, "by_target.setdefault((T, p > 0),", "by_target.setdefault((T,),"
+    )
     assert_caught(monkeypatch, "_residue", mutant, GROUP_CHECKS)
+
+
+def test_eager_images_caught_by_hand_value(monkeypatch):
+    # every image of a multiple pole taken up front: one that cannot be normalized
+    # raises, where single-factor groups take only the images a share leaves a power
+    mutant = rebuilt(
+        resengine._residue, "except (PoleCollisionError, NonInvertiblePoleError):", "except ():"
+    )
+    check = test_resengine.TestImageGroups().test_unused_image_is_never_taken
+    check()
+    monkeypatch.setattr(resengine, "_residue", mutant)
+    with pytest.raises(NonInvertiblePoleError):
+        check()
 
 
 def test_group_poly_truncated_caught_by_hand_values_and_direct_residues(monkeypatch):

@@ -621,6 +621,12 @@ class TestImageGroups:
             residue_at_zero(e, 0)
         assert node_tag(1) in str(exc.value) and PLAIN in str(exc.value)
 
+    def test_unused_image_is_never_taken(self):
+        # z0^-2 (z0 + e z1 + e z2) at z0 = 0: the form's share 1 leaves it no power,
+        # so its image e (z1 + z2), which has no unit coefficient, is never normalized
+        e = RatExpr.of(LIVE[:3], [make_term(ONE, {0: -2}, [({0: ONE, 1: EPS, 2: EPS}, 1)])])
+        assert residue_at_zero(e, 0).debug_str() == "(1 + O(e^4))"
+
 
 @st.composite
 def residue_requests(draw):
@@ -633,8 +639,13 @@ def residue_requests(draw):
     the image target ``T`` at the site ``z_var = r z_other`` (``r = 0`` at
     zero), and so can the monomial; a term may also carry a copy of the pole
     (at zero, of ``z_var``) outside canonical scale, whose image vanishes.
+    Every form of a request, that copy too, carries one origin, drawn from
+    plain, deformation, ``node(1)`` and ``node(2)``.  Mixed origins are left
+    out: the library asks one origin of each image group and raises where the
+    factor-wise kernel, which merges no two factors' images, answers.
     """
     series = draw(st.booleans())
+    origin = draw(st.sampled_from([PLAIN, DEFORMATION, node_tag(1), node_tag(2)]))
 
     def scalar(unit=False):
         pool = UNITS[series] + ([] if unit or not series else NILPOTENT)
@@ -652,9 +663,9 @@ def residue_requests(draw):
     target = {v: scalar(unit=not i) for i, v in enumerate(shared)}
     if at_root:
         vs, nums, den = make_term(1, {}, [(pole, 1)]).forms[0][0].key
-        twin = LinearForm(vs, tuple([2 * n for n in nums]), den and 2 * den)
+        twin = LinearForm(vs, tuple([2 * n for n in nums]), den and 2 * den, origin)
     else:
-        twin = LinearForm((var,), (1,), 1)
+        twin = LinearForm((var,), (1,), 1, origin)
     power = st.sampled_from([-3, -2, -1, 1, 2, 3])
     terms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -665,18 +676,18 @@ def residue_requests(draw):
             for _ in range(draw(st.integers(1, 3))):
                 s = scalar(unit=True)
                 copy = {v: s * c for v, c in pole.items()}
-                forms.append((copy, draw(st.sampled_from([-2, -2, -1, 1]))))
+                forms.append((copy, draw(st.sampled_from([-2, -2, -1, 1])), origin))
         else:
             mono[var] = draw(st.integers(-6, 2))
         for _ in range(draw(st.integers(0, 3))):
             vs = draw(st.lists(st.sampled_from(LIVE), min_size=2, max_size=3, unique=True))
-            forms.append(({v: scalar(unit=not i) for i, v in enumerate(vs)}, draw(power)))
+            forms.append(({v: scalar(unit=not i) for i, v in enumerate(vs)}, draw(power), origin))
         for _ in range(draw(st.integers(0, 3))):
             u, c = scalar(unit=True), scalar()
             member = {v: u * x for v, x in target.items()}
             member[var] = c
             member[other] = member.get(other, 0) - c * r
-            forms.append((member, draw(st.sampled_from([-2, -1, 1, 2]))))
+            forms.append((member, draw(st.sampled_from([-2, -1, 1, 2])), origin))
         t = make_term(scalar(), mono, forms)
         if t is not None and draw(st.integers(0, 3)) == 0:
             t = Term(t.coeff, t.mono, t.forms + ((twin, draw(st.integers(1, 2))),))

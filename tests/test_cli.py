@@ -1,6 +1,7 @@
 """Tests for the command-line front end: formats, caching, exit codes."""
 
 import json
+import pickle
 
 import pytest
 
@@ -15,6 +16,7 @@ from qmres.cli import (
     pool_size,
 )
 from qmres.exactnum import EpsSeries
+from qmres.quasimap import Query
 from qmres.resengine import PoleCollisionError
 
 
@@ -162,6 +164,20 @@ class TestCache:
         assert cache.stat().st_size == first_size
         lines = [json.loads(line) for line in cache.read_text().splitlines()]
         assert len(lines) == 3
+
+    def test_blank_lines_are_skipped(self, capsys, monkeypatch, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        args = ["verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--cache", str(cache)]
+        _, cold, _ = run_cli(capsys, *args)
+        lines = cache.read_text().splitlines()
+        cache.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+
+        def no_direct(q):
+            raise AssertionError(f"eval_direct ran on a cached cell: {q}")
+
+        monkeypatch.setattr(quasimap, "eval_direct", no_direct)
+        code, warm, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK and warm == cold
 
     def test_compute_uses_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -509,9 +525,10 @@ class TestRangeErrors:
 class TestLongestFirst:
     def test_cost_order_on_the_verify_parallel_grid(self):
         # the measured order of the costliest N = 4 cells at j_max = 3
-        cells = [(4, k, d, 3) for k in range(1, 7) for d in range(1, 4)]
+        cells = [Query(4, k, d, j_max=3) for k in range(1, 7) for d in range(1, 4)]
         ranked = sorted(cells, key=cli.cell_cost, reverse=True)
-        assert ranked[:5] == [(4, 6, 3, 3), (4, 5, 3, 3), (4, 6, 2, 3), (4, 5, 2, 3), (4, 4, 3, 3)]
+        top = [(4, 6, 3), (4, 5, 3), (4, 6, 2), (4, 5, 2), (4, 4, 3)]
+        assert ranked[:5] == [Query(*cell, j_max=3) for cell in top]
 
     def test_verify_hands_out_longest_first_and_prints_grid_order(self, capsys, monkeypatch):
         handed = []
@@ -525,8 +542,10 @@ class TestLongestFirst:
             capsys, "verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--workers", "2"
         )
         assert code == EXIT_OK
-        assert len(handed) == 10 and handed != sorted(handed)
-        assert handed == sorted(handed, key=cli.cell_cost, reverse=True)
+        cells = [q for q, _ in handed]
+        assert len(cells) == 10 and cells != sorted(cells, key=lambda q: (q.N, q.k, q.d))
+        assert cells == sorted(cells, key=cli.cell_cost, reverse=True)
+        assert all(q.j_max == 1 and levels is None for q, levels in handed)
         keys = [(r["N"], r["k"], r["d"], r["j"]) for r in json.loads(out)]
         assert keys == sorted(keys) and len(keys) == 20
 
@@ -549,7 +568,33 @@ class TestLongestFirst:
         monkeypatch.setattr(cli, "eval_direct", no_direct)
         code, warm, _ = run_cli(capsys, *args)
         assert code == EXIT_OK and warm == cold
-        assert len(handed) == 10 and handed == sorted(handed, key=cli.cell_cost, reverse=True)
+        cells = [q for q, _ in handed]
+        assert len(cells) == 10 and cells == sorted(cells, key=cli.cell_cost, reverse=True)
+        assert all(len(levels) == 2 for _, levels in handed)
+
+    def test_task_payload_does_not_grow_with_the_cache(self, capsys, monkeypatch, tmp_path):
+        # a worker is sent its own cell and cached values, not the grid's
+        payload = {}
+
+        def measured(tasks, worker, workers):
+            rows = [worker(t) for t in tasks]
+            for task, (rec, *_) in zip(tasks, rows):
+                payload[rec["N"], rec["k"], rec["d"]] = len(pickle.dumps((worker, task)))
+            return rows
+
+        monkeypatch.setattr(cli, "_run_tasks", measured)
+        sizes = []
+        for i, grid in enumerate(["--k 2 --d 1", "--d 1..2"]):
+            args = ["verify", "--N", "3", *grid.split(), "--jmax", "1"]
+            run_cli(capsys, *args, "--cache", str(tmp_path / f"{i}.jsonl"))
+            payload.clear()
+            code, _, _ = run_cli(capsys, *args, "--cache", str(tmp_path / f"{i}.jsonl"))
+            assert code == EXIT_OK
+            sizes.append(dict(payload))
+        one, ten = sizes
+        assert len(one) == 1 and len(ten) == 10
+        ((cell, size),) = one.items()
+        assert ten[cell] == size
 
 
 class TestGivental:

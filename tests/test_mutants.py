@@ -241,6 +241,27 @@ def test_eager_images_caught_by_hand_value(monkeypatch):
         check()
 
 
+def test_root_scale_ignoring_the_pole_coefficient_caught_by_hand_value(monkeypatch):
+    # the root z_var = -c/alpha z_t taken as -c z_t for every alpha
+    mutant = rebuilt(resengine._normalize_root_form, "alpha == 1", "alpha != 1")
+    check = test_resengine.TestResidueAtFormRoot().test_root_of_a_form_not_monic_in_the_variable
+    assert_caught(monkeypatch, "_normalize_root_form", mutant, [check])
+
+
+def test_series_pivot_of_two_kept_caught_by_hand_value(monkeypatch):
+    # a series form whose first unit is the constant 2 is left non-monic
+    mutant = rebuilt(resengine._image, "pivot == 1", "pivot == 2")
+    check = test_resengine.TestSeriesRingForms().test_constant_pivot_moves_into_the_coefficient
+    assert_caught(monkeypatch, "_image", mutant, [check])
+
+
+def test_demotion_dividing_by_the_scale_caught_by_hand_value(monkeypatch):
+    # a demoted numerator divided by den // d where it should be multiplied
+    mutant = rebuilt(resengine._image, "n[0] * (den // d)", "n[0] // (den // d)")
+    check = test_resengine.TestSeriesRingForms().test_demotion_puts_mixed_denominators_over_one
+    assert_caught(monkeypatch, "_image", mutant, [check])
+
+
 def test_group_poly_truncated_caught_by_hand_values_and_direct_residues(monkeypatch):
     exact = resengine._group_poly
 

@@ -196,6 +196,12 @@ class TestResidueAtFormRoot:
         got = residue_at_form_root(e, 1, {1: 1, 2: -1})
         assert got.debug_str() == "(-1/2)*z2^-2"
 
+    def test_root_of_a_form_not_monic_in_the_variable(self):
+        # z1 = -z0/2 on z0 + 2 z1: the residue 1/2 times (z1 + 3 z2) there
+        e = expr_of([0, 1, 2], (1, {0: -1, 2: -1}, [({0: 1, 1: 2}, -1), ({1: 1, 2: 3}, 1)]))
+        got = residue_at_form_root(e, 1, {0: 1, 1: 2})
+        assert got.debug_str() == "(-1/4)*z0^-1*z2^-1*(z0 - 6*z2)"
+
     def test_degree_rises_by_one(self):
         e = expr_of([1, 2], (7, {1: -2, 2: 1}, [({1: 3, 2: -1}, -1)]))
         before = homogeneity_degree(e)
@@ -285,6 +291,50 @@ class TestIteratedResidue:
             ),
         )
         assert iterated_residue(e) == Fraction(1, 2)
+
+
+class TestStepInvariants:
+    """A corrupted step result raises; the real kernel never returns one."""
+
+    Q = Query(3, 2, 3, j=1)
+
+    def run_with_step(self, monkeypatch, step: int, crafted: RatExpr):
+        """``iterated_residue`` of ``Q``'s integrand, ``crafted`` standing in for step ``step``."""
+        real = resengine.residue_at_zero
+
+        def residue_at_zero(expr, var):
+            return crafted if var == step else real(expr, var)
+
+        monkeypatch.setattr(resengine, "residue_at_zero", residue_at_zero)
+        return iterated_residue(quasimap.build_integrand(self.Q))
+
+    def test_consumed_origin_survives(self, monkeypatch):
+        forms = [({2: 1, 3: 1}, -1, DEFORMATION)]
+        crafted = expr_of([1, 2, 3], (1, {1: -1, 2: -1}, forms))
+        with pytest.raises(EngineCorruptionError) as exc:
+            self.run_with_step(monkeypatch, 0, crafted)
+        assert str(exc.value) == "form (z2 + z3)@deformation with consumed origin survived step 0"
+
+    def test_node_form_loses_its_two_variable_shape(self, monkeypatch):
+        forms = [({1: 2, 3: -1}, -1, node_tag(1))]
+        crafted = expr_of([1, 2, 3], (1, {1: -1, 2: -1}, forms))
+        with pytest.raises(EngineCorruptionError) as exc:
+            self.run_with_step(monkeypatch, 0, crafted)
+        want = "descendant form (z1 - 1/2*z3)@node(1) lost its two-variable shape"
+        assert str(exc.value) == want
+
+    def test_degree_does_not_rise(self, monkeypatch):
+        crafted = expr_of([1, 2, 3], (1, {1: -1, 2: -1, 3: -2}, []))
+        with pytest.raises(EngineCorruptionError) as exc:
+            self.run_with_step(monkeypatch, 0, crafted)
+        assert str(exc.value) == "degree did not rise by one at step 0"
+
+    def test_non_constant_term_left(self, monkeypatch):
+        # degree 0 after the last step, as a constant would be, but not constant
+        crafted = expr_of([], (3, {1: 1, 2: -1}, []))
+        with pytest.raises(PrescriptionError) as exc:
+            self.run_with_step(monkeypatch, 3, crafted)
+        assert str(exc.value) == "iterated residue left a non-constant term (3)*z1*z2^-1"
 
 
 class TestLiftAndDebug:
@@ -452,6 +502,19 @@ class TestSeriesRingForms:
         ((f, _),) = make_term(self.one, {}, [({0: 1, 1: self.eps}, -1)]).forms
         assert f.den is None and f.nums == (self.one, self.eps)
         assert all(type(c) is EpsSeries for c in f.nums)
+
+    def test_constant_pivot_moves_into_the_coefficient(self):
+        one, eps = self.one, self.eps
+        t = make_term(one, None, [({0: 2, 1: 2 + eps}, 1)])
+        assert t.coeff == 2 * one
+        ((f, p),) = t.forms
+        assert (f.vars, f.nums, f.den, p) == ((0, 1), (one, one + eps / 2), None, 1)
+
+    def test_demotion_puts_mixed_denominators_over_one(self):
+        # (1+e) z0 + (1+e)/2 z1 is (1+e) (z0 + 1/2 z1): rational once monic
+        one, eps = self.one, self.eps
+        image = resengine._image(*resengine._vector({0: one + eps, 1: (one + eps) / 2}), 1)
+        assert image == (one + eps, ((0, 1), (2, 1), 2))
 
     def test_series_copy_merges_with_the_rational_form(self):
         one, eps = self.one, self.eps

@@ -235,11 +235,12 @@ def cell_cost(q: Query) -> int:
     """A relative cost of the ``verify`` cell ``q``, known before it runs.
 
     ``d^2 k (1 + m)``, with ``m`` taken as 0 in the fano regime.  Only the
-    order is used.  The estimate predates the grouped Leibniz shares and is
-    kept because it still ranks the cells: over N = 2..8, k = 1..N+2,
-    d = 1..5 at ``j_max = 6`` (245 cells; 2 vCPUs, Python 3.11.7), its
-    Spearman correlation with the measured ``verify_theorem`` times is 0.93,
-    and it orders 89% of the pairs with distinct costs as those times do.
+    order is used.  The estimate predates the grouped Leibniz shares and
+    the one iterated residue per cell, and is kept because it still ranks
+    the cells: over N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6`` (245
+    cells; 2 vCPUs, Python 3.11.7), its Spearman correlation with the
+    measured ``verify_theorem`` times is 0.95-0.96 over four runs, and it
+    orders 91-93% of the pairs with distinct costs as those times do.
     """
     return q.d * q.d * q.k * (1 + (q.m or 0))
 

@@ -15,7 +15,10 @@ engine:
 
 Two independent evaluators are provided.  ``eval_direct`` takes the per-``j``
 residues over the rational ring, reading each higher-order residue off the
-factors as a Taylor coefficient (generalised Leibniz rule).  ``eval_cascade``
+factors as a Taylor coefficient (generalised Leibniz rule).  In series mode
+it takes every level ``j <= J`` in one iterated residue whose term
+coefficients are per-level vectors of rationals, still with no ``eps`` and no
+deformation pole, entry ``j`` being level ``j``'s own residue.  ``eval_cascade``
 computes the whole generating function ``F(eps) = sum_j w_j eps^j`` in one
 pass: summing the descendant-level ladder ``((z_1-z_0)/z_0)^j eps^j`` in
 closed form displaces the high-order pole at ``z_0 = 0`` into the simple
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .exactnum import EpsSeries
@@ -120,6 +123,58 @@ class IntersectionResult:
         return self.lhs_over_k == self.rhs and (self.cross is None or self.cross == self.lhs)
 
 
+class _Levels:
+    """The per-level coefficient ``(c_0, ..., c_J)`` of a series-mode ``eval_direct`` term.
+
+    Stored as an :class:`EpsSeries` stores a series: integer numerators over
+    one positive denominator, in lowest terms.  It is a vector over the
+    rationals and nothing more: ``+`` with a vector of its length, ``*`` by an
+    ``int`` or ``Fraction`` on either side, ``bool``, ``==`` and ``hash``.  Any
+    other operand, a series among them, is ``NotImplemented``, so a level
+    vector never enters the series ring.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int = 1):
+        g = gcd(den, *nums)
+        self.nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
+        self.den = den // g
+
+    @classmethod
+    def unit(cls, size: int, level: int, scale: int) -> "_Levels":
+        """``scale`` at index ``level`` and zeros elsewhere."""
+        nums = [0] * size
+        nums[level] = scale
+        return cls(nums)
+
+    def __add__(self, other):
+        if not isinstance(other, _Levels) or len(other.nums) != len(self.nums):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _Levels([x * a + y * b for x, y in zip(self.nums, other.nums)], den)
+
+    def __mul__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        n = other.numerator
+        return _Levels([x * n for x in self.nums], self.den * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Levels):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+
 def _euler_forms(u: int, v: int, k: int) -> list[tuple]:
     """The interior factors ``i z_u + (k-i) z_v``, ``0 < i < k``, of :func:`ek_factor`."""
     return [({u: i, v: k - i}, 1) for i in range(1, k)]
@@ -141,7 +196,7 @@ def ek_factor(u: int, v: int, k: int) -> Term:
     return term
 
 
-def _integrand(q: Query, pieces: list[tuple[int, int, int, int]]) -> RatExpr:
+def _integrand(q: Query, pieces: list[tuple[int | _Levels, int, int, int]]) -> RatExpr:
     """The integrand with one piece per ``(scale, level, power, pole)``.
 
     A piece is ``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the
@@ -165,7 +220,7 @@ def _integrand(q: Query, pieces: list[tuple[int, int, int, int]]) -> RatExpr:
 
 
 def build_integrand(q: Query) -> RatExpr:
-    """The integrand for a fixed descendant level ``q.j``.
+    """The integrand for the descendant level ``q.j``, or in series mode for every level.
 
     Homogeneous of degree ``-(d+1)``.  With ``m = 1 + (k-N) d``, the fano
     integrand is the single piece with ``(z_1-z_0)^(j-m)``.  The general one
@@ -174,23 +229,43 @@ def build_integrand(q: Query) -> RatExpr:
     ``C(m,i) d^(m-i)`` times the bare piece at level ``j-i``.  The exponent
     ``j - i`` on the plain form ``(z_1 - z_0)`` may be negative; such terms
     carry no pole at ``z_0 = 0`` and die in the first residue step.
+
+    In series mode (``q.j`` None, ``q.j_max`` set) the integrand holds the
+    pieces of every level ``j <= q.j_max``, each scaled by the vector with its
+    weight at index ``j`` and zeros elsewhere.  Pieces of one shape collect
+    into one term, so a bare piece that feeds several levels appears once,
+    with its weight for each of them.
     """
-    if q.j is None:
-        raise ValueError("fixed-j integrand needs q.j")
-    j, m = q.j, 1 + (q.k - q.N) * q.d
+    if q.j is not None:
+        levels = [(q.j, 1)]
+    elif q.j_max is not None:
+        levels = [(j, _Levels.unit(q.j_max + 1, j, 1)) for j in range(q.j_max + 1)]
+    else:
+        raise ValueError("the integrand needs q.j or q.j_max")
+    m = 1 + (q.k - q.N) * q.d
     if q.regime == FANO:
-        return _integrand(q, [(1, j, j - m, 0)])
-    pieces = [(comb(m, i) * q.d ** (m - i), j - i, j - i, m) for i in range(m + 1)]
+        return _integrand(q, [(unit, j, j - m, 0) for j, unit in levels])
+    weights = [comb(m, i) * q.d ** (m - i) for i in range(m + 1)]
+    pieces = [(unit * w, j - i, j - i, m) for j, unit in levels for i, w in enumerate(weights)]
     return _integrand(q, pieces)
 
 
-def eval_direct(q: Query) -> Fraction:
+def eval_direct(q: Query) -> Fraction | list[Fraction]:
     """The intersection number ``w(...)`` by per-``j`` iterated residues.
 
     Runs entirely over the rational ring; the residue at a pole of order
     ``M`` is the ``(M-1)``-th Taylor coefficient of the rest of each term.
+
+    In series mode (``q.j`` None, ``q.j_max`` set) it returns
+    ``[w_0, ..., w_J]`` from one iterated residue of the series-mode
+    integrand.  Every residue step is linear over the rationals in the term
+    coefficients, so entry ``j`` of the per-level vectors is exactly level
+    ``j``'s own computation.
     """
     value = iterated_residue(build_integrand(q))
+    if q.j is None:
+        assert isinstance(value, _Levels)
+        return [Fraction(n, value.den) for n in value.nums]
     assert isinstance(value, Fraction)
     return value
 
@@ -284,18 +359,20 @@ def verify_theorem(
     hypergeometric coefficient as ``rhs`` and the matching coefficient of the
     cascade generating function as ``cross``, so its ``match`` requires all
     three to agree exactly.  A mismatch is a reported result, not an error.
-    ``direct`` supplies already known ``eval_direct`` values (read from a
-    cache) in place of recomputing them; the cascade and hypergeometric
+    The direct values of all levels come from one series-mode
+    :func:`eval_direct`.  ``direct`` supplies already known values (read from
+    a cache) in place of recomputing them; the cascade and hypergeometric
     checks run either way.
     """
     if q.j_max is None:
         raise ValueError("verify_theorem needs q.j_max")
     cascade = eval_cascade(q)
     hyper = hypergeom_series(q.N, q.k, q.d, q.j_max)
+    if direct is None:
+        direct = eval_direct(replace(q, j=None))
     results = []
     for j in range(q.j_max + 1):
         qj = replace(q, j=j)
-        lhs = eval_direct(qj) if direct is None else direct[j]
         cross = cascade.coefficient(j)
-        results.append(IntersectionResult(qj, lhs, hyper.coefficient(j), "direct", cross))
+        results.append(IntersectionResult(qj, direct[j], hyper.coefficient(j), "direct", cross))
     return results

@@ -1,7 +1,12 @@
 """Symbolic engine for homogeneous multivariate rational expressions.
 
 Expressions live in variables ``z_0 .. z_d`` over an exact coefficient ring
-(Fraction or EpsSeries).  Each expression is a sum of terms of the shape
+(Fraction or EpsSeries).  A term coefficient may also be a vector over the
+rationals, such as the per-level vector of ``eval_direct``'s series mode: it
+needs only ``+``, ``*`` by a rational on either side, ``bool``, ``==`` and
+``hash``, since every residue step is linear over the rationals in the
+coefficients and its forms stay rational.  Each expression is a sum of terms
+of the shape
 
     coeff * z_0^a_0 * ... * z_d^a_d * prod_s (linear form_s)^p_s
 
@@ -224,13 +229,15 @@ class _TermBuilder:
     monomial, pivots move into the coefficient, and proportional forms merge
     with their powers added; they must share one origin tag.  Rational
     scalars gather in the int pair ``num / den``, which ``build`` turns into
-    one Fraction; series scalars multiply ``coeff`` (None until the first).
+    one Fraction or multiplies into ``coeff``; series scalars multiply
+    ``coeff`` (None until the first).  A coefficient that is not an ``int`` or
+    a ``Fraction``, a series or a vector over the rationals, starts ``coeff``.
     """
 
     __slots__ = ("coeff", "num", "den", "mono", "forms", "dead")
 
     def __init__(self, coeff: Coeff, mono: Iterable[tuple[int, int]] = ()):
-        if isinstance(coeff, EpsSeries):
+        if not isinstance(coeff, (int, Fraction)):
             self.coeff, self.num, self.den = coeff, 1, 1
         else:
             self.coeff, self.num, self.den = None, coeff.numerator, coeff.denominator

@@ -241,6 +241,14 @@ def test_eager_images_caught_by_hand_value(monkeypatch):
         check()
 
 
+@pytest.mark.parametrize("scale", ["(2, 1)", "(1, 2)"])
+def test_fallback_group_scale_caught_by_hand_value(monkeypatch, scale):
+    # a factor alone taken as (s + c u)^p with s = 2 or 1/2 in place of 1
+    mutant = rebuilt(resengine._residue, "[((1, 1), c, p)]", f"[({scale}, c, p)]")
+    check = test_resengine.TestImageGroups().test_fallback_groups_keep_the_unit_scale
+    assert_caught(monkeypatch, "_residue", mutant, [check])
+
+
 def test_root_scale_ignoring_the_pole_coefficient_caught_by_hand_value(monkeypatch):
     # the root z_var = -c/alpha z_t taken as -c z_t for every alpha
     mutant = rebuilt(resengine._normalize_root_form, "alpha == 1", "alpha != 1")
@@ -274,6 +282,22 @@ def test_group_poly_truncated_caught_by_hand_values_and_direct_residues(monkeypa
     assert all(r.match for r in verify_theorem(q))
     assert_caught(monkeypatch, "_group_poly", group_poly, GROUP_CHECKS)
     assert not all(r.match for r in verify_theorem(q))
+
+
+def test_piece_weight_one_level_high_caught_by_verify(monkeypatch):
+    exact = quasimap._Levels.unit
+
+    def unit(size, level, scale):
+        # the pieces of level 1 land on level 2 of the series-mode integrand
+        return exact(size, level + (level == 1), scale)
+
+    q = Query(3, 5, 2, j_max=4)
+    direct = [eval_direct(Query(3, 5, 2, j=j)) for j in range(5)]
+    assert all(r.match for r in verify_theorem(q))
+    monkeypatch.setattr(quasimap._Levels, "unit", staticmethod(unit))
+    # the per-level route carries int scales and never builds a level vector
+    assert [eval_direct(Query(3, 5, 2, j=j)) for j in range(5)] == direct
+    assert [r.match for r in verify_theorem(q)] == [True, False, False, True, True]
 
 
 def counting(monkeypatch, name: str) -> list:

@@ -182,6 +182,38 @@ class TestEvalDirect:
             eval_direct(Query(6, 8, 3, j=j))
         assert len(calls) <= 300
 
+    def test_series_mode_equals_per_level_on_a_grid(self):
+        # one iterated residue over per-level vector coefficients; entry j is level j's own
+        for N in range(2, 7):
+            for k in range(1, N + 3):
+                for d in range(1, 4):
+                    q = Query(N, k, d, j_max=5)
+                    assert eval_direct(q) == per_level_direct(q), q
+
+    @pytest.mark.parametrize(
+        "q", [Query(2, 4, 3, j_max=6), Query(3, 5, 3, j_max=6), Query(4, 6, 4, j_max=6)]
+    )
+    def test_series_mode_equals_per_level_at_large_m(self, q):
+        # m = 7, 7 and 9: each bare piece feeds up to m+1 levels as one collected term
+        got = eval_direct(q)
+        assert got == per_level_direct(q)
+        assert all(isinstance(w, Fraction) for w in got)
+
+    def test_series_mode_needs_a_level_bound(self):
+        with pytest.raises(ValueError):
+            eval_direct(Query(2, 1, 1))
+
+    def test_level_vector_does_not_mix_with_series(self):
+        levels, eps = quasimap._Levels.unit(3, 1, 2), EpsSeries.eps(2)
+        assert levels * Fraction(1, 2) == Fraction(1, 2) * levels == quasimap._Levels([0, 1, 0])
+        for mixed in (lambda: levels * eps, lambda: eps * levels, lambda: levels + eps):
+            with pytest.raises(TypeError):
+                mixed()
+
+
+def per_level_direct(q: Query) -> list[Fraction]:
+    return [eval_direct(replace(q, j=j)) for j in range(q.j_max + 1)]
+
 
 class TestEvalCascade:
     def test_generating_function_small(self):
@@ -316,6 +348,30 @@ class TestVerifyTheorem:
         for (N, d) in [(3, 1), (4, 2), (5, 1)]:
             results = verify_theorem(Query(N, N - 1, d, j_max=3))
             assert all(r.match for r in results)
+
+    def test_one_direct_residue_per_cell(self, monkeypatch):
+        # every level in one series-mode eval_direct: d+1 residues at z_i = 0, not (J+1)(d+1)
+        q = Query(3, 5, 2, j_max=5)
+        direct, zeros, inside = [], [], []
+        exact_direct, exact_zero = quasimap.eval_direct, resengine.residue_at_zero
+
+        def counted_direct(query):
+            direct.append(query)
+            inside.append(query)
+            try:
+                return exact_direct(query)
+            finally:
+                inside.pop()
+
+        def counted_zero(expr, var):
+            if inside:
+                zeros.append(var)
+            return exact_zero(expr, var)
+
+        monkeypatch.setattr(quasimap, "eval_direct", counted_direct)
+        monkeypatch.setattr(resengine, "residue_at_zero", counted_zero)
+        assert all(r.match for r in verify_theorem(q))
+        assert direct == [q] and zeros == list(range(q.d + 1))
 
     def test_result_fields(self):
         r = verify_theorem(Query(3, 2, 1, j_max=0))[0]

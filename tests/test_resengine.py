@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PoleInstance,
     engine_expression,
     factorwise_residue,
     oracle_residue,
     random_pole_instance,
     scalar_value,
     substitute,
+    taylor_mul,
 )
 from qmres import quasimap, resengine
 from qmres.exactnum import EpsSeries
@@ -689,6 +691,19 @@ class TestImageGroups:
         # so its image e (z1 + z2), which has no unit coefficient, is never normalized
         e = RatExpr.of(LIVE[:3], [make_term(ONE, {0: -2}, [({0: ONE, 1: EPS, 2: EPS}, 1)])])
         assert residue_at_zero(e, 0).debug_str() == "(1 + O(e^4))"
+
+    def test_fallback_groups_keep_the_unit_scale(self):
+        # z0^-3 (z0 + e z1 + e z2) (e z0 + z1)^2 at J = 1: the first image has no unit, so
+        # each factor is its own group (1 + c u)^p and [u^2] shares 1 + 1 into 2e z1
+        one, eps = EpsSeries.constant(1, 1), EpsSeries.eps(1)
+        forms = [({0: one, 1: eps, 2: eps}, 1), ({0: eps, 1: one}, 2)]
+        got = residue_at_zero(RatExpr.of(LIVE[:3], [make_term(one, {0: -3}, forms)]), 0)
+        assert got.debug_str() == "(2*e + O(e^2))*z1"
+        # the Laurent oracle at z1 = 1, z2 = 2: P(z0) = (z0 + 3e) (e z0 + 1)^2
+        numerator = taylor_mul(taylor_mul([3 * eps, one], [one, eps], 3), [one, eps], 3)
+        want = oracle_residue(PoleInstance(tuple(numerator), Fraction(0), 3, ()))
+        (term,) = got.terms
+        assert (term.coeff, term.mono, term.forms) == (want, ((1, 1),), ())
 
 
 @st.composite

@@ -2,9 +2,10 @@
 
 Four subcommands: ``compute`` evaluates a single intersection number,
 ``verify`` runs an equality grid, ``givental`` runs the differential-operator
-annihilation checks, and ``bench`` times the per-level evaluator against the
-one-pass generating-function evaluator.  Exact rationals are emitted as
-``"p/q"`` strings; identical configurations produce byte-identical output.
+annihilation checks, and ``bench`` times the one iterated residue that
+``verify`` takes per cell against the one-pass generating-function evaluator.
+Exact rationals are emitted as ``"p/q"`` strings; identical configurations
+produce byte-identical output.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -50,12 +50,12 @@ CACHE_FIELDS = ["N", "k", "d", "j", "regime", "evaluator", "lhs"]
 CACHE_SCHEMA = 1
 
 
-class EmptyRangeError(ValueError):
-    """A range ``lo..hi`` with ``hi < lo``."""
+class EmptyRangeError(ValueError, argparse.ArgumentTypeError):
+    """A range ``lo..hi`` with ``hi < lo``; argparse prints its message as it is."""
 
 
 def parse_range(text: str) -> list[int]:
-    """Parse ``"3"`` or ``"2..4"`` into a list of ints."""
+    """Parse ``"3"`` or ``"2..4"`` into a list of ints; the ``type`` of range flags."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
@@ -63,17 +63,6 @@ def parse_range(text: str) -> list[int]:
             raise EmptyRangeError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
-
-
-# argparse turns a type's ValueError into "invalid <type name> value", so the
-# wrapper keeps parse_range's name for bad syntax and passes an empty range on
-# in its own words.
-@functools.wraps(parse_range)
-def _range_type(text: str) -> list[int]:
-    try:
-        return parse_range(text)
-    except EmptyRangeError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def record_from_result(r: IntersectionResult) -> dict:
@@ -255,39 +244,45 @@ def _run_tasks(tasks: list, worker, workers: int) -> list:
     return [worker(t) for t in tasks]
 
 
-def _require_cells(cells: list, args, parser):
+def _require_cells(cells: list, args):
     """An empty grid is a usage error; only ``--N`` can leave it empty."""
     if not cells:
-        parser.error(f"the grid is empty: no cell for --N {args.N[0]}..{args.N[-1]}")
+        raise ValueError(f"the grid is empty: no cell for --N {args.N[0]}..{args.N[-1]}")
 
 
-def _check_cell(parser, **fields) -> Query:
+def _check_cell(**fields) -> Query:
     """Let ``Query`` judge one cell; a bad value is a usage error naming its flag."""
     try:
         return Query(**fields)
     except ValueError as exc:
         # each of Query's messages starts with the name of the field at fault
-        parser.error(f"--{exc}, got {fields[str(exc).split()[0]]}")
+        raise ValueError(f"--{exc}, got {fields[str(exc).split()[0]]}") from None
+
+
+def _grid_cells(args, regime: str) -> list[Query]:
+    """The checked cells in ``regime`` (or ``both``) in grid order; ``k = 1..N+2`` without ``--k``."""
+    if args.jmax < 0:
+        raise ValueError("--jmax must be non-negative")
+    cells = []
+    for N in args.N:
+        ks = args.k if args.k is not None else range(1, N + 3)
+        ks = [k for k in ks if regime in ("both", FANO if k < N else GENERAL)]
+        if not ks and args.k is not None:
+            raise ValueError(
+                f"--k {args.k[0]}..{args.k[-1]} has no {regime}-regime value for N={N}"
+            )
+        for k in ks:
+            for d in args.d:
+                cells.append(_check_cell(N=N, k=k, d=d, j_max=args.jmax))
+    _require_cells(cells, args)
+    return cells
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_verify(args, parser) -> int:
-    if args.jmax < 0:
-        parser.error("--jmax must be non-negative")
-    cells = []
-    for N in args.N:
-        ks = args.k if args.k is not None else range(1, N + 3)
-        ks = [k for k in ks if args.regime in ("both", FANO if k < N else GENERAL)]
-        if not ks and args.k is not None:
-            parser.error(
-                f"--k {args.k[0]}..{args.k[-1]} has no {args.regime}-regime value for N={N}"
-            )
-        for k in ks:
-            for d in args.d:
-                cells.append(_check_cell(parser, N=N, k=k, d=d, j_max=args.jmax))
-    _require_cells(cells, args, parser)
+def cmd_verify(args) -> int:
+    cells = _grid_cells(args, args.regime)
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     # longest first, so the pool does not end on one large cell; output keeps grid order.
@@ -312,10 +307,10 @@ def _cached_levels(cache: dict, q: Query) -> list[Fraction] | None:
     return values
 
 
-def cmd_compute(args, parser) -> int:
-    q = _check_cell(parser, N=args.N, k=args.k, d=args.d, j=args.j)
+def cmd_compute(args) -> int:
+    q = _check_cell(N=args.N, k=args.k, d=args.d, j=args.j)
     if args.regime is not None and args.regime != q.regime:
-        parser.error(
+        raise ValueError(
             f"requested regime {args.regime!r} but N={q.N}, k={q.k} is {q.regime}"
         )
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
@@ -334,11 +329,11 @@ def _givental_task(task: tuple[int, int, int]) -> list[dict]:
     return [r.as_record() for r in givode.verify_annihilation(N, k, e_max)]
 
 
-def cmd_givental(args, parser) -> int:
+def cmd_givental(args) -> int:
     if args.emax < 0:
-        parser.error("--emax must be non-negative")
+        raise ValueError("--emax must be non-negative")
     if args.k is not None and args.k[0] < 1:
-        parser.error(f"--k must be at least 1, got {args.k[0]}")
+        raise ValueError(f"--k must be at least 1, got {args.k[0]}")
     # an N below 2 has no solution index j <= N-2, so no task
     tasks = [
         (N, k, args.emax)
@@ -346,7 +341,7 @@ def cmd_givental(args, parser) -> int:
         if N >= 2
         for k in (args.k if args.k is not None else range(1, N))
     ]
-    _require_cells(tasks, args, parser)
+    _require_cells(tasks, args)
     tasks.sort()
     check_writable(args.output)
     records = [rec for rows in _run_tasks(tasks, _givental_task, args.workers) for rec in rows]
@@ -354,27 +349,20 @@ def cmd_givental(args, parser) -> int:
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
 
 
-def cmd_bench(args, parser) -> int:
-    if args.jmax < 0:
-        parser.error("--jmax must be non-negative")
-    cells = [
-        _check_cell(parser, N=N, k=k, d=d, j_max=args.jmax)
-        for N in args.N
-        for k in (args.k if args.k is not None else range(1, N))
-        for d in args.d
-    ]
-    _require_cells(cells, args, parser)
+def cmd_bench(args) -> int:
+    # without --k the grid is the fano cells k < N
+    cells = _grid_cells(args, FANO if args.k is None else "both")
     check_writable(args.output)
     rows = []
     for q in cells:
         t0 = time.perf_counter()
-        direct = [eval_direct(replace(q, j=j)) for j in range(args.jmax + 1)]
+        direct = eval_direct(q)
         t_direct = time.perf_counter() - t0
         t0 = time.perf_counter()
         cascade = eval_cascade(q)
         t_cascade = time.perf_counter() - t0
         # correctness gate before any timing is reported
-        if any(cascade.coefficient(j) != direct[j] for j in range(args.jmax + 1)):
+        if [cascade.coefficient(j) for j in range(args.jmax + 1)] != direct:
             print(f"evaluator disagreement at N={q.N} k={q.k} d={q.d}", file=sys.stderr)
             return EXIT_ENGINE
         rows.append(
@@ -441,25 +429,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an equality grid")
     p.add_argument("--regime", choices=[FANO, GENERAL, "both"], default="both")
-    p.add_argument("--N", type=_range_type, required=True)
-    p.add_argument("--k", type=_range_type, default=None)
-    p.add_argument("--d", type=_range_type, required=True)
+    p.add_argument("--N", type=parse_range, required=True)
+    p.add_argument("--k", type=parse_range, default=None)
+    p.add_argument("--d", type=parse_range, required=True)
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--cache", default=None)
     common(p)
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("givental", help="check operator annihilation")
-    p.add_argument("--N", type=_range_type, required=True)
-    p.add_argument("--k", type=_range_type, default=None)
+    p.add_argument("--N", type=parse_range, required=True)
+    p.add_argument("--k", type=parse_range, default=None)
     p.add_argument("--emax", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_givental, parser=p)
 
     p = sub.add_parser("bench", help="time direct vs cascade evaluation")
-    p.add_argument("--N", type=_range_type, required=True)
-    p.add_argument("--k", type=_range_type, default=None)
-    p.add_argument("--d", type=_range_type, required=True)
+    p.add_argument("--N", type=parse_range, required=True)
+    p.add_argument("--k", type=parse_range, default=None)
+    p.add_argument("--d", type=parse_range, required=True)
     p.add_argument("--jmax", type=int, default=4)
     common(p, workers=False)
     p.set_defaults(func=cmd_bench, parser=p)
@@ -473,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "workers" in args and args.workers is None:
             args.workers = default_workers()
-        return args.func(args, args.parser)
+        return args.func(args)
     except ValueError as exc:
         args.parser.error(str(exc))
     except EngineError as exc:

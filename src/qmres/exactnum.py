@@ -37,8 +37,7 @@ def is_unit(x) -> bool:
 
 
 # Tuples are built from lists: tuple() of a generator allocates ten slots and
-# shrinks, which moved about a megabyte into CPython's tuple free lists at the
-# givental workload's peak.
+# shrinks, which moves memory into CPython's tuple free lists.
 
 
 class EpsSeries:

@@ -204,21 +204,14 @@ class Term:
 
 
 def _render(terms: Iterable[Term]) -> list[str]:
-    """The terms' texts, sorted on monomial, then on their sorted forms.
-
-    Each distinct form is sorted and rendered once; its rank stands in for it.
-    """
-    rows = [(t, t.order) for t in terms]
-    distinct = dict.fromkeys((f, order) for t, order in rows for f, _ in t.forms)
-    keys = {(f, order): f.sort_key(order) for f, order in distinct}
-    rank = {k: r for r, k in enumerate(sorted(set(keys.values())))}
-    text = {(f, order): f.render(order) for f, order in distinct}
+    """The terms' texts, sorted on monomial, then on their sorted forms."""
     out = []
-    for t, order in rows:
-        forms = sorted([(rank[keys[f, order]], p, f) for f, p in t.forms], key=lambda x: x[:2])
+    for t in terms:
+        order = t.order
+        forms = sorted([(f.sort_key(order), p, f) for f, p in t.forms], key=lambda x: x[:2])
         pieces = [f"({t.coeff})"] + [f"z{v}" if e == 1 else f"z{v}^{e}" for v, e in t.mono]
-        pieces += [text[f, order] + ("" if p == 1 else f"^{p}") for _, p, f in forms]
-        out.append(((t.mono, tuple([(r, p) for r, p, _ in forms])), "*".join(pieces)))
+        pieces += [f.render(order) + ("" if p == 1 else f"^{p}") for _, p, f in forms]
+        out.append(((t.mono, tuple([(key, p) for key, p, _ in forms])), "*".join(pieces)))
     return [s for _, s in sorted(out, key=lambda x: x[0])]
 
 

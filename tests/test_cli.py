@@ -1,7 +1,11 @@
 """Tests for the command-line front end: formats, caching, exit codes."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -652,6 +656,43 @@ class TestBench:
             main(["bench", "--N", "3", "--d", "1", "--workers", "2"])
         assert exc.value.code == EXIT_USAGE
         assert "--workers" in capsys.readouterr().err
+
+    def test_one_direct_residue_per_cell(self, capsys, monkeypatch):
+        # the series-mode route verify runs, not one eval_direct per level
+        calls = []
+        exact = cli.eval_direct
+
+        def counted(q):
+            calls.append(q)
+            return exact(q)
+
+        monkeypatch.setattr(cli, "eval_direct", counted)
+        code, _, _ = run_cli(capsys, "bench", "--N", "3", "--k", "2", "--d", "1..2", "--jmax", "2")
+        assert code == EXIT_OK
+        assert [(q.d, q.j, q.j_max) for q in calls] == [(1, None, 2), (2, None, 2)]
+
+
+class TestModuleEntry:
+    """``python -m qmres.cli`` in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", "qmres.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_compute_matches_main(self, capsys):
+        argv = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"]
+        _, want, _ = run_cli(capsys, *argv)
+        done = self.run_module(*argv)
+        assert (done.returncode, done.stdout) == (EXIT_OK, want)
+
+    def test_usage_error_exits_2(self):
+        done = self.run_module("verify", "--N", "1", "--d", "1", "--jmax", "0")
+        assert done.returncode == EXIT_USAGE and done.stdout == ""
 
 
 class TestTextFormat:

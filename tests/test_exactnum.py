@@ -98,6 +98,21 @@ class TestEpsSeries:
         with pytest.raises(ZeroDivisionError):
             1 / EpsSeries.eps(3)
 
+    @pytest.mark.parametrize(
+        "misuse, error, message",
+        [
+            (lambda: EpsSeries([1], -1), ValueError, "truncation order must be >= 0"),
+            (lambda: EpsSeries([]), ValueError, "empty coefficient list needs an explicit order"),
+            (lambda: setattr(EpsSeries.eps(2), "order", 3), AttributeError, "EpsSeries is immutable"),
+            (lambda: EpsSeries.eps(2) / 0, ZeroDivisionError, "division by zero"),
+        ],
+        ids=["negative-order", "empty-without-order", "assignment", "divide-by-zero"],
+    )
+    def test_misuse_names_itself(self, misuse, error, message):
+        with pytest.raises(error) as exc:
+            misuse()
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
     def test_mixed_number_arithmetic(self):
         s = EpsSeries([1, 1], 2)
         assert Fraction(1, 2) * s == EpsSeries([Fraction(1, 2), Fraction(1, 2)], 2)

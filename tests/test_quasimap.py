@@ -50,6 +50,11 @@ class TestQuery:
         with pytest.raises(ValueError):
             Query(2, 1, 1, j=-1)
 
+    def test_negative_level_bound_named(self):
+        with pytest.raises(ValueError) as exc:
+            Query(2, 1, 1, j_max=-1)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "j_max must be non-negative")
+
 
 class TestEkFactor:
     def test_k1_is_the_product_of_variables(self):
@@ -72,6 +77,16 @@ class TestEkFactor:
             for mono, c in swapped.items()
         }
         assert a == flipped
+
+    @pytest.mark.parametrize(
+        "u, v, k, message",
+        [(0, 1, 0, "k must be at least 1"), (0, 0, 2, "ek_factor needs two distinct variables")],
+        ids=["k-zero", "one-variable"],
+    )
+    def test_invalid_arguments_named(self, u, v, k, message):
+        with pytest.raises(ValueError) as exc:
+            ek_factor(u, v, k)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
     def test_divisible_by_both_variables(self):
         for k in (1, 3, 5):
@@ -316,6 +331,11 @@ class TestFormalTwoPoint:
         with pytest.raises(ValueError):
             formal_two_point(Query(3, 2, 1, j=0), 0)
 
+    def test_negative_j_prime_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            formal_two_point(Query(2, 3, 1), -1)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "j_prime must be non-negative")
+
 
 class TestHoriExpand:
     def test_j0_reduces_to_single_term(self):
@@ -342,6 +362,11 @@ class TestVerifyTheorem:
             results = verify_theorem(Query(N, N, d, j_max=0))
             assert results[0].lhs_over_k == leading_closed_form(N, N, d)
             assert results[0].match
+
+    def test_needs_a_level_bound(self):
+        with pytest.raises(ValueError) as exc:
+            verify_theorem(Query(2, 1, 1, j=0))
+        assert (type(exc.value), str(exc.value)) == (ValueError, "verify_theorem needs q.j_max")
 
     def test_adjacent_degree_cases(self):
         # k = N - 1 holds here even though the stable-map analogue needs N-k >= 2

@@ -228,6 +228,16 @@ class TestLinearity:
             want = residue_at_zero(e1, 0) * c1 + residue_at_zero(e2, 0) * c2
             assert got == want
 
+    def test_sum_needs_one_set_of_live_variables(self):
+        a = expr_of([0, 1], (1, {0: -1, 1: -1}, []))
+        b = expr_of([1, 2], (1, {1: -1, 2: -1}, []))
+        with pytest.raises(EngineCorruptionError) as exc:
+            a + b
+        assert (type(exc.value), str(exc.value)) == (
+            EngineCorruptionError,
+            "cannot add expressions with different live variables",
+        )
+
 
 class TestOracleAgreement:
     def test_form_root_residue_matches_series_oracle(self):

@@ -32,6 +32,7 @@ from .quasimap import (
     eval_cascade,
     eval_direct,
     hypergeom_series,
+    regime_of,
     verify_theorem,
 )
 from .resengine import EngineError
@@ -40,8 +41,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
-
-WORKERS_ENV = "QMRES_WORKERS"
 
 # A cache record stores the key and the value only; every derived field is
 # recomputed when it is loaded, so a stale record cannot pass a wrong answer.
@@ -266,7 +265,7 @@ def _grid_cells(args, regime: str) -> list[Query]:
     cells = []
     for N in args.N:
         ks = args.k if args.k is not None else range(1, N + 3)
-        ks = [k for k in ks if regime in ("both", FANO if k < N else GENERAL)]
+        ks = [k for k in ks if regime in ("both", regime_of(N, k))]
         if not ks and args.k is not None:
             raise ValueError(
                 f"--k {args.k[0]}..{args.k[-1]} has no {regime}-regime value for N={N}"
@@ -394,15 +393,6 @@ def worker_count(text: str) -> int:
     return count
 
 
-def default_workers() -> int:
-    """The worker count from ``QMRES_WORKERS``, 1 when it is unset or empty."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return worker_count(raw) if raw else 1
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{WORKERS_ENV} {exc}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmres",
@@ -414,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
         if workers:
-            p.add_argument("--workers", type=worker_count, default=None)
+            p.add_argument("--workers", type=worker_count, default=1)
 
     p = sub.add_parser("compute", help="evaluate a single intersection number")
     p.add_argument("--N", type=int, required=True)
@@ -459,8 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "workers" in args and args.workers is None:
-            args.workers = default_workers()
         return args.func(args)
     except ValueError as exc:
         args.parser.error(str(exc))

@@ -36,6 +36,13 @@ def is_unit(x) -> bool:
     return x != 0
 
 
+def _exact(c) -> Fraction:
+    """A non-scalar coefficient, such as the string ``"1/3"``, as a Fraction; never a float."""
+    if isinstance(c, float):
+        raise TypeError(f"EpsSeries coefficients must be exact, got the float {c!r}")
+    return Fraction(c)
+
+
 # Tuples are built from lists: tuple() of a generator allocates ten slots and
 # shrinks, which moves memory into CPython's tuple free lists.
 
@@ -54,7 +61,7 @@ class EpsSeries:
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else _exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("truncation order must be >= 0")

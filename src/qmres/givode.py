@@ -19,13 +19,13 @@ the operator runs on those integers; Fractions appear only in ``entries``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm, perm
 
 from .exactnum import EpsSeries
-from .quasimap import hypergeom_series
+from .quasimap import GENERAL, hypergeom_series, regime_of
 
 __all__ = [
     "XEPoly",
@@ -125,15 +125,26 @@ def apply_operator(N: int, k: int, p: XEPoly) -> XEPoly:
 
 @dataclass(frozen=True)
 class AnnihilationReport:
-    """Outcome of one annihilation check, serializable for the CLI."""
+    """Outcome of one annihilation check, serializable for the CLI.
+
+    Both verdicts are derived, as ``IntersectionResult.match`` is, so a report
+    cannot contradict its values: ``annihilated`` means no residual is left,
+    and ``formal`` that ``(N, k)`` is in the general regime.
+    """
 
     N: int
     k: int
     j: int
     e_max: int
-    formal: bool
-    annihilated: bool
-    residual: tuple[tuple[tuple[int, int], Fraction], ...] = field(default=())
+    residual: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    @property
+    def annihilated(self) -> bool:
+        return not self.residual
+
+    @property
+    def formal(self) -> bool:
+        return regime_of(self.N, self.k) == GENERAL
 
     def as_record(self) -> dict:
         return {
@@ -160,18 +171,7 @@ def verify_annihilation(N: int, k: int, e_max: int) -> list[AnnihilationReport]:
     if e_max < 0:
         raise ValueError("e_max must be non-negative")
     series = [hypergeom_series(N, k, e, N - 2) for e in range(e_max + 1)]
-    reports = []
-    for j in range(N - 1):
-        witnesses = apply_operator(N, k, build_solution(series, j)).entries
-        reports.append(
-            AnnihilationReport(
-                N=N,
-                k=k,
-                j=j,
-                e_max=e_max,
-                formal=k >= N,
-                annihilated=not witnesses,
-                residual=witnesses,
-            )
-        )
-    return reports
+    return [
+        AnnihilationReport(N, k, j, e_max, apply_operator(N, k, build_solution(series, j)).entries)
+        for j in range(N - 1)
+    ]

@@ -46,6 +46,7 @@ from .resengine import (
 )
 
 __all__ = [
+    "regime_of",
     "Query",
     "IntersectionResult",
     "ek_factor",
@@ -61,6 +62,11 @@ FANO = "fano"
 GENERAL = "general"
 
 
+def regime_of(N: int, k: int) -> str:
+    """The regime of a degree-``k`` hypersurface in ``CP^(N-1)``: fano iff ``k < N``."""
+    return FANO if k < N else GENERAL
+
+
 @dataclass(frozen=True)
 class Query:
     """Integer parameters of one intersection number.
@@ -69,7 +75,9 @@ class Query:
     the hypersurface degree, ``d >= 1`` the map degree and ``j >= 0`` the
     descendant level (``j_max`` instead selects series mode).  The regime is
     fano for ``k < N`` and general for ``k >= N``; in the general regime
-    ``m = 1 + (k - N) d >= 1`` counts the extra insertions.
+    ``m = 1 + (k - N) d >= 1`` counts the extra insertions.  A field that is a
+    ``bool`` or not an ``int`` raises TypeError, a value out of range
+    ValueError; either message starts with the field's name.
     """
 
     N: int
@@ -79,6 +87,12 @@ class Query:
     j_max: int | None = None
 
     def __post_init__(self):
+        for name in ("N", "k", "d", "j", "j_max"):
+            value = getattr(self, name)
+            if value is None and name in ("j", "j_max"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int")
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if self.k < 1:
@@ -92,7 +106,7 @@ class Query:
 
     @property
     def regime(self) -> str:
-        return FANO if self.k < self.N else GENERAL
+        return regime_of(self.N, self.k)
 
     @property
     def m(self) -> int | None:

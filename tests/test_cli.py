@@ -401,19 +401,14 @@ class TestExitPaths:
 class TestWorkers:
     ARGS = ["verify", "--N", "2", "--d", "1", "--jmax", "0"]
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_non_positive_flag_rejected(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
             main(self.ARGS + ["--workers", value])
         assert exc.value.code == EXIT_USAGE
-        assert "--workers" in capsys.readouterr().err
-
-    def test_non_integer_environment_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMRES_WORKERS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(self.ARGS)
-        assert exc.value.code == EXIT_USAGE
-        assert "QMRES_WORKERS" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --workers: must be a positive integer, got '{value}'\n"
+        )
 
     @pytest.mark.parametrize(
         "requested, tasks, cpus, size",
@@ -676,13 +671,14 @@ class TestModuleEntry:
     """``python -m qmres.cli`` in a fresh interpreter."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_python(*args):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run(
-            [sys.executable, "-m", "qmres.cli", *argv], capture_output=True, text=True, env=env
-        )
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def run_module(self, *argv):
+        return self.run_python("-m", "qmres.cli", *argv)
 
     def test_compute_matches_main(self, capsys):
         argv = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"]
@@ -693,6 +689,37 @@ class TestModuleEntry:
     def test_usage_error_exits_2(self):
         done = self.run_module("verify", "--N", "1", "--d", "1", "--jmax", "0")
         assert done.returncode == EXIT_USAGE and done.stdout == ""
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # _run_tasks imports the pool only when it starts one, so startup does not pay for it
+        pool = ("concurrent.futures", "multiprocessing")
+        done = self.run_python(
+            "-c", f"import sys, qmres.cli; print([m for m in {pool!r} if m in sys.modules])"
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "[]\n", "")
+
+
+class TestReadme:
+    """The README's CLI block, Library snippet and sample record run as written."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    @classmethod
+    def block(cls, heading: str, fence: str) -> str:
+        """The first code block opened by ``fence`` below ``heading``."""
+        after = cls.TEXT.split(f"\n{heading}\n", 1)[1]
+        return after.split(f"\n{fence}\n", 1)[1].split("\n```\n", 1)[0]
+
+    def test_examples_run(self, capsys):
+        lines = self.block("## CLI", "```").splitlines()
+        assert lines and all(line.startswith("qmres ") for line in lines)
+        for line in lines:
+            assert main(line.split()[1:]) == EXIT_OK, line
+        capsys.readouterr()
+        exec(self.block("## Library", "```python"), {})
+        sample = json.loads(self.block("## CLI", "```json"))
+        code, out, _ = run_cli(capsys, "compute", "--N", "2", "--k", "1", "--d", "1", "--j", "1")
+        assert (code, json.loads(out)) == (EXIT_OK, [sample])
 
 
 class TestTextFormat:

@@ -105,13 +105,23 @@ class TestEpsSeries:
             (lambda: EpsSeries([]), ValueError, "empty coefficient list needs an explicit order"),
             (lambda: setattr(EpsSeries.eps(2), "order", 3), AttributeError, "EpsSeries is immutable"),
             (lambda: EpsSeries.eps(2) / 0, ZeroDivisionError, "division by zero"),
+            (
+                lambda: EpsSeries([0.1], 2),
+                TypeError,
+                "EpsSeries coefficients must be exact, got the float 0.1",
+            ),
         ],
-        ids=["negative-order", "empty-without-order", "assignment", "divide-by-zero"],
+        ids=["negative-order", "empty-without-order", "assignment", "divide-by-zero", "float"],
     )
     def test_misuse_names_itself(self, misuse, error, message):
         with pytest.raises(error) as exc:
             misuse()
         assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_repr_round_trips(self):
+        s = EpsSeries([Fraction(1, 3), -2], 2)
+        assert repr(s) == "EpsSeries(['1/3', '-2', '0'])"
+        assert eval(repr(s)) == s
 
     def test_mixed_number_arithmetic(self):
         s = EpsSeries([1, 1], 2)

@@ -55,6 +55,47 @@ class TestQuery:
             Query(2, 1, 1, j_max=-1)
         assert (type(exc.value), str(exc.value)) == (ValueError, "j_max must be non-negative")
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((3, 2, 1.5, 0, None), "d"),
+            ((3, True, 1, 0, None), "k"),
+            (("3", 2, 1, 0, None), "N"),
+            ((3, 2, 1, Fraction(1), None), "j"),
+            ((3, 2, 1, None, False), "j_max"),
+        ],
+        ids=["float-d", "bool-k", "str-N", "fraction-j", "bool-j_max"],
+    )
+    def test_non_int_field_named(self, fields, name):
+        # the message starts with the field's name, as the range messages do
+        with pytest.raises(TypeError) as exc:
+            Query(*fields)
+        assert str(exc.value) == f"{name} must be an int"
+
+
+def _foreign_operands() -> list:
+    expr = build_integrand(Query(2, 1, 1, j=0))
+    series, levels, term = EpsSeries([1, 2], 2), quasimap._Levels([1, 2]), expr.terms[0]
+    cases = [
+        (series, "__truediv__", 0.5),
+        (series, "__rtruediv__", 0.5),
+        (series, "__pow__", 0.5),
+        (series, "__eq__", 0.5),
+        (levels, "__eq__", (1, 2)),
+        (term, "__eq__", expr),
+        (expr, "__eq__", term),
+        (expr, "__add__", term),
+        (expr, "__mul__", expr),
+    ]
+    return [pytest.param(*case, id=f"{type(case[0]).__name__}.{case[1]}") for case in cases]
+
+
+class TestForeignOperands:
+    @pytest.mark.parametrize("value, method, other", _foreign_operands())
+    def test_foreign_operand_not_implemented(self, value, method, other):
+        # so Python tries the other operand, then raises TypeError or compares unequal
+        assert getattr(value, method)(other) is NotImplemented
+
 
 class TestEkFactor:
     def test_k1_is_the_product_of_variables(self):
@@ -99,6 +140,13 @@ class TestIntegrands:
     def test_simplest_fano_case(self):
         e = build_integrand(Query(2, 1, 1, j=0))
         assert e.debug_str() == "(1)*z0^-1*z1^-1"
+
+    def test_series_mode_integrands_hash_and_compare(self):
+        # terms with per-level vector coefficients hash and compare like any other
+        q = Query(4, 5, 2, j_max=3)
+        a, b = build_integrand(q), build_integrand(q)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != build_integrand(replace(q, j_max=2))
 
     def test_homogeneity_degree(self):
         for q in [

@@ -362,7 +362,7 @@ class TestLiftAndDebug:
             (2, {1: -2}, [({0: 1, 1: 2}, -1)]),
             (1, {0: 2, 1: -3}, []),
         )
-        assert e.debug_str() == "(1)*z0^2*z1^-3 + (2)*z1^-2*(z0 + 2*z1)^-1"
+        assert str(e) == e.debug_str() == "(1)*z0^2*z1^-3 + (2)*z1^-2*(z0 + 2*z1)^-1"
 
     def test_zero_debug(self):
         assert RatExpr((), (0,)).debug_str() == "0"

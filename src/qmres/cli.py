@@ -5,7 +5,8 @@ Four subcommands: ``compute`` evaluates a single intersection number,
 annihilation checks, and ``bench`` times the one iterated residue that
 ``verify`` takes per cell against the one-pass generating-function evaluator.
 Exact rationals are emitted as ``"p/q"`` strings; identical configurations
-produce byte-identical output.
+produce byte-identical output, except ``bench``'s timing columns
+``t_direct_total``, ``t_cascade`` and ``speedup``.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
@@ -42,10 +43,13 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
-# A cache record stores the key and the value only; every derived field is
-# recomputed when it is loaded, so a stale record cannot pass a wrong answer.
-# Records without a "schema" key predate it and are read as schema 1.
-CACHE_FIELDS = ["N", "k", "d", "j", "regime", "evaluator", "lhs"]
+# A cache record stores the key and the value only, each field with the JSON
+# type given here; every derived field is recomputed when it is loaded, so a
+# stale record cannot pass a wrong answer.  Records without a "schema" key
+# predate it and are read as schema 1.
+CACHE_FIELDS = {
+    "N": int, "k": int, "d": int, "j": int, "regime": str, "evaluator": str, "lhs": str
+}
 CACHE_SCHEMA = 1
 
 
@@ -143,8 +147,9 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
     """Map each cached record's key to its ``lhs``, the only value trusted.
 
     Every other field is re-derived by the caller.  A malformed line (one
-    that is not UTF-8 among them), or a record whose ``schema`` is not
-    :data:`CACHE_SCHEMA`, raises ValueError naming ``path:line``.
+    that is not UTF-8 or not a JSON object, or a field of another type than
+    :data:`CACHE_FIELDS` gives, among them) or a record whose ``schema`` is
+    not :data:`CACHE_SCHEMA` raises ValueError naming ``path:line``.
     """
     cache: dict[tuple, Fraction] = {}
     if path and os.path.exists(path):
@@ -155,6 +160,7 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                     if not line:
                         continue
                     rec = json.loads(line)
+                    _check_types(rec)
                     cache[record_key(rec)] = Fraction(rec["lhs"])
                 except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
                     raise ValueError(
@@ -165,6 +171,17 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                         f"{path}:{lineno}: unsupported cache schema {rec['schema']!r}"
                     )
     return cache
+
+
+def _check_types(rec):
+    """Raise TypeError unless ``rec`` holds the types :func:`append_cache` writes."""
+    if not isinstance(rec, dict):
+        raise TypeError(f"not a JSON object: {rec!r}")
+    for field, kind in CACHE_FIELDS.items():
+        if type(rec[field]) is not kind:  # a bool is not an int here
+            raise TypeError(f"{field} must be {kind.__name__}, not {rec[field]!r}")
+    if isinstance(rec.get("schema"), bool):
+        raise TypeError(f"schema must be int, not {rec['schema']!r}")
 
 
 def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[dict]):

@@ -61,10 +61,6 @@ class XEPoly:
         items.sort()
         return tuple(items)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(map(any, self.slices))
-
 
 def _act(p: Sequence[int], c: int, b: int) -> list[int]:
     """``c p + b p'`` for the x-polynomial ``p``.

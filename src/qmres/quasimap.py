@@ -236,8 +236,8 @@ def _integrand(q: Query, pieces: list[tuple[int | _Levels, int, int, int]]) -> R
 def build_integrand(q: Query) -> RatExpr:
     """The integrand for the descendant level ``q.j``, or in series mode for every level.
 
-    Homogeneous of degree ``-(d+1)``.  With ``m = 1 + (k-N) d``, the fano
-    integrand is the single piece with ``(z_1-z_0)^(j-m)``.  The general one
+    Homogeneous of degree ``-(d+1)``.  The fano integrand is the single
+    piece with ``(z_1-z_0)^((N-k)d+j-1)``.  The general one, with ``m = q.m``,
     carries the extra ``z_d^(-m)`` and the degree-0 insertion factor
     ``(d + z_0/(z_1-z_0))^m``, expanded binomially into ``m+1`` terms
     ``C(m,i) d^(m-i)`` times the bare piece at level ``j-i``.  The exponent
@@ -256,9 +256,9 @@ def build_integrand(q: Query) -> RatExpr:
         levels = [(j, _Levels.unit(q.j_max + 1, j, 1)) for j in range(q.j_max + 1)]
     else:
         raise ValueError("the integrand needs q.j or q.j_max")
-    m = 1 + (q.k - q.N) * q.d
     if q.regime == FANO:
-        return _integrand(q, [(unit, j, j - m, 0) for j, unit in levels])
+        return _integrand(q, [(unit, j, (q.N - q.k) * q.d + j - 1, 0) for j, unit in levels])
+    m = q.m
     weights = [comb(m, i) * q.d ** (m - i) for i in range(m + 1)]
     pieces = [(unit * w, j - i, j - i, m) for j, unit in levels for i, w in enumerate(weights)]
     return _integrand(q, pieces)

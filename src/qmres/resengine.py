@@ -225,18 +225,21 @@ class _TermBuilder:
     one Fraction or multiplies into ``coeff``; series scalars multiply
     ``coeff`` (None until the first).  A coefficient that is not an ``int`` or
     a ``Fraction``, a series or a vector over the rationals, starts ``coeff``.
+
+    ``num == 0`` is the one zero state: a zero coefficient of any kind, a
+    vanished series product and a vanished form all set it, and ``build``
+    returns None for it.
     """
 
-    __slots__ = ("coeff", "num", "den", "mono", "forms", "dead")
+    __slots__ = ("coeff", "num", "den", "mono", "forms")
 
     def __init__(self, coeff: Coeff, mono: Iterable[tuple[int, int]] = ()):
         if not isinstance(coeff, (int, Fraction)):
-            self.coeff, self.num, self.den = coeff, 1, 1
+            self.coeff, self.num, self.den = coeff, 1 if coeff else 0, 1
         else:
             self.coeff, self.num, self.den = None, coeff.numerator, coeff.denominator
         self.mono: dict[int, int] = dict(mono)
         self.forms: dict[tuple, list] = {}  # LinearForm.key -> [origin, power, form]
-        self.dead = not coeff
 
     def mul_mono(self, var: int, exp: int):
         if exp:
@@ -255,7 +258,7 @@ class _TermBuilder:
             x = c**power
             self.coeff = x if self.coeff is None else self.coeff * x
             if not self.coeff:
-                self.dead = True
+                self.num = 0
         elif isinstance(c, tuple):
             self._scale(*c, power)
         else:
@@ -271,14 +274,14 @@ class _TermBuilder:
             for v, e in mono.items():
                 self.mul_mono(v, e)
         for mapping, power, *origin in forms:
-            if power and not self.dead:
+            if power and self.num:
                 image = _image(*_vector(mapping), power)
                 self.mul_image(image, power, origin[0] if origin else PLAIN)
 
     def mul_image(self, image: tuple | None, power: int, origin: str):
         """Multiply by ``image^power``, ``image`` as :func:`_image` returns it."""
         if image is None:
-            self.dead = True
+            self.num = 0
             return
         scalar, target = image
         if scalar is not None:
@@ -299,7 +302,7 @@ class _TermBuilder:
             slot[1] += power
 
     def build(self) -> Term | None:
-        if self.dead or not self.num:
+        if not self.num:
             return None
         if self.coeff is None:
             coeff = Fraction(self.num, self.den)
@@ -406,10 +409,6 @@ class RatExpr:
         live = tuple(sorted(set(live_vars)))
         return cls(_collect(t for t in terms if t is not None), live)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, RatExpr):
             return NotImplemented
@@ -428,8 +427,6 @@ class RatExpr:
     def __mul__(self, scalar) -> "RatExpr":
         if isinstance(scalar, RatExpr):
             return NotImplemented
-        if not scalar:
-            return RatExpr((), self.live_vars)
         return RatExpr(
             _collect(Term(t.coeff * scalar, t.mono, t.forms) for t in self.terms),
             self.live_vars,
@@ -622,12 +619,12 @@ def _residue(
             b = _TermBuilder(coeff, mono)
             for (nums, den), n in zip(polys, shares):
                 b.mul_scalar(nums[n] if den is None else (nums[n], den), 1)
-            if b.dead or not b.num:  # a weight vanished, for a nilpotent series c too
+            if not b.num:  # a weight vanished, for a nilpotent series c too
                 continue
             for f, p in rest:
                 b.mul_canonical(f, p)
             for (T, origin, P, _), n in zip(groups, shares):
-                if P != n and not b.dead:
+                if P != n and b.num:
                     image = (None, T) if images else _substituted(T, var, value, target, P - n)
                     b.mul_image(image, P - n, origin)
             out.append(b.build())

@@ -266,7 +266,7 @@ def factorwise_residue(
                     b.num *= _binomial(p, i)
                     if c is not None:
                         b.mul_scalar(c, i)
-            if b.dead:  # c^i vanished for a nilpotent series c
+            if not b.num:  # c^i vanished for a nilpotent series c
                 continue
             e = a - shares[0] if a else 0
             if e:
@@ -276,14 +276,14 @@ def factorwise_residue(
                         f"into a pole of order {-e}"
                     )
                 b.mul_scalar(value, e)
-                if b.dead or not b.num:  # a nilpotent value killed the term
+                if not b.num:  # a nilpotent value killed the term
                     continue
                 b.mul_mono(target, e)
             for idx, (f, p) in enumerate(forms):
                 s = slot.get(idx)
                 if s is None:
                     b.mul_canonical(f, p)
-                elif p != shares[s] and not b.dead:
+                elif p != shares[s] and b.num:
                     q = p - shares[s]
                     if idx not in images:
                         images[idx] = _substituted(f, var, value, target, q)

@@ -277,6 +277,42 @@ class TestCache:
         # the record was used, so nothing was appended
         assert cache.read_text() == json.dumps(rec) + "\n"
 
+    @pytest.mark.parametrize(
+        ("field", "value", "reason"),
+        [
+            pytest.param(None, None, "not a JSON object: [", id="list"),
+            pytest.param("lhs", -1.0, "lhs must be str, not -1.0", id="float-lhs"),
+            pytest.param("lhs", 0.1, "lhs must be str, not 0.1", id="inexact-lhs"),
+            pytest.param("lhs", float("nan"), "lhs must be str, not nan", id="nan-lhs"),
+            pytest.param("lhs", float("inf"), "lhs must be str, not inf", id="inf-lhs"),
+            pytest.param("N", 3.0, "N must be int, not 3.0", id="float-N"),
+            pytest.param("k", True, "k must be int, not True", id="bool-k"),
+            pytest.param("d", "1", "d must be int, not '1'", id="str-d"),
+            pytest.param("j", None, "j must be int, not None", id="null-j"),
+            pytest.param("regime", 1, "regime must be str, not 1", id="int-regime"),
+            pytest.param(
+                "evaluator", ["direct"], "evaluator must be str, not ['direct']", id="list-evaluator"
+            ),
+            pytest.param("schema", True, "schema must be int, not True", id="bool-schema"),
+        ],
+    )
+    def test_field_of_wrong_type_named(self, capsys, tmp_path, field, value, reason):
+        # each field must have the JSON type append_cache writes; a bool is no int
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
+                "--cache", str(cache)]
+        run_cli(capsys, *args)
+        rec = json.loads(cache.read_text())
+        if field is None:
+            rec = [rec]
+        else:
+            rec[field] = value
+        cache.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        assert f"{cache}:1: malformed cache record: {reason}" in capsys.readouterr().err
+
 
 class TestUnwritablePaths:
     @pytest.mark.parametrize("flag", ["--output", "--cache"])

@@ -125,12 +125,12 @@ class TestResidueAtZero:
 
     def test_analytic_point_gives_zero(self):
         e = expr_of([1, 2], (1, {1: 1}, [({1: 2, 2: -1}, -1)]))
-        assert residue_at_zero(e, 1).is_zero
+        assert not residue_at_zero(e, 1).terms
 
     def test_degree_rises_by_one(self):
         e = expr_of([0, 1], (1, {0: -3, 1: 1}, []))
         got = residue_at_zero(e, 0)
-        assert got.is_zero  # z1/z0^3 has zero residue; pure even Laurent term
+        assert not got.terms  # z1/z0^3 has zero residue; pure even Laurent term
         e2 = expr_of([0, 1], (1, {0: -2, 1: 1}, [({0: 1, 1: 1}, -1)]))
         before = homogeneity_degree(e2)
         got2 = residue_at_zero(e2, 0)
@@ -146,7 +146,7 @@ class TestResidueAtFormRoot:
 
     def test_exact_double_pole_vanishes(self):
         e = expr_of([1, 2], (1, {}, [({1: 1, 2: -1}, -2)]))
-        assert residue_at_form_root(e, 1, {1: 1, 2: -1}).is_zero
+        assert not residue_at_form_root(e, 1, {1: 1, 2: -1}).terms
 
     def test_deformed_linear_coefficient_division(self):
         # g(z0,z1)/((1+e) z0 - e z1) residue picks up the 1/(1+e) scale
@@ -212,7 +212,7 @@ class TestResidueAtFormRoot:
 
     def test_analytic_terms_contribute_nothing(self):
         e = expr_of([1, 2], (1, {1: -1, 2: -1}, []))
-        assert residue_at_form_root(e, 1, {1: 1, 2: -1}).is_zero
+        assert not residue_at_form_root(e, 1, {1: 1, 2: -1}).terms
 
 
 class TestLinearity:
@@ -246,7 +246,7 @@ class TestOracleAgreement:
         for _ in range(250):
             inst = random_pole_instance(rng)
             expr = engine_expression(inst)
-            if expr.is_zero:
+            if not expr.terms:
                 continue
             got = scalar_value(
                 residue_at_form_root(expr, 0, {0: Fraction(1), 1: -inst.a})
@@ -263,7 +263,7 @@ class TestOracleAgreement:
         for _ in range(60):
             inst = random_pole_instance(rng, max_multiplicity=12, at_zero=at_zero)
             expr = engine_expression(inst)
-            if expr.is_zero:
+            if not expr.terms:
                 continue
             if at_zero:
                 got = residue_at_zero(expr, 0)
@@ -366,6 +366,24 @@ class TestLiftAndDebug:
 
     def test_zero_debug(self):
         assert RatExpr((), (0,)).debug_str() == "0"
+
+
+ZERO_COEFFS = [0, EpsSeries.constant(0, 3), quasimap._Levels([0, 0])]
+ONE_COEFFS = [Fraction(3, 2), EpsSeries([1, 2], 3), quasimap._Levels([1, 2])]
+KINDS = ["rational", "series", "levels"]
+
+
+class TestZeroRule:
+    @pytest.mark.parametrize("coeff", ZERO_COEFFS, ids=KINDS)
+    def test_zero_coefficient_makes_no_term(self, coeff):
+        assert make_term(coeff, {0: -1}, [({0: 1, 1: 2}, -1)]) is None
+
+    @pytest.mark.parametrize("scalar", [0, Fraction(0)], ids=["int", "fraction"])
+    @pytest.mark.parametrize("coeff", ONE_COEFFS, ids=KINDS)
+    def test_zero_scalar_gives_the_zero_expression(self, coeff, scalar):
+        e = expr_of([0, 1], (coeff, {0: -1}, [({0: 1, 1: 2}, -1)]))
+        assert e.terms
+        assert e * scalar == scalar * e == RatExpr((), (0, 1))
 
 
 class TestOrderFreeIdentity:
@@ -687,7 +705,7 @@ class TestImageGroups:
         ]
         e = RatExpr.of(LIVE[:3], [make_term(2 * one, {0: -4, 2: 1}, forms)])
         want = factorwise_residue(e, 0, None, 1, 0, 0)
-        assert residue_at_zero(e, 0) == want and not want.is_zero
+        assert residue_at_zero(e, 0) == want and want.terms
 
     def test_two_origins_in_one_group(self):
         forms = [({0: 1, 1: 1, 2: 1}, -1, node_tag(1)), ({0: 2, 1: 1, 2: 1}, -1)]

@@ -1,12 +1,9 @@
 """Command-line front end.
 
-Four subcommands: ``compute`` evaluates a single intersection number,
-``verify`` runs an equality grid, ``givental`` runs the differential-operator
-annihilation checks, and ``bench`` times the one iterated residue that
-``verify`` takes per cell against the one-pass generating-function evaluator.
-Exact rationals are emitted as ``"p/q"`` strings; identical configurations
-produce byte-identical output, except ``bench``'s timing columns
-``t_direct_total``, ``t_cascade`` and ``speedup``.
+Three subcommands: ``compute`` evaluates a single intersection number,
+``verify`` runs an equality grid, and ``givental`` runs the
+differential-operator annihilation checks.  Exact rationals are emitted as
+``"p/q"`` strings; identical configurations produce byte-identical output.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
@@ -20,7 +17,6 @@ import io
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,8 +41,8 @@ EXIT_ENGINE = 3
 
 # A cache record stores the key and the value only, each field with the JSON
 # type given here; every derived field is recomputed when it is loaded, so a
-# stale record cannot pass a wrong answer.  Records without a "schema" key
-# predate it and are read as schema 1.
+# stale record cannot pass a wrong answer.  A "schema", where present, is an
+# int; records without one predate it and are read as schema 1.
 CACHE_FIELDS = {
     "N": int, "k": int, "d": int, "j": int, "regime": str, "evaluator": str, "lhs": str
 }
@@ -177,11 +173,10 @@ def _check_types(rec):
     """Raise TypeError unless ``rec`` holds the types :func:`append_cache` writes."""
     if not isinstance(rec, dict):
         raise TypeError(f"not a JSON object: {rec!r}")
-    for field, kind in CACHE_FIELDS.items():
+    fields = {**CACHE_FIELDS, "schema": int} if "schema" in rec else CACHE_FIELDS
+    for field, kind in fields.items():
         if type(rec[field]) is not kind:  # a bool is not an int here
             raise TypeError(f"{field} must be {kind.__name__}, not {rec[field]!r}")
-    if isinstance(rec.get("schema"), bool):
-        raise TypeError(f"schema must be int, not {rec['schema']!r}")
 
 
 def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[dict]):
@@ -275,17 +270,17 @@ def _check_cell(**fields) -> Query:
         raise ValueError(f"--{exc}, got {fields[str(exc).split()[0]]}") from None
 
 
-def _grid_cells(args, regime: str) -> list[Query]:
-    """The checked cells in ``regime`` (or ``both``) in grid order; ``k = 1..N+2`` without ``--k``."""
+def _grid_cells(args) -> list[Query]:
+    """The checked cells of ``--regime`` in grid order; ``k = 1..N+2`` without ``--k``."""
     if args.jmax < 0:
         raise ValueError("--jmax must be non-negative")
     cells = []
     for N in args.N:
         ks = args.k if args.k is not None else range(1, N + 3)
-        ks = [k for k in ks if regime in ("both", regime_of(N, k))]
+        ks = [k for k in ks if args.regime in ("both", regime_of(N, k))]
         if not ks and args.k is not None:
             raise ValueError(
-                f"--k {args.k[0]}..{args.k[-1]} has no {regime}-regime value for N={N}"
+                f"--k {args.k[0]}..{args.k[-1]} has no {args.regime}-regime value for N={N}"
             )
         for k in ks:
             for d in args.d:
@@ -298,7 +293,7 @@ def _grid_cells(args, regime: str) -> list[Query]:
 
 
 def cmd_verify(args) -> int:
-    cells = _grid_cells(args, args.regime)
+    cells = _grid_cells(args)
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     # longest first, so the pool does not end on one large cell; output keeps grid order.
@@ -365,37 +360,6 @@ def cmd_givental(args) -> int:
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
 
 
-def cmd_bench(args) -> int:
-    # without --k the grid is the fano cells k < N
-    cells = _grid_cells(args, FANO if args.k is None else "both")
-    check_writable(args.output)
-    rows = []
-    for q in cells:
-        t0 = time.perf_counter()
-        direct = eval_direct(q)
-        t_direct = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cascade = eval_cascade(q)
-        t_cascade = time.perf_counter() - t0
-        # correctness gate before any timing is reported
-        if [cascade.coefficient(j) for j in range(args.jmax + 1)] != direct:
-            print(f"evaluator disagreement at N={q.N} k={q.k} d={q.d}", file=sys.stderr)
-            return EXIT_ENGINE
-        rows.append(
-            {
-                "N": q.N,
-                "k": q.k,
-                "d": q.d,
-                "J": args.jmax,
-                "t_direct_total": f"{t_direct:.6f}",
-                "t_cascade": f"{t_cascade:.6f}",
-                "speedup": f"{t_direct / t_cascade:.3f}" if t_cascade > 0 else "inf",
-            }
-        )
-    write_output(render_records(rows, args.format), args.output)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -450,14 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_givental, parser=p)
-
-    p = sub.add_parser("bench", help="time direct vs cascade evaluation")
-    p.add_argument("--N", type=parse_range, required=True)
-    p.add_argument("--k", type=parse_range, default=None)
-    p.add_argument("--d", type=parse_range, required=True)
-    p.add_argument("--jmax", type=int, default=4)
-    common(p, workers=False)
-    p.set_defaults(func=cmd_bench, parser=p)
 
     return parser
 

@@ -143,9 +143,9 @@ class _Levels:
     Stored as an :class:`EpsSeries` stores a series: integer numerators over
     one positive denominator, in lowest terms.  It is a vector over the
     rationals and nothing more: ``+`` with a vector of its length, ``*`` by an
-    ``int`` or ``Fraction`` on either side, ``bool``, ``==`` and ``hash``.  Any
-    other operand, a series among them, is ``NotImplemented``, so a level
-    vector never enters the series ring.
+    ``int`` or ``Fraction`` on either side, ``bool``, ``==``, ``hash`` and
+    ``str``.  Any other operand, a series among them, is ``NotImplemented``,
+    so a level vector never enters the series ring.
     """
 
     __slots__ = ("nums", "den")
@@ -187,6 +187,10 @@ class _Levels:
 
     def __hash__(self):
         return hash((self.nums, self.den))
+
+    def __str__(self):
+        """``[c_0, ..., c_J]``, each entry as ``str`` of its ``Fraction``."""
+        return "[" + ", ".join([str(Fraction(n, self.den)) for n in self.nums]) + "]"
 
 
 def _euler_forms(u: int, v: int, k: int) -> list[tuple]:

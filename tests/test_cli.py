@@ -294,6 +294,8 @@ class TestCache:
                 "evaluator", ["direct"], "evaluator must be str, not ['direct']", id="list-evaluator"
             ),
             pytest.param("schema", True, "schema must be int, not True", id="bool-schema"),
+            pytest.param("schema", 1.0, "schema must be int, not 1.0", id="float-schema"),
+            pytest.param("schema", "1", "schema must be int, not '1'", id="str-schema"),
         ],
     )
     def test_field_of_wrong_type_named(self, capsys, tmp_path, field, value, reason):
@@ -372,13 +374,12 @@ class TestInvalidCells:
                 ["verify", "--regime", "fano", "--N", "3", "--k", "0..2", "--d", "1", "--jmax", "1"],
                 "--k must be at least 1, got 0",
             ),
-            (["bench", "--N", "3", "--k", "0..2", "--d", "1"], "--k must be at least 1, got 0"),
             (["compute", "--N", "1", "--k", "1", "--d", "1", "--j", "0"], "--N must be at least 2, got 1"),
             (["compute", "--N", "3", "--k", "0", "--d", "1", "--j", "0"], "--k must be at least 1, got 0"),
             (["compute", "--N", "3", "--k", "1", "--d", "0", "--j", "0"], "--d must be at least 1, got 0"),
             (["compute", "--N", "3", "--k", "1", "--d", "1", "--j", "-1"], "--j must be non-negative, got -1"),
         ],
-        ids=["verify-d", "verify-N", "verify-k", "bench-k", "compute-N", "compute-k", "compute-d", "compute-j"],
+        ids=["verify-d", "verify-N", "verify-k", "compute-N", "compute-k", "compute-d", "compute-j"],
     )
     def test_rejected_before_any_evaluation(self, capsys, monkeypatch, argv, message):
         def evaluated(*args, **kwargs):
@@ -411,19 +412,21 @@ class TestExitPaths:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
 
-    def test_bench_disagreement_exits_3_before_any_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "eval_cascade", lambda q: EpsSeries.constant(999, q.j_max))
-        code, out, err = run_cli(capsys, "bench", "--N", "3", "--k", "2", "--d", "1..2", "--jmax", "1")
-        assert (code, out, err) == (EXIT_ENGINE, "", "evaluator disagreement at N=3 k=2 d=1\n")
+    def test_bench_is_no_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--N", "3", "--d", "1"])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == ""
+        assert out.err.startswith("usage: qmres [-h]")
+        assert "invalid choice: 'bench'" in out.err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["verify", "--N", "3", "--d", "1", "--jmax", "-1"], "--jmax must be non-negative"),
-            (["bench", "--N", "3", "--d", "1", "--jmax", "-1"], "--jmax must be non-negative"),
             (["givental", "--N", "3", "--emax", "-1"], "--emax must be non-negative"),
         ],
-        ids=["verify-jmax", "bench-jmax", "givental-emax"],
+        ids=["verify-jmax", "givental-emax"],
     )
     def test_negative_order_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -492,9 +495,8 @@ class TestEmptyGrid:
         [
             ["verify", "--regime", "fano", "--N", "1", "--d", "1", "--jmax", "1"],
             ["givental", "--N", "1"],
-            ["bench", "--N", "1", "--d", "1"],
         ],
-        ids=["verify", "givental", "bench"],
+        ids=["verify", "givental"],
     )
     def test_empty_grid_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -663,46 +665,6 @@ class TestGivental:
         assert f"error: --k must be at least 1, got {k.split('..')[0]}\n" in err
 
 
-class TestBench:
-    def test_report_and_agreement_gate(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--N", "3", "--k", "2", "--d", "1..2", "--jmax", "2",
-            "--format", "csv",
-        )
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == "N,k,d,J,t_direct_total,t_cascade,speedup"
-        assert len(lines) == 3
-
-    def test_default_format_is_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--N", "3", "--k", "2", "--d", "1", "--jmax", "1",
-        )
-        assert code == EXIT_OK
-        (row,) = json.loads(out)
-        assert list(row) == ["N", "k", "d", "J", "t_direct_total", "t_cascade", "speedup"]
-
-    def test_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--N", "3", "--d", "1", "--workers", "2"])
-        assert exc.value.code == EXIT_USAGE
-        assert "--workers" in capsys.readouterr().err
-
-    def test_one_direct_residue_per_cell(self, capsys, monkeypatch):
-        # the series-mode route verify runs, not one eval_direct per level
-        calls = []
-        exact = cli.eval_direct
-
-        def counted(q):
-            calls.append(q)
-            return exact(q)
-
-        monkeypatch.setattr(cli, "eval_direct", counted)
-        code, _, _ = run_cli(capsys, "bench", "--N", "3", "--k", "2", "--d", "1..2", "--jmax", "2")
-        assert code == EXIT_OK
-        assert [(q.d, q.j, q.j_max) for q in calls] == [(1, None, 2), (2, None, 2)]
-
-
 class TestModuleEntry:
     """``python -m qmres.cli`` in a fresh interpreter."""
 
@@ -725,6 +687,12 @@ class TestModuleEntry:
     def test_usage_error_exits_2(self):
         done = self.run_module("verify", "--N", "1", "--d", "1", "--jmax", "0")
         assert done.returncode == EXIT_USAGE and done.stdout == ""
+
+    def test_bench_is_no_subcommand(self):
+        done = self.run_module("bench", "--N", "3", "--d", "1")
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr.startswith("usage: qmres [-h]")
+        assert "invalid choice: 'bench'" in done.stderr
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # _run_tasks imports the pool only when it starts one, so startup does not pay for it

@@ -221,6 +221,12 @@ class TestIntegrands:
             "(1)*z0^-1*z1^-2*z2^-2*(z0 - 2*z1 + z2)@node(1)^-1*(z0 - z1)^3"
         )
 
+    def test_series_mode_debug_rendering(self):
+        # a level vector renders as its entries, so the text is the same in every run
+        e = build_integrand(Query(2, 1, 1, j_max=1))
+        assert e.debug_str() == "([0, -1])*z0^-2*z1^-1*(z0 - z1) + ([1, 0])*z0^-1*z1^-1"
+        assert str(quasimap._Levels([1, 0, 3], 6)) == "[1/6, 0, 1/2]"
+
 
 class TestEvalDirect:
     def test_hand_values(self):

@@ -7,12 +7,17 @@ differential-operator annihilation checks.  Exact rationals are emitted as
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
+
+:func:`main` builds the argparse tree on its first call, not at import, and
+reuses it for every later call in the process.  The tree holds no command
+function: ``main`` looks the subcommand's ``cmd_*`` up when it runs one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -374,7 +379,9 @@ def worker_count(text: str) -> int:
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="qmres",
         description="Exact quasimap intersection numbers by iterated residues.",
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=[FANO, GENERAL], default=None)
     p.add_argument("--cache", default=None)
     common(p, workers=False)
-    p.set_defaults(func=cmd_compute, parser=p)
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", help="run an equality grid")
     p.add_argument("--regime", choices=[FANO, GENERAL, "both"], default="both")
@@ -406,23 +413,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmax", type=int, required=True)
     p.add_argument("--cache", default=None)
     common(p)
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("givental", help="check operator annihilation")
     p.add_argument("--N", type=parse_range, required=True)
     p.add_argument("--k", type=parse_range, default=None)
     p.add_argument("--emax", type=int, default=4)
     common(p)
-    p.set_defaults(func=cmd_givental, parser=p)
+    p.set_defaults(parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
-        return args.func(args)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        # looked up per call, so the cached parser binds no command function
+        command = {"compute": cmd_compute, "verify": cmd_verify, "givental": cmd_givental}
+        return command[args.command](args)
     except ValueError as exc:
         args.parser.error(str(exc))
     except EngineError as exc:

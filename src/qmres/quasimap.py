@@ -250,9 +250,12 @@ def build_integrand(q: Query) -> RatExpr:
 
     In series mode (``q.j`` None, ``q.j_max`` set) the integrand holds the
     pieces of every level ``j <= q.j_max``, each scaled by the vector with its
-    weight at index ``j`` and zeros elsewhere.  Pieces of one shape collect
-    into one term, so a bare piece that feeds several levels appears once,
-    with its weight for each of them.
+    weight at index ``j`` and zeros elsewhere.  The weights of the pieces of
+    one shape ``(level, power, pole)`` are summed before the shared term is
+    multiplied out, so a bare piece that feeds several levels is built once,
+    as one term with its weight for each of them.  No summed vector is zero:
+    its entries sit at distinct indices ``j``.  Shapes keep their first-seen
+    order, which is the order the terms would collect in.
     """
     if q.j is not None:
         levels = [(q.j, 1)]
@@ -264,8 +267,12 @@ def build_integrand(q: Query) -> RatExpr:
         return _integrand(q, [(unit, j, (q.N - q.k) * q.d + j - 1, 0) for j, unit in levels])
     m = q.m
     weights = [comb(m, i) * q.d ** (m - i) for i in range(m + 1)]
-    pieces = [(unit * w, j - i, j - i, m) for j, unit in levels for i, w in enumerate(weights)]
-    return _integrand(q, pieces)
+    shapes: dict[int, int | _Levels] = {}  # level j - i -> summed weight
+    for j, unit in levels:
+        for i, w in enumerate(weights):
+            s = j - i
+            shapes[s] = shapes[s] + unit * w if s in shapes else unit * w
+    return _integrand(q, [(scale, s, s, m) for s, scale in shapes.items()])
 
 
 def eval_direct(q: Query) -> Fraction | list[Fraction]:

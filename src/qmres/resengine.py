@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .exactnum import EpsSeries, is_unit
 
@@ -203,15 +203,23 @@ class Term:
         return _render([self])[0]
 
 
-def _render(terms: Iterable[Term]) -> list[str]:
-    """The terms' texts, sorted on monomial, then on their sorted forms."""
+def _render(terms: Sequence[Term]) -> list[str]:
+    """The terms' texts, sorted on monomial, then on their sorted forms.
+
+    Each distinct ``(form, order)`` pair is keyed and rendered once per call.
+    Forms and terms sort on the pairs' ranks, which order as their keys do.
+    """
+    pairs = {(f, t.order) for t in terms for f, _ in t.forms}
+    keys = {(f, order): f.sort_key(order) for f, order in pairs}
+    ranks = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+    ranked = {(f, order): (ranks[key], f.render(order)) for (f, order), key in keys.items()}
     out = []
     for t in terms:
         order = t.order
-        forms = sorted([(f.sort_key(order), p, f) for f, p in t.forms], key=lambda x: x[:2])
+        forms = sorted([(*ranked[f, order], p) for f, p in t.forms], key=lambda x: (x[0], x[2]))
         pieces = [f"({t.coeff})"] + [f"z{v}" if e == 1 else f"z{v}^{e}" for v, e in t.mono]
-        pieces += [f.render(order) + ("" if p == 1 else f"^{p}") for _, p, f in forms]
-        out.append(((t.mono, tuple([(key, p) for key, p, _ in forms])), "*".join(pieces)))
+        pieces += [text + ("" if p == 1 else f"^{p}") for _, text, p in forms]
+        out.append(((t.mono, tuple([(rank, p) for rank, _, p in forms])), "*".join(pieces)))
     return [s for _, s in sorted(out, key=lambda x: x[0])]
 
 

@@ -523,8 +523,12 @@ class TestUsageLines:
                 ["compute", "--N", "2", "--k", "5", "--d", "1", "--j", "0", "--regime", "fano"],
                 "requested regime 'fano' but N=2, k=5 is general",
             ),
+            (
+                ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "0", "--workers", "2"],
+                "unrecognized arguments: --workers 2",
+            ),
         ],
-        ids=["givental", "compute"],
+        ids=["givental", "compute", "unknown-flag"],
     )
     def test_usage_names_the_subcommand(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -693,6 +697,36 @@ class TestModuleEntry:
         assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
         assert done.stderr.startswith("usage: qmres [-h]")
         assert "invalid choice: 'bench'" in done.stderr
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # a usage error between two calls leaves the reused parser as it was
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in and out of process
+        compute = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"]
+        codes = []
+        for argv in (compute, ["verify", "--N", "3", "--d", "1", "--jmax", "-1"], compute):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            done = self.run_module(*argv)
+            assert (code, out.out, out.err) == (done.returncode, done.stdout, done.stderr)
+            codes.append(code)
+        assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        # the parser is built by the first main call, so importing the CLI does not pay for it
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **kw: built.append(1) or init(*a, **kw)\n"
+            "import qmres.cli\n"
+            "print(len(built))\n"
+        )
+        done = self.run_python("-c", script)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "0\n", "")
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # _run_tasks imports the pool only when it starts one, so startup does not pay for it

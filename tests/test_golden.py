@@ -5,10 +5,11 @@ speedups (the two series digests before ``EpsSeries`` moved to integer
 numerators, the direct-residue digest before rational linear forms did, the
 givental residual digest before solutions became integer polynomials, the
 deep hypergeometric digest before ``hypergeom_series`` left the series ring, the
-two text-format CLI digests before the column lists were read off the records) and
-must never move: any change that reorders output, renders a term differently
-or changes a value fails here instead of relying on a manual ``diff`` of CLI
-runs.
+two text-format CLI digests before the column lists were read off the records,
+the series-mode direct digest before the integrand summed its pieces per
+shape) and must never move: any change that reorders output, renders a term
+differently or changes a value fails here instead of relying on a manual
+``diff`` of CLI runs.
 """
 
 import hashlib
@@ -81,6 +82,7 @@ GIVENTAL_RESIDUAL_SHA256 = "0883165cf70176e5b3582229dd3c0cc11169458f9114c6883a10
 HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
 HYPERGEOM_SERIES_DEEP_SHA256 = "9f74ad8dcfe3936307c92875e6efe5bb6b29cadc0a406499310c40b4ee337e38"
 CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
+SERIES_DIRECT_SHA256 = "0b161883ecc950dd1b483d7455140d30294228135cc7e2d1f1bff56361b769a9"
 
 
 @pytest.mark.parametrize(
@@ -176,6 +178,23 @@ def direct_residue_renderings(monkeypatch) -> str:
     return "\n".join(lines)
 
 
+def series_direct_residue_renderings(monkeypatch) -> str:
+    """Every residue step of series-mode ``eval_direct`` and its values, in call order.
+
+    Covers N 2..4, k 1..N+2, d 1..2 at ``j_max = 3``: the route every
+    ``verify`` cell runs, on per-level vector coefficients.
+    """
+    lines = []
+    record_residue_steps(monkeypatch, lines)
+    for N in range(2, 5):
+        for k in range(1, N + 3):
+            for d in (1, 2):
+                lines.append(f"query {N},{k},{d}")
+                values = eval_direct(Query(N, k, d, j_max=3))
+                lines.append(f"values {', '.join(map(str, values))}")
+    return "\n".join(lines)
+
+
 def test_integrand_renderings():
     assert _sha(integrand_renderings()) == INTEGRANDS_SHA256
 
@@ -186,6 +205,10 @@ def test_cascade_residue_renderings(monkeypatch):
 
 def test_direct_residue_renderings(monkeypatch):
     assert _sha(direct_residue_renderings(monkeypatch)) == DIRECT_SHA256
+
+
+def test_series_direct_residue_renderings(monkeypatch):
+    assert _sha(series_direct_residue_renderings(monkeypatch)) == SERIES_DIRECT_SHA256
 
 
 SERIES_GRID = [

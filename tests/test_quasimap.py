@@ -206,6 +206,30 @@ class TestIntegrands:
                         for got, want in pairs:
                             assert (got, got.debug_str()) == (want, want.debug_str()), q
 
+    def test_series_mode_entries_equal_fixed_level_builds(self):
+        # entry j of every per-level vector, zero entries dropped, is level j's integrand
+        for N in range(2, 8):
+            for k in range(1, N + 4):
+                for d in range(1, 5):
+                    series = build_integrand(Query(N, k, d, j_max=6))
+                    for j in range(7):
+                        terms = [
+                            resengine.Term(Fraction(t.coeff.nums[j], t.coeff.den), t.mono, t.forms)
+                            for t in series.terms
+                            if t.coeff.nums[j]
+                        ]
+                        got = RatExpr.of(series.live_vars, terms)
+                        assert got == build_integrand(Query(N, k, d, j=j)), (N, k, d, j)
+
+    def test_series_mode_multiplies_each_shape_out_once(self, monkeypatch):
+        # m = 21 at J = 6: 28 shapes (level j - i), not one per (j, i) pair (154)
+        calls = []
+        mul_term = RatExpr.mul_term
+        monkeypatch.setattr(RatExpr, "mul_term", lambda *a, **kw: calls.append(1) or mul_term(*a, **kw))
+        q = Query(8, 12, 5, j_max=6)
+        build_integrand(q)
+        assert len(calls) <= q.j_max + q.m + 1 == 28
+
     @pytest.mark.parametrize("q", [Query(2, 4, 3, j=6), Query(3, 5, 2, j=2)])
     def test_shared_factors_normalised_once(self, monkeypatch, q):
         # each Euler and node form once, then the plain form (z_1 - z_0) once per piece

@@ -2,8 +2,10 @@
 
 Three subcommands: ``compute`` evaluates a single intersection number,
 ``verify`` runs an equality grid, and ``givental`` runs the
-differential-operator annihilation checks.  Exact rationals are emitted as
-``"p/q"`` strings; identical configurations produce byte-identical output.
+differential-operator annihilation checks.  Every output record is built
+here, by :func:`record_from_result` or :func:`record_from_report`.  Exact
+rationals are emitted as ``"p/q"`` strings; identical configurations produce
+byte-identical output.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
@@ -54,17 +56,13 @@ CACHE_FIELDS = {
 CACHE_SCHEMA = 1
 
 
-class EmptyRangeError(ValueError, argparse.ArgumentTypeError):
-    """A range ``lo..hi`` with ``hi < lo``; argparse prints its message as it is."""
-
-
 def parse_range(text: str) -> list[int]:
     """Parse ``"3"`` or ``"2..4"`` into a list of ints; the ``type`` of range flags."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
         if stop < start:
-            raise EmptyRangeError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
 
@@ -83,6 +81,20 @@ def record_from_result(r: IntersectionResult) -> dict:
         "rhs": str(r.rhs),
         "match": r.match,
         "evaluator": r.evaluator,
+    }
+
+
+def record_from_report(r: givode.AnnihilationReport) -> dict:
+    return {
+        "N": r.N,
+        "k": r.k,
+        "j": r.j,
+        "e_max": r.e_max,
+        "formal": r.formal,
+        "annihilated": r.annihilated,
+        "residual": [
+            {"x_power": a, "exp_degree": e, "coefficient": str(c)} for (a, e), c in r.residual
+        ],
     }
 
 
@@ -123,14 +135,17 @@ def _open_for_write(path: str, mode: str):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def check_writable(*paths: str | None):
-    """Fail before any work if an output or cache path cannot be opened.
+def check_writable(output: str | None, cache: str | None = None):
+    """Fail before any work if ``--output`` or ``--cache`` cannot be opened, or both name one file.
 
-    Opens in append mode, so an existing file is left as it is.
+    Opens in append mode, so an existing file is left as it is.  Both files
+    then exist, so ``samefile`` catches a second spelling, a symlink or a hard link.
     """
-    for path in paths:
+    for path in (output, cache):
         if path is not None:
             _open_for_write(path, "a").close()
+    if output is not None and cache is not None and os.path.samefile(output, cache):
+        raise ValueError(f"--output {output} and --cache {cache} name the same file")
 
 
 def write_output(text: str, path: str | None):
@@ -325,10 +340,6 @@ def _cached_levels(cache: dict, q: Query) -> list[Fraction] | None:
 
 def cmd_compute(args) -> int:
     q = _check_cell(N=args.N, k=args.k, d=args.d, j=args.j)
-    if args.regime is not None and args.regime != q.regime:
-        raise ValueError(
-            f"requested regime {args.regime!r} but N={q.N}, k={q.k} is {q.regime}"
-        )
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
     check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
@@ -342,7 +353,7 @@ def cmd_compute(args) -> int:
 def _givental_task(task: tuple[int, int, int]) -> list[dict]:
     """The records of every ``j <= N-2`` for one ``(N, k, e_max)``."""
     N, k, e_max = task
-    return [r.as_record() for r in givode.verify_annihilation(N, k, e_max)]
+    return [record_from_report(r) for r in givode.verify_annihilation(N, k, e_max)]
 
 
 def cmd_givental(args) -> int:
@@ -400,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--evaluator", choices=["direct", "cascade", "both"], default="direct")
-    p.add_argument("--regime", choices=[FANO, GENERAL], default=None)
     p.add_argument("--cache", default=None)
     common(p, workers=False)
     p.set_defaults(parser=p)

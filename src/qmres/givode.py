@@ -121,7 +121,7 @@ def apply_operator(N: int, k: int, p: XEPoly) -> XEPoly:
 
 @dataclass(frozen=True)
 class AnnihilationReport:
-    """Outcome of one annihilation check, serializable for the CLI.
+    """Outcome of one annihilation check; ``cli.record_from_report`` builds its record.
 
     Both verdicts are derived, as ``IntersectionResult.match`` is, so a report
     cannot contradict its values: ``annihilated`` means no residual is left,
@@ -141,20 +141,6 @@ class AnnihilationReport:
     @property
     def formal(self) -> bool:
         return regime_of(self.N, self.k) == GENERAL
-
-    def as_record(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "j": self.j,
-            "e_max": self.e_max,
-            "formal": self.formal,
-            "annihilated": self.annihilated,
-            "residual": [
-                {"x_power": a, "exp_degree": e, "coefficient": str(c)}
-                for (a, e), c in self.residual
-            ],
-        }
 
 
 def verify_annihilation(N: int, k: int, e_max: int) -> list[AnnihilationReport]:

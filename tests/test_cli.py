@@ -1,6 +1,8 @@
 """Tests for the command-line front end: formats, caching, exit codes."""
 
+import argparse
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -38,7 +40,7 @@ class TestParseRange:
         assert parse_range("2..5") == [2, 3, 4, 5]
 
     def test_empty_span_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="empty range '5..2'"):
             parse_range("5..2")
 
 
@@ -69,10 +71,14 @@ class TestCompute:
         assert {r["lhs"] for r in records} == {"4"}
 
     def test_regime_contradiction_is_usage_error(self, capsys):
+        # the regime follows from N and k, so compute takes no --regime
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--N", "2", "--k", "5", "--d", "1", "--j", "0",
                   "--regime", "fano"])
         assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "qmres compute: error: unrecognized arguments: --regime fano\n"
+        )
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # force a wrong closed-form side to exercise the failure path
@@ -361,6 +367,44 @@ class TestUnwritablePaths:
         assert target.read_text() == "kept\n"
 
 
+class TestOutputIsCache:
+    """An ``--output`` that names the ``--cache`` file would overwrite the cache."""
+
+    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink", "hardlink"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"],
+            ["verify", "--N", "3", "--k", "2", "--d", "1", "--jmax", "1"],
+        ],
+        ids=["compute", "verify"],
+    )
+    def test_refused_before_any_evaluation(self, capsys, monkeypatch, tmp_path, argv, alias):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, *argv, "--cache", "c.jsonl")
+        seeded = Path("c.jsonl").read_bytes()
+        output = {"same": "c.jsonl", "dotted": "./c.jsonl",
+                  "symlink": "s.jsonl", "hardlink": "h.jsonl"}[alias]
+        if alias == "symlink":
+            os.symlink("c.jsonl", "s.jsonl")
+        elif alias == "hardlink":
+            os.link("c.jsonl", "h.jsonl")
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated before the paths were checked")
+
+        monkeypatch.setattr("qmres.cli.verify_theorem", evaluated)
+        monkeypatch.setattr("qmres.cli.eval_direct", evaluated)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache", "c.jsonl", "--output", output])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == ""
+        assert out.err.endswith(
+            f"error: --output {output} and --cache c.jsonl name the same file\n"
+        )
+        assert Path("c.jsonl").read_bytes() == seeded
+
+
 class TestInvalidCells:
     @pytest.mark.parametrize(
         "argv, message",
@@ -409,6 +453,27 @@ class TestExitPaths:
             raise PoleCollisionError("a crafted collision")
 
         monkeypatch.setattr(cli, target, failing)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers must inherit the patched function",
+    )
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--workers", "2"], "verify_theorem"),
+            (["givental", "--N", "3..4", "--emax", "2", "--workers", "2"], "givode.verify_annihilation"),
+        ],
+        ids=["verify", "givental"],
+    )
+    def test_engine_error_in_a_worker_exits_3(self, capsys, monkeypatch, argv, target):
+        def failing(*args, **kwargs):
+            raise PoleCollisionError("a crafted collision")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+        monkeypatch.setattr(f"qmres.cli.{target}", failing)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
 
@@ -520,8 +585,8 @@ class TestUsageLines:
         [
             (["givental", "--N", "1"], "the grid is empty: no cell for --N 1..1"),
             (
-                ["compute", "--N", "2", "--k", "5", "--d", "1", "--j", "0", "--regime", "fano"],
-                "requested regime 'fano' but N=2, k=5 is general",
+                ["compute", "--N", "2", "--k", "5", "--d", "0", "--j", "0"],
+                "--d must be at least 1, got 0",
             ),
             (
                 ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "0", "--workers", "2"],

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qmres import givode
+from qmres import cli, givode
 from qmres.exactnum import EpsSeries
 from qmres.givode import (
     XEPoly,
@@ -165,7 +165,7 @@ class TestVerifyAnnihilation:
             verify_annihilation(3, 1, -1)
 
     def test_report_record_shape(self):
-        rec = verify_annihilation(3, 1, 4)[1].as_record()
+        rec = cli.record_from_report(verify_annihilation(3, 1, 4)[1])
         assert rec["annihilated"] is True
         assert rec["residual"] == []
         assert set(rec) == {"N", "k", "j", "e_max", "formal", "annihilated", "residual"}

@@ -292,6 +292,19 @@ class TestEvalDirect:
         assert got == per_level_direct(q)
         assert all(isinstance(w, Fraction) for w in got)
 
+    @pytest.mark.parametrize(
+        "N, k, d", [(5, 4, 15), (4, 3, 20), (2, 1, 20), (6, 6, 10)], ids=str
+    )
+    def test_three_routes_agree_at_large_d(self, N, k, d):
+        # every term carries the Euler and node factors of all d levels, which the
+        # early residue steps never touch
+        q = Query(N, k, d, j_max=6)
+        direct = eval_direct(q)
+        cascade = eval_cascade(q)
+        hyper = hypergeom_series(N, k, d, 6)
+        assert direct == [cascade.coefficient(j) for j in range(7)]
+        assert direct == [k * hyper.coefficient(j) for j in range(7)]
+
     def test_series_mode_needs_a_level_bound(self):
         with pytest.raises(ValueError):
             eval_direct(Query(2, 1, 1))

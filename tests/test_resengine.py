@@ -123,6 +123,29 @@ class TestResidueAtZero:
         got = residue_at_zero(e, 1)
         assert got == RatExpr.of([0], [make_term(-(one + eps), {0: -2})])
 
+    @pytest.mark.parametrize(
+        "mono, forms, want",
+        [
+            ({0: -1, 3: -1}, [({1: 1, 2: 1}, -1), ({0: 1, 1: 1, 2: 1}, 1)], "(1)*z3^-1"),
+            (
+                {0: -1, 3: -1},
+                [({1: 1, 2: 1}, -2), ({0: 1, 1: 1, 2: 1}, 1)],
+                "(1)*z3^-1*(z1 + z2)^-1",
+            ),
+            (
+                {0: -2, 3: -1},
+                [({1: 1, 2: 1}, -1), ({0: 1, 1: 1, 2: 1}, 3)],
+                "(3)*z3^-1*(z1 + z2)",
+            ),
+        ],
+        ids=["cancels", "keeps-a-power", "double-pole"],
+    )
+    def test_image_merges_with_a_form_free_of_the_variable(self, mono, forms, want):
+        # the image z1 + z2 of z0 + z1 + z2 at z0 = 0 is a form the step does not
+        # touch; the two merge into one power, which may cancel to none
+        e = RatExpr.of(range(4), [make_term(1, mono, forms)])
+        assert residue_at_zero(e, 0).debug_str() == want
+
     def test_analytic_point_gives_zero(self):
         e = expr_of([1, 2], (1, {1: 1}, [({1: 2, 2: -1}, -1)]))
         assert not residue_at_zero(e, 1).terms
@@ -745,6 +768,8 @@ def residue_requests(draw):
     the image target ``T`` at the site ``z_var = r z_other`` (``r = 0`` at
     zero), and so can the monomial; a term may also carry a copy of the pole
     (at zero, of ``z_var``) outside canonical scale, whose image vanishes.
+    Every term may also carry one form free of ``z_var``, the image target
+    ``T`` or another, with one power, so that an image can merge with it.
     Every form of a request, that copy too, carries one origin, drawn from
     plain, deformation, ``node(1)`` and ``node(2)``.  Mixed origins are left
     out: the library asks one origin of each image group and raises where the
@@ -773,6 +798,14 @@ def residue_requests(draw):
     else:
         twin = LinearForm((var,), (1,), 1, origin)
     power = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    carried = []
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            free = target
+        else:
+            vs = draw(st.lists(others, min_size=2, max_size=3, unique=True))
+            free = {v: scalar(unit=not i) for i, v in enumerate(vs)}
+        carried.append((free, draw(power), origin))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         mono = {v: draw(st.integers(-2, 2)) for v in LIVE}
@@ -794,7 +827,7 @@ def residue_requests(draw):
             member[var] = c
             member[other] = member.get(other, 0) - c * r
             forms.append((member, draw(st.sampled_from([-2, -1, 1, 2])), origin))
-        t = make_term(scalar(), mono, forms)
+        t = make_term(scalar(), mono, forms + carried)
         if t is not None and draw(st.integers(0, 3)) == 0:
             t = Term(t.coeff, t.mono, t.forms + ((twin, draw(st.integers(1, 2))),))
         terms.append(t)

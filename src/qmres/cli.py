@@ -5,7 +5,8 @@ Three subcommands: ``compute`` evaluates a single intersection number,
 differential-operator annihilation checks.  Every output record is built
 here, by :func:`record_from_result` or :func:`record_from_report`.  Exact
 rationals are emitted as ``"p/q"`` strings; identical configurations produce
-byte-identical output.
+byte-identical output.  Stdout is the one report channel: the only file a
+command opens is its ``--cache``.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures.
@@ -58,13 +59,14 @@ CACHE_SCHEMA = 1
 
 def parse_range(text: str) -> list[int]:
     """Parse ``"3"`` or ``"2..4"`` into a list of ints; the ``type`` of range flags."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        start, stop = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or lo..hi, got {text!r}") from None
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(start, stop + 1))
 
 
 def record_from_result(r: IntersectionResult) -> dict:
@@ -135,27 +137,6 @@ def _open_for_write(path: str, mode: str):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def check_writable(output: str | None, cache: str | None = None):
-    """Fail before any work if ``--output`` or ``--cache`` cannot be opened, or both name one file.
-
-    Opens in append mode, so an existing file is left as it is.  Both files
-    then exist, so ``samefile`` catches a second spelling, a symlink or a hard link.
-    """
-    for path in (output, cache):
-        if path is not None:
-            _open_for_write(path, "a").close()
-    if output is not None and cache is not None and os.path.samefile(output, cache):
-        raise ValueError(f"--output {output} and --cache {cache} name the same file")
-
-
-def write_output(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with _open_for_write(path, "w") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------- cache
 
 
@@ -166,10 +147,15 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
     that is not UTF-8 or not a JSON object, or a field of another type than
     :data:`CACHE_FIELDS` gives, among them) or a record whose ``schema`` is
     not :data:`CACHE_SCHEMA` raises ValueError naming ``path:line``.
+
+    Its one open, in append mode, creates ``path``, proves it writable and
+    reads it before any evaluation; a path that cannot be opened is a usage
+    error naming it.
     """
     cache: dict[tuple, Fraction] = {}
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
+    if path:
+        with _open_for_write(path, "a+b") as fh:
+            fh.seek(0)
             for lineno, line in enumerate(fh, 1):
                 try:
                     line = line.decode().strip()
@@ -314,7 +300,6 @@ def _grid_cells(args) -> list[Query]:
 
 def cmd_verify(args) -> int:
     cells = _grid_cells(args)
-    check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     # longest first, so the pool does not end on one large cell; output keeps grid order.
     # Each task carries only its own cell's cached values, not the whole cache.
@@ -323,7 +308,7 @@ def cmd_verify(args) -> int:
     rows = dict(zip(order, _run_tasks(tasks, _verify_task, args.workers)))
     records = [rec for q in cells for rec in rows[q]]
     append_cache(args.cache, cache, records)
-    write_output(render_records(records, args.format), args.output)
+    sys.stdout.write(render_records(records, args.format))
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
 
 
@@ -341,12 +326,11 @@ def _cached_levels(cache: dict, q: Query) -> list[Fraction] | None:
 def cmd_compute(args) -> int:
     q = _check_cell(N=args.N, k=args.k, d=args.d, j=args.j)
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
-    check_writable(args.output, args.cache)
     cache = load_cache(args.cache)
     records = _compute_records(q, evaluators, cache)
     records.sort(key=record_key)
     append_cache(args.cache, cache, records)
-    write_output(render_records(records, args.format), args.output)
+    sys.stdout.write(render_records(records, args.format))
     return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
 
 
@@ -370,9 +354,8 @@ def cmd_givental(args) -> int:
     ]
     _require_cells(tasks, args)
     tasks.sort()
-    check_writable(args.output)
     records = [rec for rows in _run_tasks(tasks, _givental_task, args.workers) for rec in rows]
-    write_output(render_records(records, args.format), args.output)
+    sys.stdout.write(render_records(records, args.format))
     return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
 
 
@@ -401,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, workers=True):
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--output", default=None, help="write to a file instead of stdout")
         if workers:
             p.add_argument("--workers", type=worker_count, default=1)
 

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,12 @@ class TestParseRange:
     def test_empty_span_rejected(self):
         with pytest.raises(argparse.ArgumentTypeError, match="empty range '5..2'"):
             parse_range("5..2")
+
+    @pytest.mark.parametrize("text", ["x", "2..", "..3", "1..x", "2..3..4", ""])
+    def test_malformed_text_names_the_shape(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            parse_range(text)
+        assert str(exc.value) == f"expected an integer or lo..hi, got {text!r}"
 
 
 class TestCompute:
@@ -148,16 +155,6 @@ class TestVerify:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
-
-    def test_output_file_and_workers(self, capsys, tmp_path):
-        target = tmp_path / "grid.json"
-        code, out, _ = run_cli(
-            capsys, "verify", "--regime", "fano", "--N", "2..3", "--d", "1",
-            "--jmax", "1", "--workers", "2", "--output", str(target),
-        )
-        assert code == EXIT_OK and out == ""
-        records = json.loads(target.read_text())
-        assert all(r["match"] for r in records)
 
 
 class TestCache:
@@ -323,7 +320,7 @@ class TestCache:
 
 
 class TestUnwritablePaths:
-    @pytest.mark.parametrize("flag", ["--output", "--cache"])
+    @pytest.mark.parametrize("flag", ["--cache"])
     def test_missing_directory_is_usage_error(self, capsys, tmp_path, flag):
         path = tmp_path / "missing" / "out"
         with pytest.raises(SystemExit) as exc:
@@ -332,7 +329,7 @@ class TestUnwritablePaths:
         assert exc.value.code == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--output", "--cache"])
+    @pytest.mark.parametrize("flag", ["--cache"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -353,56 +350,13 @@ class TestUnwritablePaths:
         assert exc.value.code == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
 
-    def test_existing_output_not_truncated_by_the_check(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "out.json"
-        target.write_text("kept\n")
-
-        def failing(*args, **kwargs):
-            raise ValueError("stop after the check")
-
-        monkeypatch.setattr("qmres.cli.eval_direct", failing)
-        with pytest.raises(SystemExit):
-            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
-                  "--output", str(target)])
-        assert target.read_text() == "kept\n"
-
-
-class TestOutputIsCache:
-    """An ``--output`` that names the ``--cache`` file would overwrite the cache."""
-
-    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink", "hardlink"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1"],
-            ["verify", "--N", "3", "--k", "2", "--d", "1", "--jmax", "1"],
-        ],
-        ids=["compute", "verify"],
-    )
-    def test_refused_before_any_evaluation(self, capsys, monkeypatch, tmp_path, argv, alias):
-        monkeypatch.chdir(tmp_path)
-        run_cli(capsys, *argv, "--cache", "c.jsonl")
-        seeded = Path("c.jsonl").read_bytes()
-        output = {"same": "c.jsonl", "dotted": "./c.jsonl",
-                  "symlink": "s.jsonl", "hardlink": "h.jsonl"}[alias]
-        if alias == "symlink":
-            os.symlink("c.jsonl", "s.jsonl")
-        elif alias == "hardlink":
-            os.link("c.jsonl", "h.jsonl")
-
-        def evaluated(*args, **kwargs):
-            raise AssertionError("evaluated before the paths were checked")
-
-        monkeypatch.setattr("qmres.cli.verify_theorem", evaluated)
-        monkeypatch.setattr("qmres.cli.eval_direct", evaluated)
+    def test_directory_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cache", "c.jsonl", "--output", output])
+            main(["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                  "--cache", str(tmp_path)])
         out = capsys.readouterr()
         assert exc.value.code == EXIT_USAGE and out.out == ""
-        assert out.err.endswith(
-            f"error: --output {output} and --cache c.jsonl name the same file\n"
-        )
-        assert Path("c.jsonl").read_bytes() == seeded
+        assert out.err.endswith(f"error: cannot write {tmp_path}: Is a directory\n")
 
 
 class TestInvalidCells:
@@ -553,6 +507,21 @@ class TestWorkers:
         assert cli._run_tasks([-4], abs, 10**6) == [4]
         assert started == [2]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--N", "2..3", "--d", "1..2", "--jmax", "1"],
+            ["givental", "--N", "3..4", "--emax", "2"],
+        ],
+        ids=["verify", "givental"],
+    )
+    def test_pool_prints_what_one_worker_prints(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+        pooled = run_cli(capsys, *argv, "--workers", "2")
+        serial = run_cli(capsys, *argv, "--workers", "1")
+        assert pooled == serial and pooled[0] == EXIT_OK
+        assert json.loads(pooled[1])
+
 
 class TestEmptyGrid:
     @pytest.mark.parametrize(
@@ -604,6 +573,29 @@ class TestUsageLines:
         assert err.endswith(f"\nqmres {argv[0]}: error: {message}\n")
 
 
+class TestNoOutputFlag:
+    """Reports go to stdout only; a file is the shell's redirection."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0"],
+            ["verify", "--N", "2", "--d", "1", "--jmax", "0"],
+            ["givental", "--N", "3", "--emax", "1"],
+        ],
+        ids=["compute", "verify", "givental"],
+    )
+    def test_refused(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", "out.json"])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == ""
+        assert out.err.startswith(f"usage: qmres {argv[0]} ")
+        assert out.err.endswith("error: unrecognized arguments: --output out.json\n")
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestRangeErrors:
     @pytest.mark.parametrize(
         "flag, value",
@@ -624,7 +616,7 @@ class TestRangeErrors:
             main(["givental", "--N", "3", "--k", "x"])
         assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().err.endswith(
-            "error: argument --k: invalid parse_range value: 'x'\n"
+            "error: argument --k: expected an integer or lo..hi, got 'x'\n"
         )
 
 
@@ -823,6 +815,19 @@ class TestReadme:
         sample = json.loads(self.block("## CLI", "```json"))
         code, out, _ = run_cli(capsys, "compute", "--N", "2", "--k", "1", "--d", "1", "--j", "1")
         assert (code, json.loads(out)) == (EXIT_OK, [sample])
+
+    def test_cli_flags_match_the_parser(self):
+        section = self.TEXT.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"--[A-Za-z]+", section))
+        (commands,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+        accepted = {
+            opt
+            for parser in commands.values()
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--")
+        }
+        assert named == accepted - {"--help"}
 
 
 class TestTextFormat:

@@ -9,7 +9,8 @@ byte-identical output.  Stdout is the one report channel: the only file a
 command opens is its ``--cache``.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
-2 on usage errors, 3 on engine failures.
+2 on usage errors, 3 on engine failures and on a worker that cannot be forked
+or ends without a result.
 
 :func:`main` builds the argparse tree on its first call, not at import, and
 reuses it for every later call in the process.  The tree holds no command
@@ -229,11 +230,14 @@ def _compute_records(
 
 
 def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes to start: at most one per task and one per CPU.
+    """Processes to run the tasks in, the caller included: at most one per task and CPU.
 
-    The pool forks every worker at its first submit, so the cap is what
-    bounds the processes a large ``--workers`` starts.
+    :func:`_run_tasks` forks all but one of them before any task runs, so
+    the cap is what bounds the processes a large ``--workers`` starts.
+    Without ``os.fork`` the size is 1 and the run is serial.
     """
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(requested, tasks, cpus or 1))
 
 
@@ -251,14 +255,93 @@ def cell_cost(q: Query) -> int:
     return q.d * q.d * q.k * (1 + (q.m or 0))
 
 
-def _run_tasks(tasks: list, worker, workers: int) -> list:
-    size = pool_size(workers, len(tasks), os.cpu_count())
-    if size > 1:
-        from concurrent.futures import ProcessPoolExecutor
+class WorkerError(Exception):
+    """A worker could not be forked, or its results or error not brought back."""
 
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+
+def _run_tasks(tasks: list, worker, workers: int) -> list:
+    """``[worker(t) for t in tasks]``, shared among up to ``workers`` processes.
+
+    The process of rank ``r`` out of ``size`` runs the stride
+    ``tasks[r::size]``; the caller is rank 0 and forks the others, which
+    inherit the tasks, so only the results travel, pickled, back through
+    one pipe per worker.  Every worker is reaped before this returns or
+    raises.  The first error, in rank order, is raised again here.  The
+    caller must run no other thread, since a fork copies only this one.
+    """
+    size = pool_size(workers, len(tasks), os.cpu_count())
+    if size == 1:
+        return [worker(t) for t in tasks]
+    children = []
+    try:
+        for rank in range(1, size):
+            children.append(_fork_worker(tasks, worker, rank, size))
+        own = [worker(t) for t in tasks[::size]]
+    finally:
+        shares = [_reap(rank, pid, fd) for rank, (pid, fd) in enumerate(children, 1)]
+    results = [None] * len(tasks)
+    results[::size] = own
+    for rank, (kind, value) in enumerate(shares, 1):
+        if kind == "error":
+            raise value
+        results[rank::size] = value
+    return results
+
+
+def _fork_worker(tasks: list, worker, rank: int, size: int) -> tuple[int, int]:
+    """Fork the worker of ``rank``; return its pid and the read end of its pipe.
+
+    The worker writes ``("ok", results)`` or ``("error", exc)`` once and
+    leaves through ``os._exit``, so it never returns into the caller's code.
+    """
+    import pickle  # imported before the fork, and only by a run that forks
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise WorkerError(f"cannot fork worker {rank}: {exc.strerror}") from None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            share = ("ok", [worker(t) for t in tasks[rank::size]])
+        except BaseException as exc:  # sent to the caller, which raises it again
+            share = ("error", exc)
+        try:
+            data = pickle.dumps(share)
+        except Exception as exc:
+            what = "results" if share[0] == "ok" else f"error {share[1]!r}"
+            lost = WorkerError(f"worker {rank} cannot pickle its {what}: {exc}")
+            data = pickle.dumps(("error", lost))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(rank: int, pid: int, read_fd: int) -> tuple[str, object]:
+    """Read what a worker sent and wait for it; a share that cannot be read is an error."""
+    import pickle
+
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        if status == 0:  # the worker wrote all it had: the bytes are whole but unreadable
+            return "error", WorkerError(f"worker {rank} sent what cannot be unpickled: {exc!r}")
+        code = os.waitstatus_to_exitcode(status)
+        return "error", WorkerError(
+            f"worker {rank} ended without a result (wait status {status}, exit code {code})"
+        )
 
 
 def _require_cells(cells: list, args):
@@ -301,7 +384,7 @@ def _grid_cells(args) -> list[Query]:
 def cmd_verify(args) -> int:
     cells = _grid_cells(args)
     cache = load_cache(args.cache)
-    # longest first, so the pool does not end on one large cell; output keeps grid order.
+    # longest first, so the run does not end on one large cell; output keeps grid order.
     # Each task carries only its own cell's cached values, not the whole cache.
     order = sorted(cells, key=cell_cost, reverse=True)
     tasks = [(q, _cached_levels(cache, q)) for q in order]
@@ -429,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error(str(exc))
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 
 

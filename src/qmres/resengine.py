@@ -711,11 +711,12 @@ def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[str | Linear
 def _check_step_invariants(expr: RatExpr, step: int, last: int):
     """Post-step shape checks: consumed tags gone, next node forms binary."""
     stale = {DEFORMATION} | {node_tag(i) for i in range(step + 1)}
+    binary = node_tag(step + 1)
     for t in expr.terms:
         for f, _ in t.forms:
             if f.origin in stale:
                 raise EngineCorruptionError(f"form {f} with consumed origin survived step {step}")
-            if step + 1 <= last - 1 and f.origin == node_tag(step + 1):
+            if step + 1 <= last - 1 and f.origin == binary:
                 if set(f.vars) != {step + 1, step + 2}:
                     raise EngineCorruptionError(f"descendant form {f} lost its two-variable shape")
 

@@ -1,13 +1,14 @@
 """Tests for the command-line front end: formats, caching, exit codes."""
 
 import argparse
+import errno
 import json
-import multiprocessing
 import os
 import pickle
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked with os.fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(PoleCollisionError):
+    """An error that pickles but cannot be unpickled: its one stored arg is not two."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
 
 
 class TestParseRange:
@@ -410,10 +426,7 @@ class TestExitPaths:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the workers must inherit the patched function",
-    )
+    @forks
     @pytest.mark.parametrize(
         "argv, target",
         [
@@ -426,10 +439,92 @@ class TestExitPaths:
         def failing(*args, **kwargs):
             raise PoleCollisionError("a crafted collision")
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a worker even on one CPU
         monkeypatch.setattr(f"qmres.cli.{target}", failing)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
+        assert_no_child_left()
+
+    WORKER_ARGV = ["verify", "--N", "3", "--d", "1..2", "--jmax", "1", "--workers", "2"]
+
+    @forks
+    def test_dead_worker_exits_3(self, capsys, monkeypatch):
+        parent, verify = os.getpid(), cli.verify_theorem
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "verify_theorem", dying)
+        code, out, err = run_cli(capsys, *self.WORKER_ARGV)
+        message = "worker 1 ended without a result (wait status 2304, exit code 9)"
+        assert (code, out, err) == (EXIT_ENGINE, "", f"worker error: {message}\n")
+        assert_no_child_left()
+
+    @forks
+    def test_failed_fork_reaps_the_forked_and_exits_3(self, capsys, monkeypatch):
+        fork, forked = os.fork, []
+
+        def second_fails():
+            if forked:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli.os, "fork", second_fails)
+        code, out, err = run_cli(capsys, *self.WORKER_ARGV[:-1], "3")
+        message = "cannot fork worker 2: Resource temporarily unavailable"
+        assert (code, out, err) == (EXIT_ENGINE, "", f"worker error: {message}\n")
+        assert_no_child_left()
+
+    @forks
+    def test_error_in_the_callers_share_reaps_every_worker(self, capsys, monkeypatch):
+        parent, verify = os.getpid(), cli.verify_theorem
+
+        def failing_here(*args, **kwargs):
+            if os.getpid() == parent:
+                raise PoleCollisionError("a crafted collision")
+            time.sleep(0.05)  # the workers are still busy when the caller's share raises
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "verify_theorem", failing_here)
+        code, out, err = run_cli(capsys, *self.WORKER_ARGV)
+        assert (code, out, err) == (EXIT_ENGINE, "", "engine error: a crafted collision\n")
+        assert_no_child_left()
+
+    @forks
+    @pytest.mark.parametrize(
+        "sent, message",
+        [
+            ("lambda", "worker 1 cannot pickle its results: "),
+            ("local", "worker 1 cannot pickle its error LocalError('a crafted collision'): "),
+            ("two-arg", "worker 1 sent what cannot be unpickled: TypeError("),
+        ],
+        ids=["lambda", "local", "two-arg"],
+    )
+    def test_share_that_cannot_travel_exits_3(self, capsys, monkeypatch, sent, message):
+        class LocalError(PoleCollisionError):
+            pass
+
+        parent, task = os.getpid(), cli._verify_task
+
+        def unsendable(*args):
+            if os.getpid() == parent:
+                return task(*args)
+            if sent == "lambda":
+                return [lambda: None]
+            raise LocalError("a crafted collision") if sent == "local" else TwoArgError("a", "b")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_verify_task", unsendable)
+        code, out, err = run_cli(capsys, *self.WORKER_ARGV)
+        assert (code, out) == (EXIT_ENGINE, "")
+        assert err.startswith(f"worker error: {message}") and err.count("\n") == 1
+        assert_no_child_left()
 
     def test_bench_is_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -483,29 +578,30 @@ class TestWorkers:
     def test_pool_size_is_capped(self, requested, tasks, cpus, size):
         assert pool_size(requested, tasks, cpus) == size
 
+    @forks
     def test_run_tasks_starts_the_capped_pool(self, monkeypatch):
-        import concurrent.futures
+        forked, fork = [], os.fork
 
-        started = []
+        def recording_fork():
+            forked.append(1)
+            return fork()
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def where(task):
+            return task, os.getpid()
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(cli.os, "fork", recording_fork)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        tasks, pids = zip(*cli._run_tasks(list(range(7)), where, 10**6))
+        assert len(forked) == 2 and tasks == tuple(range(7))
+        # the caller runs the stride 0, 3, 6 and each of two workers one more
+        assert set(pids[::3]) == {os.getpid()}
+        assert len(set(pids)) == 3 and pids[1::3] == pids[1:2] * 2 and pids[2::3] == pids[2:3] * 2
+        assert cli._run_tasks([-4], abs, 10**6) == [4] and len(forked) == 2
+        assert_no_child_left()
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._run_tasks([1, 2, 3], abs, 10**6) == [1, 2, 3]
-        assert cli._run_tasks([-4], abs, 10**6) == [4]
-        assert started == [2]
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "fork")
+        assert pool_size(4, 10, 8) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -516,7 +612,7 @@ class TestWorkers:
         ids=["verify", "givental"],
     )
     def test_pool_prints_what_one_worker_prints(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a forked worker even on one CPU
         pooled = run_cli(capsys, *argv, "--workers", "2")
         serial = run_cli(capsys, *argv, "--workers", "1")
         assert pooled == serial and pooled[0] == EXIT_OK
@@ -786,8 +882,8 @@ class TestModuleEntry:
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "0\n", "")
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        # _run_tasks imports the pool only when it starts one, so startup does not pay for it
-        pool = ("concurrent.futures", "multiprocessing")
+        # _run_tasks imports pickle only when it forks, so startup does not pay for it
+        pool = ("concurrent.futures", "multiprocessing", "pickle")
         done = self.run_python(
             "-c", f"import sys, qmres.cli; print([m for m in {pool!r} if m in sys.modules])"
         )

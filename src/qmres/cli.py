@@ -146,8 +146,11 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
 
     Every other field is re-derived by the caller.  A malformed line (one
     that is not UTF-8 or not a JSON object, or a field of another type than
-    :data:`CACHE_FIELDS` gives, among them) or a record whose ``schema`` is
-    not :data:`CACHE_SCHEMA` raises ValueError naming ``path:line``.
+    :data:`CACHE_FIELDS` gives, among them), a record whose ``schema`` is
+    not :data:`CACHE_SCHEMA` or one whose key contradicts itself (a
+    ``Query`` that cannot be built, a regime other than ``regime_of(N, k)``
+    or an evaluator other than ``direct`` and ``cascade``) raises ValueError
+    naming ``path:line``.
 
     Its one open, in append mode, creates ``path``, proves it writable and
     reads it before any evaluation; a path that cannot be opened is a usage
@@ -164,7 +167,7 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                         continue
                     rec = json.loads(line)
                     _check_types(rec)
-                    cache[record_key(rec)] = Fraction(rec["lhs"])
+                    lhs = Fraction(rec["lhs"])
                 except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: malformed cache record: {exc}"
@@ -173,6 +176,11 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                     raise ValueError(
                         f"{path}:{lineno}: unsupported cache schema {rec['schema']!r}"
                     )
+                try:
+                    _check_key(rec)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: contradictory cache record: {exc}") from None
+                cache[record_key(rec)] = lhs
     return cache
 
 
@@ -184,6 +192,16 @@ def _check_types(rec):
     for field, kind in fields.items():
         if type(rec[field]) is not kind:  # a bool is not an int here
             raise TypeError(f"{field} must be {kind.__name__}, not {rec[field]!r}")
+
+
+def _check_key(rec: dict):
+    """Raise ValueError unless ``rec``'s key is a cell the CLI could have written."""
+    N, k = rec["N"], rec["k"]
+    Query(N, k, rec["d"], rec["j"])
+    if rec["regime"] != regime_of(N, k):
+        raise ValueError(f"regime {rec['regime']!r} contradicts N={N}, k={k}")
+    if rec["evaluator"] not in ("direct", "cascade"):
+        raise ValueError(f"evaluator must be direct or cascade, not {rec['evaluator']!r}")
 
 
 def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[dict]):
@@ -245,12 +263,13 @@ def cell_cost(q: Query) -> int:
     """A relative cost of the ``verify`` cell ``q``, known before it runs.
 
     ``d^2 k (1 + m)``, with ``m`` taken as 0 in the fano regime.  Only the
-    order is used.  The estimate predates the grouped Leibniz shares and
-    the one iterated residue per cell, and is kept because it still ranks
-    the cells: over N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6`` (245
-    cells; 2 vCPUs, Python 3.11.7), its Spearman correlation with the
-    measured ``verify_theorem`` times is 0.95-0.96 over four runs, and it
-    orders 91-93% of the pairs with distinct costs as those times do.
+    order is used.  The estimate predates the grouped Leibniz shares, the
+    one iterated residue per cell and the cascade's whole insertion factor,
+    whose cost no longer grows with ``m``.  It is kept because it still
+    ranks the cells: over N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6``
+    (245 cells; 2 vCPUs, Python 3.11.7), its Spearman correlation with the
+    measured ``verify_theorem`` times is 0.83-0.88 over eight runs, and it
+    orders 83-86% of the pairs with distinct costs as those times do.
     """
     return q.d * q.d * q.k * (1 + (q.m or 0))
 

@@ -10,8 +10,9 @@ engine:
   ``prod z_l^N`` and the middle factors ``k z_l (2 z_l - z_{l-1} - z_{l+1})``.
 * general (``k >= N``): numerator ``z_0^(N-2-j) (z_1-z_0)^j`` with the same
   products, an extra ``z_d^(-m)`` and the degree-0 factor
-  ``(d + z_0/(z_1-z_0))^m`` where ``m = 1 + (k-N) d``, expanded binomially
-  at build time.
+  ``(d + z_0/(z_1-z_0))^m`` where ``m = 1 + (k-N) d``.  The direct route
+  expands it binomially into ``m + 1`` pieces; the cascade takes it whole,
+  as ``(d z_1 - (d-1) z_0)^m / (z_1-z_0)^m``.
 
 Two independent evaluators are provided.  ``eval_direct`` takes the per-``j``
 residues over the rational ring, reading each higher-order residue off the
@@ -214,16 +215,19 @@ def ek_factor(u: int, v: int, k: int) -> Term:
     return term
 
 
-def _integrand(q: Query, pieces: list[tuple[int | _Levels, int, int, int]]) -> RatExpr:
+def _integrand(
+    q: Query, pieces: list[tuple[int | _Levels, int, int, int]], extra: tuple = ()
+) -> RatExpr:
     """The integrand with one piece per ``(scale, level, power, pole)``.
 
-    A piece is ``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times the
-    shared factors: the Euler products ``e_k(z_{l-1}, z_l)``, the measure
-    ``prod z_l^-N`` and the middle node factors
-    ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``.  Those make one term,
-    normalised once, with coefficient ``k^(d+1)`` and ``z_l^(1-N)`` for every
-    ``l``: the measure's ``z_l^-N``, times the monomial end ``k z_l`` of each
-    adjacent Euler product, over the node factor's ``z_l``.
+    A piece is ``scale z_0^(N-2-level) (z_1-z_0)^power z_d^(-pole)`` times
+    the ``(mapping, power)`` forms of ``extra`` and the shared factors: the
+    Euler products ``e_k(z_{l-1}, z_l)``, the measure ``prod z_l^-N`` and the
+    middle node factors ``1 / (k z_l (2 z_l - z_{l-1} - z_{l+1}))``.  Those
+    make one term, normalised once, with coefficient ``k^(d+1)`` and
+    ``z_l^(1-N)`` for every ``l``: the measure's ``z_l^-N``, times the
+    monomial end ``k z_l`` of each adjacent Euler product, over the node
+    factor's ``z_l``.
     """
     N, k, d = q.N, q.k, q.d
     forms = [f for l in range(1, d + 1) for f in _euler_forms(l - 1, l, k)]
@@ -233,7 +237,7 @@ def _integrand(q: Query, pieces: list[tuple[int | _Levels, int, int, int]]) -> R
     terms: list[Term] = []
     for scale, level, power, pole in pieces:
         mono = {0: N - 2 - level, d: -pole}
-        terms += expr.mul_term(scale, mono, [({0: -1, 1: 1}, power)]).terms
+        terms += expr.mul_term(scale, mono, [({0: -1, 1: 1}, power), *extra]).terms
     return RatExpr.of(expr.live_vars, terms)
 
 
@@ -308,11 +312,21 @@ def eval_cascade(q: Query) -> EpsSeries:
     displaced simple pole ``z_0 = eps/(1+eps) z_1`` together with
     ``z_0 = 0``; any vanishing of the ``z_i = 0`` contributions must emerge
     from the algebra and is never assumed.
+
+    In the general regime the ``j = 0`` integrand is one piece, not the
+    ``m + 1`` of :func:`build_integrand`: the insertion factor is taken
+    whole, as ``(d z_1 - (d-1) z_0)^m`` over ``(z_1-z_0)^m``.  At the first
+    pole both forms become series multiples of ``z_1``, so the first step's
+    output is the same expression the expanded pieces would give, and only
+    the direct route integrates the binomial expansion.
     """
     if q.j_max is None:
         raise ValueError("series mode needs q.j_max")
     order = q.j_max
-    base = build_integrand(replace(q, j=0, j_max=None))
+    if q.regime == FANO:
+        base = build_integrand(replace(q, j=0, j_max=None))
+    else:
+        base = _integrand(q, [(1, 0, -q.m, q.m)], [({0: 1 - q.d, 1: q.d}, q.m)])
     one = EpsSeries.constant(1, order)
     eps = EpsSeries.eps(order)
     deformed = base.mul_term(

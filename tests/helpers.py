@@ -2,7 +2,8 @@
 the polynomial expansion of numerator-only expressions, substitution, the
 factor-wise residue kernel, the piece-by-piece integrand builder, the
 series-ring product of the hypergeometric coefficients, the binomial
-reduction to bare two-point numbers and the ``j = 0`` closed form.
+reduction to bare two-point numbers, the ``j = 0`` closed form and the
+quintic's rational-curve counts from two periods.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -392,3 +393,67 @@ def hori_expand(q: Query) -> Fraction:
 def leading_closed_form(N: int, k: int, d: int) -> Fraction:
     """The ``j = 0`` value ``(kd)! / (d!)^N`` of the coefficient series."""
     return Fraction(factorial(k * d), factorial(d) ** N)
+
+
+def _series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """``a * b`` truncated to the length of ``a``."""
+    return [sum([a[i] * b[s - i] for i in range(s + 1)], Fraction(0)) for s in range(len(a))]
+
+
+def _series_inverse(a: list[Fraction]) -> list[Fraction]:
+    out = [1 / Fraction(a[0])]
+    for s in range(1, len(a)):
+        out.append(-sum([a[i] * out[s - i] for i in range(1, s + 1)]) / a[0])
+    return out
+
+
+def _series_exp(a: list[Fraction]) -> list[Fraction]:
+    """``exp(a)`` for ``a[0] = 0``, from ``(exp a)' = a' exp a``."""
+    out = [Fraction(1)]
+    for s in range(1, len(a)):
+        out.append(sum([i * a[i] * out[s - i] for i in range(1, s + 1)]) / s)
+    return out
+
+
+def _series_compose(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """``f(g)`` for ``g[0] = 0``, by Horner's rule."""
+    out = [Fraction(0)] * len(g)
+    for c in reversed(f):
+        out = _series_mul(out, g)
+        out[0] += c
+    return out
+
+
+def _series_revert(q: list[Fraction]) -> list[Fraction]:
+    """The ``z(q)`` with ``q(z(q)) = q``, for ``q = z + O(z^2)``."""
+    z = [Fraction(0), Fraction(1)] + [Fraction(0)] * (len(q) - 2)
+    for s in range(2, len(q)):
+        z[s] -= _series_compose(q, z)[s]
+    return z
+
+
+def quintic_instanton_numbers(omega_0: list[Fraction], omega_1: list[Fraction]) -> list[Fraction]:
+    """The rational-curve counts ``[n_1, ..., n_D]`` of the quintic threefold.
+
+    ``omega_0`` and ``omega_1`` hold the coefficients of ``z^0 .. z^D`` of the
+    two hypergeometric periods, ``omega_1`` without its ``log z`` part.  The
+    mirror map is ``q = z exp(omega_1 / omega_0)``, reverted to ``z(q)``; the
+    Yukawa coupling ``5 / ((1 - 5^5 z) omega_0^2 (1 + z d/dz(omega_1/omega_0))^3)``,
+    re-expanded in ``q``, equals ``5 + sum_d n_d d^3 q^d / (1 - q^d)``.
+    Exact ``Fraction`` power series throughout: a wrong period gives wrong
+    or fractional counts, never a rounded right one.
+    """
+    size = len(omega_0)
+    ratio = _series_mul(omega_1, _series_inverse(omega_0))
+    mirror = [Fraction(0)] + _series_exp(ratio)[: size - 1]
+    jacobian = [Fraction(1)] + [s * c for s, c in enumerate(ratio) if s]  # 1 + z d/dz ratio
+    cubed = _series_mul(_series_mul(jacobian, jacobian), jacobian)
+    denominator = _series_mul(_series_mul(omega_0, omega_0), cubed)
+    denominator = _series_mul([Fraction(1), Fraction(-(5**5))] + [Fraction(0)] * (size - 2), denominator)
+    yukawa = [5 * c for c in _series_inverse(denominator)]
+    coupling = _series_compose(yukawa, _series_revert(mirror))
+    counts: list[Fraction] = []
+    for n in range(1, size):
+        rest = sum([counts[e - 1] * e**3 for e in range(1, n) if n % e == 0], Fraction(0))
+        counts.append((coupling[n] - rest) / n**3)
+    return counts

@@ -17,6 +17,7 @@ from helpers import (
     hori_expand,
     leading_closed_form,
     oracle_residue,
+    quintic_instanton_numbers,
     random_pole_instance,
     scalar_value,
 )
@@ -271,5 +272,45 @@ def test_criterion_8_hand_value_regressions():
     report(
         "criterion 8: hand-value regressions w(2,1,1)={1,-1}, w(2,2,1;0)=4, "
         "hypergeometric (5,3,1) coefficients {6,3}",
+        failures,
+    )
+
+
+# Candelas, de la Ossa, Green and Parkes, "A pair of Calabi-Yau manifolds as
+# an exactly soluble superconformal theory", Nucl. Phys. B 359 (1991)
+QUINTIC_COUNTS = [2875, 609250, 317206375, 242467530000, 229305888887625]
+QUINTIC_DEGREES = 8
+
+
+def quintic_periods(route: str) -> tuple[list[Fraction], list[Fraction]]:
+    """``w(5,5,d;j)/5`` for ``j = 0, 1`` and ``d <= QUINTIC_DEGREES``, by one route.
+
+    Degree 0 is the empty products, ``1`` and ``0``; no route computes it.
+    """
+    omega_0, omega_1 = [Fraction(1)], [Fraction(0)]
+    for d in range(1, QUINTIC_DEGREES + 1):
+        q = Query(5, 5, d, j_max=1)
+        if route == "direct":
+            w = eval_direct(q)
+        else:
+            series = eval_cascade(q)
+            w = [series.coefficient(0), series.coefficient(1)]
+        omega_0.append(w[0] / 5)
+        omega_1.append(w[1] / 5)
+    return omega_0, omega_1
+
+
+@pytest.mark.parametrize("route", ["direct", "cascade"])
+def test_criterion_9_quintic_rational_curve_counts(route):
+    counts = quintic_instanton_numbers(*quintic_periods(route))
+    failures = [(d, n) for d, n in enumerate(counts, 1) if n.denominator != 1]
+    failures += [
+        (d, counts[d - 1], want)
+        for d, want in enumerate(QUINTIC_COUNTS, 1)
+        if counts[d - 1] != want
+    ]
+    report(
+        f"criterion 9: the {route} residues at N = k = 5 give the quintic's "
+        "published rational-curve counts n_1..n_5 and integer n_d for d <= 8",
         failures,
     )

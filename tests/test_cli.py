@@ -334,6 +334,35 @@ class TestCache:
         assert exc.value.code == EXIT_USAGE
         assert f"{cache}:1: malformed cache record: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("field", "value", "reason"),
+        [
+            pytest.param("N", -4, "N must be at least 2", id="bad-N"),
+            pytest.param(
+                "regime", "general", "regime 'general' contradicts N=3, k=2", id="wrong-regime"
+            ),
+            pytest.param(
+                "evaluator", "bogus", "evaluator must be direct or cascade, not 'bogus'",
+                id="unknown-evaluator",
+            ),
+        ],
+    )
+    def test_contradictory_key_named(self, capsys, tmp_path, field, value, reason):
+        # a key no cell of the CLI has is refused like a malformed line, though
+        # no query would ever look it up
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
+                "--cache", str(cache)]
+        run_cli(capsys, *args)
+        good = cache.read_text()
+        rec = json.loads(good)
+        rec[field] = value
+        cache.write_text(good + json.dumps(rec) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        assert f"{cache}:2: contradictory cache record: {reason}" in capsys.readouterr().err
+
 
 class TestUnwritablePaths:
     @pytest.mark.parametrize("flag", ["--cache"])

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+import test_acceptance
 import test_exactnum
 import test_golden
 import test_quasimap
@@ -398,3 +399,18 @@ def test_unsorted_debug_str_caught_by_integrand_digest(monkeypatch):
 
     monkeypatch.setattr(RatExpr, "debug_str", debug_str)
     assert test_golden._sha(test_golden.integrand_renderings()) != digest
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_one_quintic_level_off_caught_by_the_curve_counts(monkeypatch, degree):
+    check = test_acceptance.test_criterion_9_quintic_rational_curve_counts
+    check("direct")
+    exact = test_acceptance.eval_direct
+
+    def eval_direct(q):
+        w = exact(q)
+        return [w[0], w[1] + (q.d == degree)]
+
+    monkeypatch.setattr(test_acceptance, "eval_direct", eval_direct)
+    with pytest.raises(AssertionError):
+        check("direct")

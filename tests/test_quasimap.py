@@ -337,6 +337,42 @@ class TestEvalCascade:
         with pytest.raises(ValueError):
             eval_cascade(Query(2, 1, 1, j=1))
 
+    @staticmethod
+    def deformed_integrand(monkeypatch, q: Query) -> RatExpr:
+        """The expression ``eval_cascade(q)`` hands to ``iterated_residue``."""
+        taken = []
+        zero = EpsSeries.constant(0, q.j_max)
+        monkeypatch.setattr(quasimap, "iterated_residue", lambda e: taken.append(e) or zero)
+        eval_cascade(q)
+        (deformed,) = taken
+        return deformed
+
+    def test_general_insertion_factor_taken_whole(self, monkeypatch):
+        # m = 9: one term, where build_integrand expands the factor into m + 1
+        q = Query(4, 6, 4, j_max=3)
+        assert q.m == 9 and len(build_integrand(replace(q, j=0, j_max=None)).terms) == 10
+        assert len(self.deformed_integrand(monkeypatch, q).terms) == 1
+
+    def test_fano_integrand_is_the_built_one(self, monkeypatch):
+        q = Query(6, 4, 3, j_max=3)
+        one, eps = EpsSeries.constant(1, 3), EpsSeries.eps(3)
+        want = build_integrand(replace(q, j=0, j_max=None)).mul_term(
+            one, {0: 1}, [({0: one + eps, 1: -eps}, -1, resengine.DEFORMATION)]
+        )
+        got = self.deformed_integrand(monkeypatch, q)
+        assert (got, got.debug_str()) == (want, want.debug_str())
+
+    def test_three_routes_agree_at_large_m(self):
+        # m = 51: the cascade's one whole-factor term against the direct
+        # route's 52 binomial pieces and the closed form
+        q = Query(10, 15, 10, j_max=12)
+        direct = eval_direct(q)
+        cascade = eval_cascade(q)
+        hyper = hypergeom_series(10, 15, 10, 12)
+        assert q.m == 51
+        assert direct == [cascade.coefficient(j) for j in range(13)]
+        assert direct == [15 * hyper.coefficient(j) for j in range(13)]
+
 
 class TestHypergeomSeries:
     def test_leading_coefficient_factorials(self):

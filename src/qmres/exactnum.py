@@ -13,7 +13,9 @@ lowest terms, and its ring arithmetic (``+``, ``-``, ``*``, ``inverse``,
 ``==``, ``hash``) runs on those integers alone.  Fractions appear only at the
 boundary: as constructor input, as scalar operands, and as the coefficients
 it hands out, each reduced on its own to the canonical rational.
-``as_integers`` hands out the stored integers themselves.
+``as_integers`` hands out the stored integers themselves.  A series keeps
+its inverse once computed, so a pivot divided out of a form and then taken
+as a coefficient power is inverted once.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class EpsSeries:
     orders do not mix: a binary operation or comparison between them raises
     ValueError.  An ``int`` or ``Fraction`` operand acts as a constant of the
     series' order, so ``EpsSeries.constant(3, 4) == 3`` and both hash alike.
-    Instances are immutable and hashable; the hash is computed on first use
-    and kept on the instance.
+    Instances are immutable and hashable; the hash and the inverse are
+    computed on first use and kept on the instance.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den", "_hash", "_inv")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         cs = [c if isinstance(c, (int, Fraction)) else _exact(c) for c in coeffs]
@@ -195,13 +197,19 @@ class EpsSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "EpsSeries":
-        """Multiplicative inverse modulo ``e^(order+1)``.
+        """Multiplicative inverse modulo ``e^(order+1)``, computed once and kept.
 
         Defined iff the constant term is nonzero.  With numerators
         ``a_0 + a_1 e + ...``, the inverse of that integer series is
         ``sum_m b_m e^m / a_0^(m+1)`` where ``b_0 = 1`` and
-        ``b_m = -sum_{i=1..m} a_i a_0^(i-1) b_(m-i)``, all integers.
+        ``b_m = -sum_{i=1..m} a_i a_0^(i-1) b_(m-i)``, all integers.  The
+        result is kept on the instance, so a later call returns the same
+        object and the inverse lives as long as the series.
         """
+        try:
+            return self._inv
+        except AttributeError:
+            pass
         a = self._num
         a0 = a[0]
         if not a0:
@@ -212,9 +220,9 @@ class EpsSeries:
         for m in range(1, n):
             b.append(-sum([w[i - 1] * b[m - i] for i in range(1, m + 1) if w[i - 1]]))
         den = self._den
-        return EpsSeries._of(
-            [den * bm * a0 ** (n - 1 - m) for m, bm in enumerate(b)], a0**n
-        )
+        inv = EpsSeries._of([den * bm * a0 ** (n - 1 - m) for m, bm in enumerate(b)], a0**n)
+        object.__setattr__(self, "_inv", inv)
+        return inv
 
     def __truediv__(self, other):
         if isinstance(other, EpsSeries):

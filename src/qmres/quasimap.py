@@ -40,7 +40,6 @@ from .exactnum import EpsSeries
 from .resengine import (
     DEFORMATION,
     RatExpr,
-    Term,
     iterated_residue,
     make_term,
     node_tag,
@@ -50,12 +49,10 @@ __all__ = [
     "regime_of",
     "Query",
     "IntersectionResult",
-    "ek_factor",
     "build_integrand",
     "eval_direct",
     "eval_cascade",
     "hypergeom_series",
-    "formal_two_point",
     "verify_theorem",
 ]
 
@@ -195,24 +192,13 @@ class _Levels:
 
 
 def _euler_forms(u: int, v: int, k: int) -> list[tuple]:
-    """The interior factors ``i z_u + (k-i) z_v``, ``0 < i < k``, of :func:`ek_factor`."""
-    return [({u: i, v: k - i}, 1) for i in range(1, k)]
+    """The interior factors ``i z_u + (k-i) z_v``, ``0 < i < k``, of ``e_k(z_u, z_v)``.
 
-
-def ek_factor(u: int, v: int, k: int) -> Term:
-    """The degree-(k+1) product ``prod_{i=0..k} (i z_u + (k-i) z_v)``.
-
-    The ``i = 0`` and ``i = k`` factors are the monomials ``k z_v`` and
-    ``k z_u``, so the product is divisible by both variables; the interior
-    binomial factors stay unexpanded.  Symmetric in ``u`` and ``v``.
+    The product ``e_k(z_u, z_v) = prod_{i=0..k} (i z_u + (k-i) z_v)`` has the
+    monomials ``k z_v`` and ``k z_u`` as its ``i = 0`` and ``i = k`` factors;
+    the interior binomial factors stay unexpanded.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if u == v:
-        raise ValueError("ek_factor needs two distinct variables")
-    term = make_term(k * k, {u: 1, v: 1}, _euler_forms(u, v, k))
-    assert term is not None
-    return term
+    return [({u: i, v: k - i}, 1) for i in range(1, k)]
 
 
 def _integrand(
@@ -227,18 +213,16 @@ def _integrand(
     make one term, normalised once, with coefficient ``k^(d+1)`` and
     ``z_l^(1-N)`` for every ``l``: the measure's ``z_l^-N``, times the
     monomial end ``k z_l`` of each adjacent Euler product, over the node
-    factor's ``z_l``.
+    factor's ``z_l``.  Every piece multiplies it out in one pass, collected once.
     """
     N, k, d = q.N, q.k, q.d
     forms = [f for l in range(1, d + 1) for f in _euler_forms(l - 1, l, k)]
     forms += [({l - 1: -1, l: 2, l + 1: -1}, -1, node_tag(l)) for l in range(1, d)]
     shared = make_term(k ** (d + 1), dict.fromkeys(range(d + 1), 1 - N), forms)
-    expr = RatExpr.of(range(d + 1), [shared])
-    terms: list[Term] = []
-    for scale, level, power, pole in pieces:
-        mono = {0: N - 2 - level, d: -pole}
-        terms += expr.mul_term(scale, mono, [({0: -1, 1: 1}, power), *extra]).terms
-    return RatExpr.of(expr.live_vars, terms)
+    return RatExpr.of(range(d + 1), [shared]).mul_terms(
+        (scale, {0: N - 2 - level, d: -pole}, [({0: -1, 1: 1}, power), *extra])
+        for scale, level, power, pole in pieces
+    )
 
 
 def build_integrand(q: Query) -> RatExpr:
@@ -370,23 +354,6 @@ def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     for m in range(j_max + 1):
         out.append((num[m] * top - sum([den[i] * out[m - i] for i in range(1, m + 1)])) // a0)
     return EpsSeries._of(out, top)
-
-
-def formal_two_point(q: Query, j_prime: int) -> Fraction:
-    """The bare two-point residue with exponents shifted to level ``j_prime``.
-
-    This is the general-regime integrand stripped of the
-    ``(d + z_0/(z_1-z_0))^m`` insertion factor, with numerator exponents
-    ``(z_1-z_0)^j' z_0^(N-2-j')`` and the ``z_d^(-m)`` factor retained.
-    ``N-2-j'`` may be negative; that is legal Laurent data for the engine.
-    """
-    if q.regime != GENERAL:
-        raise ValueError(f"query {q} is not in the general regime")
-    if j_prime < 0:
-        raise ValueError("j_prime must be non-negative")
-    value = iterated_residue(_integrand(q, [(1, j_prime, j_prime, q.m)]))
-    assert isinstance(value, Fraction)
-    return value
 
 
 def verify_theorem(

@@ -18,9 +18,11 @@ extracted scalar absorbed into the term coefficient; forms that degenerate
 to a single variable are folded into the monomial.  On either ring a form
 whose monic coefficients are all constant is a vector of integer numerators
 over one positive denominator, so comparing, hashing, merging and
-substituting it run on ints.  Pole-collision detection is thus a syntactic
-check, and every operation (Taylor coefficients, substitution, residue
-extraction) stays closed on the term shape.
+substituting it run on ints, also at a series root where its image is one
+variable.  A series pivot is inverted once: the series keeps its inverse.
+Pole-collision detection is thus a syntactic check, and every operation
+(Taylor coefficients, substitution, residue extraction) stays closed on the
+term shape.
 
 Terms keep their forms, and expressions their terms, in a deterministic order
 that carries no meaning: identity compares the monomial with the *set* of
@@ -346,7 +348,8 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
 
     ``target`` is the variable of a one-entry form, else the monic form's
     ``LinearForm.key``; ``scalar`` is an int pair ``(n, d)``, a series, or
-    None for 1.  Series vectors divide out their first unit, and if every
+    None for 1.  Series vectors divide out their first unit, which keeps its
+    inverse for the term coefficient's ``scalar^-power``, and if every
     quotient is then constant the target is the rational key.  A vanished
     form is None to a positive ``power`` and an error to a negative one.
     """
@@ -388,7 +391,13 @@ def make_term(
     return b.build()
 
 
-def _collect(terms: Iterable[Term]) -> tuple[Term, ...]:
+def _collect(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The terms with equal shapes summed and zero coefficients dropped.
+
+    Shapes are keyed only when there are two terms or more to merge.
+    """
+    if len(terms) < 2:
+        return tuple([t for t in terms if t.coeff])
     acc: dict = {}
     for t in terms:
         key = t.identity()
@@ -415,7 +424,7 @@ class RatExpr:
     @classmethod
     def of(cls, live_vars: Iterable[int], terms: Iterable[Term | None]) -> "RatExpr":
         live = tuple(sorted(set(live_vars)))
-        return cls(_collect(t for t in terms if t is not None), live)
+        return cls(_collect([t for t in terms if t is not None]), live)
 
     def __eq__(self, other):
         if not isinstance(other, RatExpr):
@@ -436,7 +445,7 @@ class RatExpr:
         if isinstance(scalar, RatExpr):
             return NotImplemented
         return RatExpr(
-            _collect(Term(t.coeff * scalar, t.mono, t.forms) for t in self.terms),
+            _collect([Term(t.coeff * scalar, t.mono, t.forms) for t in self.terms]),
             self.live_vars,
         )
 
@@ -446,13 +455,18 @@ class RatExpr:
         self, coeff: Coeff = 1, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
     ) -> "RatExpr":
         """Multiply every term by ``coeff * monomial * forms``."""
+        return self.mul_terms([(coeff, mono, forms)])
+
+    def mul_terms(self, factors: Iterable[tuple]) -> "RatExpr":
+        """The sum of the products by each ``(coeff, mono, forms)`` factor, collected once."""
         out = []
-        for t in self.terms:
-            b = _TermBuilder(t.coeff * coeff, t.mono)
-            for f, p in t.forms:
-                b.mul_canonical(f, p)
-            b.mul_factors(mono, forms)
-            out.append(b.build())
+        for coeff, mono, forms in factors:
+            for t in self.terms:
+                b = _TermBuilder(t.coeff * coeff, t.mono)
+                for f, p in t.forms:
+                    b.mul_canonical(f, p)
+                b.mul_factors(mono, forms)
+                out.append(b.build())
         return RatExpr.of(self.live_vars, out)
 
     def denominator_forms(self, origin: str) -> list[LinearForm]:
@@ -462,8 +476,11 @@ class RatExpr:
             for f, p in t.forms:
                 if p < 0 and f.origin == origin:
                     seen.setdefault(f.key, f)
-        order = self.terms[0].order if seen else None
-        return sorted(seen.values(), key=lambda f: f.sort_key(order))
+        forms = list(seen.values())
+        if len(forms) < 2:  # a lone site needs no sort key
+            return forms
+        order = self.terms[0].order
+        return sorted(forms, key=lambda f: f.sort_key(order))
 
     def debug_str(self) -> str:
         """Deterministic text rendering for golden tests: terms and forms sorted."""
@@ -513,12 +530,22 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
     """The image of the form ``key`` with ``z_var`` replaced by ``value * z_target``.
 
     A rational form under a rational value ``p/q`` stays an integer vector
-    over ``den * q`` (at ``value = 0``, over ``den``).  Series forms and
-    series values go through a mapping, where a ``z_var`` coefficient of 1
-    (as on the vector ``z_var``) adds ``value`` itself.
+    over ``den * q`` (at ``value = 0``, over ``den``).  Under a series value
+    a rational form that leaves ``z_target`` alone images on integers: its
+    one coefficient ``(a + c value) / den`` is built once from the value's
+    stored integers.  Other series forms and series values go through a
+    mapping, where a ``z_var`` coefficient of 1 (as on the vector ``z_var``)
+    adds ``value`` itself.
     """
     vs, nums, den = key
-    if den is None or isinstance(value, EpsSeries):
+    series = isinstance(value, EpsSeries)
+    if series and den is not None and set(vs) <= {var, target}:
+        vn, vd = value.as_integers()
+        c = nums[vs.index(var)]
+        a = nums[vs.index(target)] * vd if target in vs else 0
+        s = EpsSeries._of([a + c * vn[0], *[c * x for x in vn[1:]]], den * vd)
+        return _image((target,) if s else (), [s], None, power)
+    if den is None or series:
         mapping = dict(zip(vs, nums if den is None else [Fraction(n, den) for n in nums]))
         c = mapping.pop(var)
         mapping[target] = mapping.get(target, 0) + (value if c == 1 else c * value)

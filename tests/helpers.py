@@ -1,9 +1,10 @@
 """Shared test utilities: the brute-force residue oracle, random instances,
 the polynomial expansion of numerator-only expressions, substitution, the
-factor-wise residue kernel, the piece-by-piece integrand builder, the
-series-ring product of the hypergeometric coefficients, the binomial
-reduction to bare two-point numbers, the ``j = 0`` closed form and the
-quintic's rational-curve counts from two periods.
+factor-wise residue kernel, the Euler product ``e_k`` as one term, the bare
+two-point residue, the piece-by-piece integrand builder, the series-ring
+product of the hypergeometric coefficients, the binomial reduction to bare
+two-point numbers, the ``j = 0`` closed form and the quintic's rational-curve
+counts from two periods.
 
 The oracle computes single-variable residues by Laurent-series expansion
 around the pole (binomial shift of the numerator, geometric expansion of the
@@ -22,7 +23,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qmres.exactnum import EpsSeries, is_unit
-from qmres.quasimap import FANO, GENERAL, Query, formal_two_point
+from qmres import quasimap
+from qmres.quasimap import FANO, GENERAL, Query
 from qmres.resengine import (
     PLAIN,
     Coeff,
@@ -291,6 +293,40 @@ def factorwise_residue(
                     b.mul_image(images[idx], q, f.origin)
             out.append(b.build())
     return RatExpr.of(live, out)
+
+
+def ek_factor(u: int, v: int, k: int) -> Term:
+    """The degree-(k+1) product ``prod_{i=0..k} (i z_u + (k-i) z_v)``.
+
+    The ``i = 0`` and ``i = k`` factors are the monomials ``k z_v`` and
+    ``k z_u``, so the product is divisible by both variables; the interior
+    binomial factors stay unexpanded, as the integrand's Euler forms.
+    Symmetric in ``u`` and ``v``.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if u == v:
+        raise ValueError("ek_factor needs two distinct variables")
+    term = make_term(k * k, {u: 1, v: 1}, quasimap._euler_forms(u, v, k))
+    assert term is not None
+    return term
+
+
+def formal_two_point(q: Query, j_prime: int) -> Fraction:
+    """The bare two-point residue with exponents shifted to level ``j_prime``.
+
+    This is the general-regime integrand stripped of the
+    ``(d + z_0/(z_1-z_0))^m`` insertion factor, with numerator exponents
+    ``(z_1-z_0)^j' z_0^(N-2-j')`` and the ``z_d^(-m)`` factor retained.
+    ``N-2-j'`` may be negative; that is legal Laurent data for the engine.
+    """
+    if q.regime != GENERAL:
+        raise ValueError(f"query {q} is not in the general regime")
+    if j_prime < 0:
+        raise ValueError("j_prime must be non-negative")
+    value = quasimap.iterated_residue(quasimap._integrand(q, [(1, j_prime, j_prime, q.m)]))
+    assert isinstance(value, Fraction)
+    return value
 
 
 # The integrand builder as it read before the shared factors were built once

@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ek_factor,
     engine_expression,
     expand,
+    formal_two_point,
     hori_expand,
     leading_closed_form,
     oracle_residue,
@@ -25,10 +27,8 @@ from qmres.givode import verify_annihilation
 from qmres.quasimap import (
     Query,
     build_integrand,
-    ek_factor,
     eval_cascade,
     eval_direct,
-    formal_two_point,
     hypergeom_series,
 )
 from qmres.resengine import (

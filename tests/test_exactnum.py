@@ -249,6 +249,18 @@ class TestIntegerInverse:
         ]
         assert str(got) == str(EpsSeries(want))
 
+    @given(series(nonzero_constant=True))
+    def test_inverse_is_kept(self, s):
+        inv = s.inverse()
+        assert s.inverse() is inv
+        assert list(inv.coeffs) == fraction_inverse(list(s.coeffs))
+
+    def test_non_unit_raises_every_time(self):
+        s = EpsSeries([0, 1], 3)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                s.inverse()
+
 
 class TestHashContract:
     @given(series(), series())

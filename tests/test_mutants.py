@@ -7,6 +7,7 @@ test; no process is started and no file is written.
 
 import inspect
 import json
+import textwrap
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +18,7 @@ import test_golden
 import test_quasimap
 import test_resengine
 from helpers import PoleInstance, engine_expression, oracle_residue, scalar_value
-from qmres import cli, quasimap, resengine
+from qmres import cli, exactnum, quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_direct, verify_theorem
 from qmres.resengine import (
@@ -185,11 +186,11 @@ def test_record_with_a_wrong_lhs_caught_by_cli_digest(monkeypatch, capsys):
     assert test_golden._sha(out) != digest
 
 
-def rebuilt(fn, old: str, new: str):
-    """``fn`` executed from its source with the one ``old`` replaced by ``new``."""
-    src = inspect.getsource(fn)
+def rebuilt(fn, old: str, new: str, module=resengine):
+    """``fn`` executed in ``module`` from its source with the one ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
     assert src.count(old) == 1
-    namespace = dict(vars(resengine))
+    namespace = dict(vars(module))
     exec(src.replace(old, new), namespace)
     return namespace[fn.__name__]
 
@@ -322,6 +323,23 @@ def test_image_inverts_the_pivot_once(monkeypatch):
     scalar, (vs, monic, den) = resengine._image((0, 1, 2), nums, None, -1)
     assert (scalar, vs, list(monic), den) == (pivot, (0, 1, 2), want, None)
     assert len(calls) == 1
+
+
+def test_kept_inverse_losing_its_top_coefficient_caught_by_cascade_digest_and_verify(monkeypatch):
+    # a series inverted before hands back its kept inverse with the e^J coefficient zeroed
+    mutant = rebuilt(
+        EpsSeries.inverse,
+        "return self._inv",
+        "return EpsSeries(self._inv.coeffs[:-1], self.order)",
+        exactnum,
+    )
+    q = Query(3, 2, 2, j_max=4)
+    assert all(r.match for r in verify_theorem(q))
+    monkeypatch.setattr(EpsSeries, "inverse", mutant)
+    # eval_direct and the hypergeometric side never invert a series
+    assert [r.match for r in verify_theorem(q)] == [True] * 4 + [False]
+    digest = test_golden._sha(test_golden.cascade_residue_renderings(monkeypatch))
+    assert digest != test_golden.CASCADE_SHA256
 
 
 def test_pow_starts_from_the_first_odd_power(monkeypatch):

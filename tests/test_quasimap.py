@@ -7,7 +7,9 @@ from functools import cache
 import pytest
 
 from helpers import (
+    ek_factor,
     expand,
+    formal_two_point,
     hori_expand,
     leading_closed_form,
     piecewise_integrand,
@@ -19,10 +21,8 @@ from qmres.quasimap import (
     IntersectionResult,
     Query,
     build_integrand,
-    ek_factor,
     eval_cascade,
     eval_direct,
-    formal_two_point,
     hypergeom_series,
     verify_theorem,
 )
@@ -223,12 +223,18 @@ class TestIntegrands:
 
     def test_series_mode_multiplies_each_shape_out_once(self, monkeypatch):
         # m = 21 at J = 6: 28 shapes (level j - i), not one per (j, i) pair (154)
-        calls = []
-        mul_term = RatExpr.mul_term
-        monkeypatch.setattr(RatExpr, "mul_term", lambda *a, **kw: calls.append(1) or mul_term(*a, **kw))
+        multiplied = []
+        exact = RatExpr.mul_terms
+
+        def mul_terms(expr, factors):
+            factors = list(factors)
+            multiplied.extend(factors)
+            return exact(expr, factors)
+
+        monkeypatch.setattr(RatExpr, "mul_terms", mul_terms)
         q = Query(8, 12, 5, j_max=6)
         build_integrand(q)
-        assert len(calls) <= q.j_max + q.m + 1 == 28
+        assert len(multiplied) <= q.j_max + q.m + 1 == 28
 
     @pytest.mark.parametrize("q", [Query(2, 4, 3, j=6), Query(3, 5, 2, j=2)])
     def test_shared_factors_normalised_once(self, monkeypatch, q):
@@ -336,6 +342,16 @@ class TestEvalCascade:
     def test_needs_j_max(self):
         with pytest.raises(ValueError):
             eval_cascade(Query(2, 1, 1, j=1))
+
+    def test_each_series_inverted_once(self, monkeypatch):
+        # a repeated inverse of one series hands back the object the first
+        # call made, so the recurrence runs at most once per distinct series
+        calls = []
+        exact = EpsSeries.inverse
+        monkeypatch.setattr(EpsSeries, "inverse", lambda s: calls.append((s, exact(s))) or calls[-1][1])
+        eval_cascade(Query(6, 6, 30, j_max=12))
+        runs = len({id(inv) for _, inv in calls})
+        assert len(calls) > runs and runs <= len({s for s, _ in calls})
 
     @staticmethod
     def deformed_integrand(monkeypatch, q: Query) -> RatExpr:

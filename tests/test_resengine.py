@@ -861,3 +861,83 @@ class TestFactorwiseReference:
             got = outcome(residue_at_form_root, expr, var, pole)
             want = outcome(reference_at_root, expr, var, pole)
         assert got == want
+
+
+def mapping_image(key: tuple, var: int, value, target: int, power: int):
+    """The image of ``key`` under ``z_var -> value z_target`` through a mapping of Fractions."""
+    vs, nums, den = key
+    mapping = dict(zip(vs, [Fraction(n, den) for n in nums]))
+    c = mapping.pop(var)
+    mapping[target] = mapping.get(target, 0) + c * value
+    return resengine._image(*resengine._vector(mapping), power)
+
+
+def image_outcome(image, *args):
+    """The image, or the class and message of the error it raised."""
+    try:
+        return image(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def series_substitutions(draw):
+    """``(key, var, value, target, power)`` for a rational key under a series value.
+
+    The key is the vector ``z_var`` or a canonical 2- or 3-variable form; the
+    target lies in it or not.  The value is a random series, the zero series,
+    the root of the target coefficient (a zero image) or that root plus a
+    multiple of ``e`` (a non-unit image).
+    """
+    order = draw(st.integers(0, 3))
+    size = draw(st.sampled_from([1, 2, 3]))
+    vs = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size, unique=True))))
+    if size == 1:
+        key = (vs, (1,), 1)
+    else:
+        nonzero = st.integers(-4, 4).filter(bool)
+        mapping = {v: draw(nonzero) for v in vs}
+        key = resengine._image(*resengine._vector(mapping), 1)[1]
+    var = draw(st.sampled_from(vs))
+    target = draw(st.sampled_from([v for v in range(5) if v != var]))
+    coeffs = dict(zip(key[0], [Fraction(n, key[2]) for n in key[1]]))
+    root = -coeffs.get(target, 0) / coeffs[var]
+    tail = draw(st.lists(small, min_size=order, max_size=order))
+    value = draw(
+        st.sampled_from(
+            [
+                EpsSeries([draw(small), *tail], order),
+                EpsSeries.constant(0, order),
+                EpsSeries.constant(root, order),
+                EpsSeries([root, *tail], order),
+            ]
+        )
+    )
+    return key, var, value, target, draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+class TestIntegerImages:
+    """A rational form under a series value images on integers as it would through a mapping."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_substitutions())
+    def test_equals_the_mapping_image(self, request):
+        got = image_outcome(resengine._substituted, *request)
+        assert got == image_outcome(mapping_image, *request)
+
+    def test_target_alone_skips_the_mapping(self, monkeypatch):
+        one, eps = EpsSeries.constant(1, 3), EpsSeries.eps(3)
+        key = ((0, 1), (3, 1), 3)  # z0 + 1/3 z1 at z0 = (1 + e) z1
+        monkeypatch.setattr(resengine, "_vector", None)
+        assert resengine._substituted(key, 0, one + eps, 1, -1) == (one * 4 / 3 + eps, 1)
+        assert resengine._substituted(((0,), (1,), 1), 0, eps, 1, 1) == (eps, 1)
+
+
+def test_lone_terms_collect_as_they_are(monkeypatch):
+    t = make_term(2, {0: -1}, [({0: 1, 1: 3}, -1)])
+    monkeypatch.setattr(Term, "identity", None)  # a lone term has no shape to key
+    assert resengine._collect([Term(Fraction(0), t.mono, t.forms)]) == ()
+    assert resengine._collect([t])[0] is t

@@ -289,8 +289,6 @@ def _run_tasks(tasks: list, worker, workers: int) -> list:
     caller must run no other thread, since a fork copies only this one.
     """
     size = pool_size(workers, len(tasks), os.cpu_count())
-    if size == 1:
-        return [worker(t) for t in tasks]
     children = []
     try:
         for rank in range(1, size):

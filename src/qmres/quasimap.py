@@ -214,6 +214,8 @@ def _integrand(
     ``z_l^(1-N)`` for every ``l``: the measure's ``z_l^-N``, times the
     monomial end ``k z_l`` of each adjacent Euler product, over the node
     factor's ``z_l``.  Every piece multiplies it out in one pass, collected once.
+    Both evaluators build here: :func:`build_integrand` for the direct route,
+    and :func:`eval_cascade`, whose descendant ladder comes in as ``extra``.
     """
     N, k, d = q.N, q.k, q.d
     forms = [f for l in range(1, d + 1) for f in _euler_forms(l - 1, l, k)]
@@ -286,38 +288,33 @@ def eval_direct(q: Query) -> Fraction | list[Fraction]:
 def eval_cascade(q: Query) -> EpsSeries:
     """The generating function ``sum_j w_j eps^j`` truncated at ``q.j_max``.
 
-    Builds the ``j = 0`` integrand, multiplies by the closed form
-    ``z_0 / ((1+eps) z_0 - eps z_1)`` of the descendant ladder
-    ``sum_j ((z_1-z_0)/z_0)^j eps^j`` and takes iterated residues over the
-    series ring.  The multiply lifts only the term coefficients: a form
-    becomes a series form only when a coefficient is not constant, so the
-    integrand's rational forms are reused as they are and render as
-    constants on the series ring.  The first step takes the residue at the
-    displaced simple pole ``z_0 = eps/(1+eps) z_1`` together with
-    ``z_0 = 0``; any vanishing of the ``z_i = 0`` contributions must emerge
-    from the algebra and is never assumed.
+    Builds the deformed integrand in one :func:`_integrand` call, the
+    ``j = 0`` piece times the closed form ``z_0 / ((1+eps) z_0 - eps z_1)``
+    of the descendant ladder ``sum_j ((z_1-z_0)/z_0)^j eps^j``, and takes
+    iterated residues over the series ring.  The piece's scale is the int 1:
+    term coefficients enter the series ring through the ladder's pivot
+    ``1+eps``, and a form becomes a series form only when a coefficient is
+    not constant, so the rational forms render as constants on the series
+    ring.  The first step takes the residue at the displaced simple pole
+    ``z_0 = eps/(1+eps) z_1`` together with ``z_0 = 0``; any vanishing of
+    the ``z_i = 0`` contributions must emerge from the algebra and is never
+    assumed.
 
     In the general regime the ``j = 0`` integrand is one piece, not the
     ``m + 1`` of :func:`build_integrand`: the insertion factor is taken
     whole, as ``(d z_1 - (d-1) z_0)^m`` over ``(z_1-z_0)^m``.  At the first
     pole both forms become series multiples of ``z_1``, so the first step's
-    output is the same expression the expanded pieces would give, and only
-    the direct route integrates the binomial expansion.
+    output is the same expression the expanded pieces would give.
+    :func:`build_integrand` serves the direct route only.
     """
     if q.j_max is None:
         raise ValueError("series mode needs q.j_max")
-    order = q.j_max
+    one, eps = EpsSeries.constant(1, q.j_max), EpsSeries.eps(q.j_max)
+    ladder = [({0: 1}, 1), ({0: one + eps, 1: -eps}, -1, DEFORMATION)]
     if q.regime == FANO:
-        base = build_integrand(replace(q, j=0, j_max=None))
+        deformed = _integrand(q, [(1, 0, (q.N - q.k) * q.d - 1, 0)], ladder)
     else:
-        base = _integrand(q, [(1, 0, -q.m, q.m)], [({0: 1 - q.d, 1: q.d}, q.m)])
-    one = EpsSeries.constant(1, order)
-    eps = EpsSeries.eps(order)
-    deformed = base.mul_term(
-        coeff=one,
-        mono={0: 1},
-        forms=[({0: one + eps, 1: -eps}, -1, DEFORMATION)],
-    )
+        deformed = _integrand(q, [(1, 0, -q.m, q.m)], [({0: 1 - q.d, 1: q.d}, q.m), *ladder])
     value = iterated_residue(deformed)
     assert isinstance(value, EpsSeries)
     return value

@@ -116,45 +116,42 @@ class EngineCorruptionError(EngineError):
 class LinearForm:
     """A linear form ``sum_i c_i z_(vars[i])`` in canonical scale.
 
-    ``vars`` is sorted, every ``c_i`` is nonzero, there are at least two
-    (single-variable forms fold into monomials), and the pivot, the first
-    unit ``c_i``, is 1.  A series form (some ``c_i`` not constant) has ``den``
-    None and the ``c_i`` as ``nums``; otherwise, on either ring,
-    ``c_i = nums[i] / den``, ints in lowest terms with ``den > 0`` and
-    ``nums[0] == den``.  ``sort_key`` orders renderings and a step's pole
-    sites only; given a series ``order``, it and ``render`` treat a rational
-    form as its constant-series twin.
+    ``key`` is ``(vars, nums, den)``, the form without its origin tag: what
+    proportional factors share, stored once and read as it is.  ``vars`` is
+    sorted, every ``c_i`` is nonzero, there are at least two (single-variable
+    forms fold into monomials), and the pivot, the first unit ``c_i``, is 1.
+    A series form (some ``c_i`` not constant) has ``den`` None and the
+    ``c_i`` as ``nums``; otherwise, on either ring, ``c_i = nums[i] / den``,
+    ints in lowest terms with ``den > 0`` and ``nums[0] == den``.
+    ``sort_key`` orders renderings and a step's pole sites only; given a
+    series ``order``, it and ``render`` treat a rational form as its
+    constant-series twin.
     """
 
-    vars: tuple[int, ...]
-    nums: tuple
-    den: int | None
+    key: tuple
     origin: str = PLAIN
 
     @property
-    def key(self) -> tuple:
-        """The form without its origin tag: what proportional factors share."""
-        return self.vars, self.nums, self.den
-
-    @property
     def coeffs(self) -> tuple[tuple[int, Coeff], ...]:
-        den = self.den
+        vs, nums, den = self.key
         if den is None:
-            return tuple(zip(self.vars, self.nums))
-        return tuple([(v, Fraction(n, den)) for v, n in zip(self.vars, self.nums)])
+            return tuple(zip(vs, nums))
+        return tuple([(v, Fraction(n, den)) for v, n in zip(vs, nums)])
 
     def sort_key(self, order: int | None = None):
         # rationals (tag 0) order before series (tag 1, then their coefficients);
         # at series order J a rational c sorts as its twin (1, c, 0, ..., 0)
         tag, tail = (0, ()) if order is None else (1, (0,) * order)
-        cs = [(v, (1, *c.coeffs) if self.den is None else (tag, c, *tail)) for v, c in self.coeffs]
+        series = self.key[2] is None
+        cs = [(v, (1, *c.coeffs) if series else (tag, c, *tail)) for v, c in self.coeffs]
         return tuple(cs), self.origin
 
     def render(self, order: int | None = None) -> str:
-        twin = "" if self.den is None or order is None else f" + O(e^{order + 1})"
+        series = self.key[2] is None
+        twin = "" if series or order is None else f" + O(e^{order + 1})"
         parts = []
         for v, c in self.coeffs:
-            cs = f"({c}{twin})" if self.den is None or twin else str(c)
+            cs = f"({c}{twin})" if series or twin else str(c)
             parts.append(f"z{v}" if cs == "1" else f"-z{v}" if cs == "-1" else f"{cs}*z{v}")
         body = " + ".join(parts).replace("+ -", "- ")
         return f"({body})" if self.origin == PLAIN else f"({body})@{self.origin}"
@@ -320,7 +317,7 @@ class _TermBuilder:
             coeff = self.coeff if self.num == self.den else self.coeff * Fraction(self.num, self.den)
         mono = tuple(sorted((v, e) for v, e in self.mono.items() if e))
         forms = [
-            (f if f is not None else LinearForm(*key, origin), power)
+            (f if f is not None else LinearForm(key, origin), power)
             for key, (origin, power, f) in self.forms.items()
             if power
         ]
@@ -450,12 +447,6 @@ class RatExpr:
         )
 
     __rmul__ = __mul__
-
-    def mul_term(
-        self, coeff: Coeff = 1, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
-    ) -> "RatExpr":
-        """Multiply every term by ``coeff * monomial * forms``."""
-        return self.mul_terms([(coeff, mono, forms)])
 
     def mul_terms(self, factors: Iterable[tuple]) -> "RatExpr":
         """The sum of the products by each ``(coeff, mono, forms)`` factor, collected once."""
@@ -618,9 +609,10 @@ def _residue(
         for f, p in t.forms:
             if f.key == pole:
                 m -= p
-            elif var in f.vars:
-                n = f.nums[f.vars.index(var)]
-                moving.append((f.key, p, f.origin, n if f.den is None else (n, f.den)))
+            elif var in f.key[0]:
+                vs, nums, den = f.key
+                n = nums[vs.index(var)]
+                moving.append((f.key, p, f.origin, n if den is None else (n, den)))
             else:
                 rest.append((f, p))
         if m <= 0:
@@ -693,7 +685,7 @@ def _normalize_root_form(
     if len(vs) != 2:
         raise PrescriptionError("residue at a form root needs a two-variable linear form")
     key = _image(vs, nums, den, 1)[1]
-    coeffs = dict(LinearForm(*key).coeffs)
+    coeffs = dict(LinearForm(key).coeffs)
     alpha = coeffs.pop(var)
     ((other, c),) = coeffs.items()
     if not is_unit(alpha):
@@ -744,7 +736,7 @@ def _check_step_invariants(expr: RatExpr, step: int, last: int):
             if f.origin in stale:
                 raise EngineCorruptionError(f"form {f} with consumed origin survived step {step}")
             if step + 1 <= last - 1 and f.origin == binary:
-                if set(f.vars) != {step + 1, step + 2}:
+                if set(f.key[0]) != {step + 1, step + 2}:
                     raise EngineCorruptionError(f"descendant form {f} lost its two-variable shape")
 
 

@@ -212,17 +212,18 @@ def _substituted(f: LinearForm, var: int, value: Coeff, target: int, power: int)
     denominator ``den * q``, ``z_var``'s numerator times ``p`` moves to
     ``z_target``.  Series forms and series values go through ``coeffs``.
     """
-    if f.den is None or isinstance(value, EpsSeries):
+    vs, nums, den = f.key
+    if den is None or isinstance(value, EpsSeries):
         mapping = dict(f.coeffs)
         c = mapping.pop(var)
         mapping[target] = mapping.get(target, 0) + c * value
         return _image(*_vector(mapping), power)
-    i = f.vars.index(var)
-    vs, nums, den = f.vars[:i] + f.vars[i + 1 :], f.nums[:i] + f.nums[i + 1 :], f.den
+    i = vs.index(var)
+    c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
     if value:
         q = value.denominator
         entries = dict(zip(vs, [n * q for n in nums]))
-        entries[target] = entries.get(target, 0) + f.nums[i] * value.numerator
+        entries[target] = entries.get(target, 0) + c * value.numerator
         vs = tuple(sorted([v for v, n in entries.items() if n]))
         nums, den = [entries[v] for v in vs], den * q
     return _image(vs, nums, den, power)
@@ -258,10 +259,11 @@ def factorwise_residue(
         # each form's slot among them and, once needed, its image
         moving, slot, images = [(a, None)] if a else [], {}, {}
         for idx, (f, p) in enumerate(forms):
-            if var in f.vars:
-                n = f.nums[f.vars.index(var)]
+            vs, nums, den = f.key
+            if var in vs:
+                n = nums[vs.index(var)]
                 slot[idx] = len(moving)
-                moving.append((p, n if f.den is None else (n, f.den)))
+                moving.append((p, n if den is None else (n, den)))
         for shares in _shares([p for p, _ in moving], m - 1):
             b = _TermBuilder(coeff, mono)
             for (p, c), i in zip(moving, shares):

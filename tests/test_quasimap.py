@@ -182,9 +182,7 @@ class TestIntegrands:
         # the built two-term expansion times z0 z1^2 (z1 - z0) must equal
         # 4 (z0 + z1) z1 as a polynomial identity
         e = build_integrand(Query(2, 2, 1, j=0))
-        cleared = e.mul_term(
-            mono={0: 1, 1: 2}, forms=[({0: Fraction(-1), 1: Fraction(1)}, 1)]
-        )
+        cleared = e.mul_terms([(1, {0: 1, 1: 2}, [({0: Fraction(-1), 1: Fraction(1)}, 1)])])
         assert expand(cleared) == {
             ((0, 1), (1, 1)): Fraction(4),
             ((1, 2),): Fraction(4),
@@ -372,11 +370,36 @@ class TestEvalCascade:
     def test_fano_integrand_is_the_built_one(self, monkeypatch):
         q = Query(6, 4, 3, j_max=3)
         one, eps = EpsSeries.constant(1, 3), EpsSeries.eps(3)
-        want = build_integrand(replace(q, j=0, j_max=None)).mul_term(
-            one, {0: 1}, [({0: one + eps, 1: -eps}, -1, resengine.DEFORMATION)]
+        want = build_integrand(replace(q, j=0, j_max=None)).mul_terms(
+            [(one, {0: 1}, [({0: one + eps, 1: -eps}, -1, resengine.DEFORMATION)])]
         )
         got = self.deformed_integrand(monkeypatch, q)
         assert (got, got.debug_str()) == (want, want.debug_str())
+
+    def test_general_integrand_is_the_two_pass_one(self, monkeypatch):
+        # the insertion factor and the ladder in one build equal them in two passes
+        q = Query(4, 6, 4, j_max=3)
+        m, d = q.m, q.d
+        one, eps = EpsSeries.constant(1, 3), EpsSeries.eps(3)
+        want = quasimap._integrand(q, [(1, 0, -m, m)], [({0: 1 - d, 1: d}, m)]).mul_terms(
+            [(one, {0: 1}, [({0: one + eps, 1: -eps}, -1, resengine.DEFORMATION)])]
+        )
+        got = self.deformed_integrand(monkeypatch, q)
+        assert (got, got.debug_str()) == (want, want.debug_str())
+
+    @pytest.mark.parametrize(
+        "q", [Query(6, 4, 3, j_max=3), Query(4, 6, 4, j_max=3)], ids=["fano", "general"]
+    )
+    def test_one_build_per_query(self, monkeypatch, q):
+        # one multiply pass over the shared factors, and no direct-route builder
+        calls = []
+        mul_terms, build = RatExpr.mul_terms, quasimap.build_integrand
+        monkeypatch.setattr(
+            RatExpr, "mul_terms", lambda e, factors: calls.append("mul") or mul_terms(e, factors)
+        )
+        monkeypatch.setattr(quasimap, "build_integrand", lambda q: calls.append("build") or build(q))
+        eval_cascade(q)
+        assert calls == ["mul"]
 
     def test_three_routes_agree_at_large_m(self):
         # m = 51: the cascade's one whole-factor term against the direct

@@ -265,11 +265,20 @@ def cell_cost(q: Query) -> int:
     ``d^2 k (1 + m)``, with ``m`` taken as 0 in the fano regime.  Only the
     order is used.  The estimate predates the grouped Leibniz shares, the
     one iterated residue per cell and the cascade's whole insertion factor,
-    whose cost no longer grows with ``m``.  It is kept because it still
-    ranks the cells: over N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6``
-    (245 cells; 2 vCPUs, Python 3.11.7), its Spearman correlation with the
-    measured ``verify_theorem`` times is 0.83-0.88 over eight runs, and it
-    orders 83-86% of the pairs with distinct costs as those times do.
+    whose cost no longer grows with ``m``.  Over N = 2..8, k = 1..N+2,
+    d = 1..5 at ``j_max = 6`` (245 cells; 2 vCPUs, Python 3.11.7), its
+    Spearman correlation with the measured ``verify_theorem`` times is
+    0.83-0.88 over eight runs, and it orders 83-86% of the pairs with
+    distinct costs as those times do.  As an order for two processes it
+    helps on small grids and not on the full one.  Two-process stride
+    makespans from best-of-3 cell times, two runs each:
+
+    - N 2..6, d 1..4, ``j_max = 6``: 0.202/0.236 s against 0.233/0.264 s in
+      grid order (longest-first by measured time: 0.188/0.219 s);
+    - the 245-cell grid: 0.624/0.575 s against 0.601/0.561 s in grid order,
+      2-4% behind it (longest-first by measured time: 0.602/0.564 s).
+
+    A better estimate is a performance change of its own.
     """
     return q.d * q.d * q.k * (1 + (q.m or 0))
 

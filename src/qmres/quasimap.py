@@ -327,24 +327,46 @@ def _times_linear(p: list[int], r: int, s: int) -> None:
     p[0] *= r
 
 
+def _power(a: list[int], n: int) -> list[int]:
+    """The integer series ``a`` raised to the power ``n >= 1``, truncated alike.
+
+    J. C. P. Miller's recurrence (Knuth, *TAOCP* vol. 2, 4.7):
+    ``b_0 = a_0^n`` and ``m a_0 b_m = sum_{i=1..m} ((n+1) i - m) a_i b_(m-i)``.
+    ``b_m`` is an integer, so the division by ``m a_0 != 0`` is exact.  A
+    plain loop, not a comprehension per ``m``: the short series of small
+    cells would pay more for the comprehensions than for the sums.
+    """
+    a0, n1 = a[0], n + 1
+    b = [a0**n]
+    for m in range(1, len(a)):
+        acc = 0
+        for i in range(1, m + 1):
+            acc += (n1 * i - m) * a[i] * b[m - i]
+        b.append(acc // (m * a0))
+    return b
+
+
 def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     """The coefficient series ``prod_{r<=kd}(r + k eps) / prod_{r<=d}(r + eps)^N``.
 
     Its ``eps^j`` Taylor coefficient is the closed-form side of the
     intersection-number equalities.  ``d = 0`` gives the empty products, 1.
-    Both products and the quotient run on integer lists, not on the series
-    ring, so a defect of ``EpsSeries`` arithmetic cannot reach ``rhs``.
+    The numerator multiplies its ``kd`` linear factors in one by one; the
+    denominator multiplies its ``d`` linear factors once and raises that
+    product to the ``N``-th power by :func:`_power`.  Both products and the
+    quotient run on integer lists, not on the series ring, so a defect of
+    ``EpsSeries`` arithmetic cannot reach ``rhs``.
     """
     if N < 2 or k < 1 or d < 0:
         raise ValueError("need N >= 2, k >= 1, d >= 0")
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
-    num, den = [1] + [0] * j_max, [1] + [0] * j_max
+    num, base = [1] + [0] * j_max, [1] + [0] * j_max
     for r in range(1, k * d + 1):
         _times_linear(num, r, k)
     for r in range(1, d + 1):
-        for _ in range(N):
-            _times_linear(den, r, 1)
+        _times_linear(base, r, 1)
+    den = _power(base, N)
     # out[m] = a0^(J+1) [eps^m] num/den is an integer, so each // a0 is exact
     a0, top = den[0], den[0] ** (j_max + 1)
     out: list[int] = []

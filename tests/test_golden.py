@@ -7,9 +7,10 @@ givental residual digest before solutions became integer polynomials, the
 deep hypergeometric digest before ``hypergeom_series`` left the series ring, the
 two text-format CLI digests before the column lists were read off the records,
 the series-mode direct digest before the integrand summed its pieces per
-shape) and must never move: any change that reorders output, renders a term
-differently or changes a value fails here instead of relying on a manual
-``diff`` of CLI runs.
+shape, the clean givental CLI digest before the closed form's denominator was
+raised to its power in one recurrence) and must never move: any change that
+reorders output, renders a term differently or changes a value fails here
+instead of relying on a manual ``diff`` of CLI runs.
 """
 
 import hashlib
@@ -72,6 +73,11 @@ CLI_GOLDENS = [
         "compute --N 5 --k 3 --d 2 --j 3 --evaluator both --format text",
         0,
         "a7971ce0e627a16f362d80c318c3c8d7eb968828bfb85d4a399498b9db45215e",
+    ),
+    (
+        "givental --N 2..8 --emax 8 --format csv",
+        0,
+        "f51cfa5cfbd9f271466c48df2a77c8fada5fe540c5e9905eff109a219790e7bc",
     ),
 ]
 

@@ -18,7 +18,7 @@ import test_golden
 import test_quasimap
 import test_resengine
 from helpers import PoleInstance, engine_expression, oracle_residue, scalar_value
-from qmres import cli, exactnum, quasimap, resengine
+from qmres import cli, exactnum, givode, quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_direct, verify_theorem
 from qmres.resengine import (
@@ -128,6 +128,20 @@ def test_kernel_dropping_carry_caught_by_ring_product_and_direct_residues(monkey
     with pytest.raises(AssertionError):
         test_quasimap.assert_matches_ring_product()
     assert [r.match for r in verify_theorem(q)] == [True] * 5 + [False] * 2
+
+
+def test_power_weight_off_by_one_caught_by_ring_product_verify_and_operator(monkeypatch):
+    # Miller's weight (N+1) i - m taken as N i - m when raising the denominator
+    q = Query(4, 3, 2, j_max=6)
+    assert all(r.match for r in verify_theorem(q))
+    assert all(r.annihilated for r in givode.verify_annihilation(5, 3, 6))
+    mutant = rebuilt(quasimap._power, "(n1 * i - m)", "(n * i - m)", quasimap)
+    monkeypatch.setattr(quasimap, "_power", mutant)
+    with pytest.raises(AssertionError):
+        test_quasimap.assert_matches_ring_product()
+    # eps^0 reads only b_0 = a_0^N, which the weight never touches
+    assert [r.match for r in verify_theorem(q)] == [True] + [False] * 6
+    assert [r.annihilated for r in givode.verify_annihilation(5, 3, 6)] == [True] + [False] * 3
 
 
 def test_product_denominator_wrong_from_order_5_caught(monkeypatch):

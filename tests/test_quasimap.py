@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
@@ -437,6 +438,56 @@ class TestHypergeomSeries:
 
     def test_equals_ring_product(self):
         assert_matches_ring_product()
+
+    def test_power_of_one_linear_factor_is_binomial(self):
+        # (r + eps)^N = sum_t C(N, t) r^(N-t) eps^t, cut at eps^J
+        for N in (2, 3, 7):
+            for r in (1, 2, 5):
+                for J in (0, 2, N, N + 3):
+                    want = [comb(N, t) * r ** (N - t) for t in range(J + 1)]
+                    assert quasimap._power(([r, 1] + [0] * J)[: J + 1], N) == want
+
+    def test_power_truncated_at_order_zero_and_of_degree_zero(self):
+        assert quasimap._power([6], 4) == [6**4]
+        # d = 0: the empty product [1, 0, ...] stays 1
+        assert quasimap._power([1] + [0] * 5, 3) == [1] + [0] * 5
+
+    def test_power_with_negative_weights(self):
+        # 1/(1-eps)^2 = sum (m+1) eps^m: at N = 2 the weight 3i - m of
+        # Miller's recurrence is negative for every i < m/3
+        assert quasimap._power([1] * 13, 2) == list(range(1, 14))
+        # 1/(1-eps)^N has the coefficients C(m+N-1, N-1)
+        assert quasimap._power([1] * 13, 5) == [comb(m + 4, 4) for m in range(13)]
+
+    def test_power_equals_repeated_linear_passes(self):
+        for N in range(2, 9):
+            for d in range(15):
+                for J in range(13):
+                    base = [1] + [0] * J
+                    for r in range(1, d + 1):
+                        quasimap._times_linear(base, r, 1)
+                    want = list(base)
+                    for _ in range(N - 1):
+                        for r in range(1, d + 1):
+                            quasimap._times_linear(want, r, 1)
+                    assert quasimap._power(base, N) == want, (N, d, J)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(6, 4, 5, 4), (2, 1, 1, 0), (8, 3, 14, 12), (5, 3, 0, 3)],
+        ids=["6-4-5-4", "2-1-1-0", "8-3-14-12", "5-3-0-3"],
+    )
+    def test_one_linear_pass_per_factor(self, monkeypatch, key):
+        # k d passes for the numerator, d for the denominator's base: the
+        # N-th power costs no linear pass
+        _, k, d, _ = key
+        calls = []
+        times_linear = quasimap._times_linear
+        monkeypatch.setattr(
+            quasimap, "_times_linear", lambda p, r, s: calls.append(s) or times_linear(p, r, s)
+        )
+        hypergeom_series(*key)
+        assert calls == [k] * (k * d) + [1] * d
 
     def test_uses_no_series_arithmetic(self, monkeypatch):
         want = [ring_value(key).as_integers() for key in HYPERGEOM_GRID]

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import EpsSeries
 from .resengine import (
@@ -53,6 +54,7 @@ __all__ = [
     "eval_direct",
     "eval_cascade",
     "hypergeom_series",
+    "hypergeom_ladder",
     "verify_theorem",
 ]
 
@@ -346,6 +348,43 @@ def _power(a: list[int], n: int) -> list[int]:
     return b
 
 
+def _products(k: int, j_max: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The running integer products ``(num, base)`` for ``d = 0, 1, 2, ...``.
+
+    ``num`` is ``prod_{r<=kd}(r + k eps)`` and ``base`` is
+    ``prod_{r<=d}(r + eps)``, both truncated at ``eps^j_max``; ``d = 0``
+    gives the empty products, 1.  Step ``d`` multiplies in only its own
+    factors: ``r + k eps`` for ``r = k(d-1)+1 .. kd``, then ``d + eps``.
+    The two lists are updated in place, so read them before the next step.
+    """
+    num, base = [1] + [0] * j_max, [1] + [0] * j_max
+    d = 0
+    while True:
+        yield num, base
+        d += 1
+        for r in range(k * (d - 1) + 1, k * d + 1):
+            _times_linear(num, r, k)
+        _times_linear(base, d, 1)
+
+
+def _quotient(num: list[int], base: list[int], N: int, j_max: int) -> EpsSeries:
+    """``num / base^N`` as a series: :func:`_power`, then one fraction-free division."""
+    den = _power(base, N)
+    # out[m] = a0^(J+1) [eps^m] num/den is an integer, so each // a0 is exact
+    a0, top = den[0], den[0] ** (j_max + 1)
+    out: list[int] = []
+    for m in range(j_max + 1):
+        out.append((num[m] * top - sum([den[i] * out[m - i] for i in range(1, m + 1)])) // a0)
+    return EpsSeries._of(out, top)
+
+
+def _check_closed_form(N: int, k: int, d: int, j_max: int, name: str) -> None:
+    if N < 2 or k < 1 or d < 0:
+        raise ValueError(f"need N >= 2, k >= 1, {name} >= 0")
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
+
+
 def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     """The coefficient series ``prod_{r<=kd}(r + k eps) / prod_{r<=d}(r + eps)^N``.
 
@@ -357,22 +396,21 @@ def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     quotient run on integer lists, not on the series ring, so a defect of
     ``EpsSeries`` arithmetic cannot reach ``rhs``.
     """
-    if N < 2 or k < 1 or d < 0:
-        raise ValueError("need N >= 2, k >= 1, d >= 0")
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
-    num, base = [1] + [0] * j_max, [1] + [0] * j_max
-    for r in range(1, k * d + 1):
-        _times_linear(num, r, k)
-    for r in range(1, d + 1):
-        _times_linear(base, r, 1)
-    den = _power(base, N)
-    # out[m] = a0^(J+1) [eps^m] num/den is an integer, so each // a0 is exact
-    a0, top = den[0], den[0] ** (j_max + 1)
-    out: list[int] = []
-    for m in range(j_max + 1):
-        out.append((num[m] * top - sum([den[i] * out[m - i] for i in range(1, m + 1)])) // a0)
-    return EpsSeries._of(out, top)
+    _check_closed_form(N, k, d, j_max, "d")
+    num, base = next(islice(_products(k, j_max), d, None))
+    return _quotient(num, base, N, j_max)
+
+
+def hypergeom_ladder(N: int, k: int, e_max: int, j_max: int) -> list[EpsSeries]:
+    """``[hypergeom_series(N, k, e, j_max) for e in range(e_max + 1)]``, sharing the products.
+
+    Degree ``e``'s products are degree ``e-1``'s times ``k + 1`` new linear
+    factors, so all of them take ``(k + 1) e_max`` linear passes, as the top
+    degree alone does.  Each ``c_e`` is still its own quotient of its own
+    integer products: none is derived from another's series.
+    """
+    _check_closed_form(N, k, e_max, j_max, "e_max")
+    return [_quotient(num, base, N, j_max) for num, base in islice(_products(k, j_max), e_max + 1)]
 
 
 def verify_theorem(

@@ -602,6 +602,8 @@ def _residue(
     out: list[Term | None] = []
     for t in expr.terms:
         a = t.exponent_of(var)
+        if pole is None and a >= 0:
+            continue  # no form moves the order -a of a monomial pole
         m = -a if pole is None else 0
         # the factors that depend on z_var as (key, power, origin, c), and the rest
         moving = [(((var,), (1,), 1), a, PLAIN, (1, 1))] if a and pole is not None else []

@@ -842,7 +842,7 @@ class TestGivental:
         def no_work(*args):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli.givode, "hypergeom_series", no_work)
+        monkeypatch.setattr(cli.givode, "hypergeom_ladder", no_work)
         with pytest.raises(SystemExit) as exc:
             main(["givental", "--N", "3", "--k", k])
         err = capsys.readouterr().err

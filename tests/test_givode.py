@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qmres import cli, givode
+from qmres import cli, givode, quasimap
 from qmres.exactnum import EpsSeries
 from qmres.givode import (
     XEPoly,
@@ -13,7 +13,7 @@ from qmres.givode import (
     build_solution,
     verify_annihilation,
 )
-from qmres.quasimap import hypergeom_series
+from qmres.quasimap import hypergeom_ladder, hypergeom_series
 
 
 def coefficient_series(N, k, e_max):
@@ -93,22 +93,22 @@ class TestApplyOperator:
 
 
 def record_series_calls(monkeypatch, perturb_degree=None, perturb_power=1):
-    """Record every ``hypergeom_series`` call a check makes.
+    """Record every ``hypergeom_ladder`` call a check makes.
 
     With ``perturb_degree``, ``1/7`` is added to the ``eps^perturb_power``
     coefficient of that degree's series.
     """
     calls = []
 
-    def recording(N, k, d, j_max):
-        calls.append((N, k, d, j_max))
-        series = hypergeom_series(N, k, d, j_max)
-        if d == perturb_degree:
+    def recording(N, k, e_max, j_max):
+        calls.append((N, k, e_max, j_max))
+        ladder = hypergeom_ladder(N, k, e_max, j_max)
+        if perturb_degree is not None and perturb_degree <= e_max:
             shift = [0] * perturb_power + [Fraction(1, 7)]
-            series = series + EpsSeries(shift, j_max)
-        return series
+            ladder[perturb_degree] = ladder[perturb_degree] + EpsSeries(shift, j_max)
+        return ladder
 
-    monkeypatch.setattr(givode, "hypergeom_series", recording)
+    monkeypatch.setattr(givode, "hypergeom_ladder", recording)
     return calls
 
 
@@ -136,11 +136,26 @@ class TestVerifyAnnihilation:
                 assert report.annihilated
 
     def test_one_series_per_degree(self, monkeypatch):
-        # every j shares one closed-form c_e per degree; none is derived from c_(e-1)
+        # every j shares one closed-form c_e per degree, all from one ladder
         calls = record_series_calls(monkeypatch)
         reports = verify_annihilation(5, 3, 6)
-        assert calls == [(5, 3, e, 3) for e in range(7)]
+        assert calls == [(5, 3, 6, 3)]
         assert len(reports) == 4 and all(r.annihilated for r in reports)
+
+    def test_products_shared_between_degrees(self, monkeypatch):
+        # k + 1 = 4 linear passes per degree past 0, one power per degree
+        calls = {"_times_linear": 0, "_power": 0}
+        for name in calls:
+            exact = getattr(quasimap, name)
+
+            def counted(*args, name=name, exact=exact):
+                calls[name] += 1
+                return exact(*args)
+
+            monkeypatch.setattr(quasimap, name, counted)
+        reports = verify_annihilation(5, 3, 6)
+        assert calls == {"_times_linear": 24, "_power": 7}
+        assert all(r.annihilated for r in reports)
 
     def test_perturbation_detected(self, monkeypatch):
         for N in (3, 4):

@@ -106,15 +106,15 @@ def test_givental_residual_bytes(capsys, monkeypatch):
     degree-3 series of order ``>= 1``, the same value at every truncation
     order, so the digest pins the witness order, values and rendering.
     """
-    exact = givode.hypergeom_series
+    exact = givode.hypergeom_ladder
 
-    def perturbed(N, k, d, j_max):
-        series = exact(N, k, d, j_max)
-        if d == 3 and j_max >= 1:
-            series = series + EpsSeries([0, Fraction(1, 7)], j_max)
-        return series
+    def perturbed(N, k, e_max, j_max):
+        ladder = exact(N, k, e_max, j_max)
+        if e_max >= 3 and j_max >= 1:
+            ladder[3] = ladder[3] + EpsSeries([0, Fraction(1, 7)], j_max)
+        return ladder
 
-    monkeypatch.setattr(givode, "hypergeom_series", perturbed)
+    monkeypatch.setattr(givode, "hypergeom_ladder", perturbed)
     argv = "givental --N 3..5 --emax 5 --workers 1".split()
     got = cli.main(argv)
     assert (got, _sha(capsys.readouterr().out)) == (1, GIVENTAL_RESIDUAL_SHA256)

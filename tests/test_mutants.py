@@ -144,6 +144,37 @@ def test_power_weight_off_by_one_caught_by_ring_product_verify_and_operator(monk
     assert [r.annihilated for r in givode.verify_annihilation(5, 3, 6)] == [True] + [False] * 3
 
 
+def test_ladder_step_off_by_one_caught_by_operator_verify_and_ring_product(monkeypatch):
+    # each step multiplies in r + k eps for r = k(d-1) .. kd-1 instead of k(d-1)+1 .. kd
+    q = Query(4, 3, 2, j_max=6)
+    assert all(r.match for r in verify_theorem(q))
+    assert all(r.annihilated for r in givode.verify_annihilation(5, 3, 6))
+    old, new = "range(k * (d - 1) + 1, k * d + 1)", "range(k * (d - 1), k * d)"
+    mutant = rebuilt(quasimap._products, old, new, quasimap)
+    monkeypatch.setattr(quasimap, "_products", mutant)
+    # the givental ladder and the single-degree series share the products
+    assert not any(r.annihilated for r in givode.verify_annihilation(5, 3, 6))
+    assert not any(r.match for r in verify_theorem(q))
+    with pytest.raises(AssertionError):
+        test_quasimap.assert_matches_ring_product()
+
+
+def test_ladder_quotient_a_degree_behind_caught_by_operator(monkeypatch):
+    # degree e's quotient taken off degree e-1's products: the ladder repeats c_0
+    assert all(r.annihilated for r in givode.verify_annihilation(5, 3, 6))
+    products = quasimap._products
+
+    def behind(k, j_max):
+        prev = None
+        for num, base in products(k, j_max):
+            now = (list(num), list(base))
+            yield prev or now
+            prev = now
+
+    monkeypatch.setattr(quasimap, "_products", behind)
+    assert not any(r.annihilated for r in givode.verify_annihilation(5, 3, 6))
+
+
 def test_product_denominator_wrong_from_order_5_caught(monkeypatch):
     exact = EpsSeries.__mul__
 

@@ -24,6 +24,7 @@ from qmres.quasimap import (
     build_integrand,
     eval_cascade,
     eval_direct,
+    hypergeom_ladder,
     hypergeom_series,
     verify_theorem,
 )
@@ -486,11 +487,17 @@ class TestHypergeomSeries:
         monkeypatch.setattr(
             quasimap, "_times_linear", lambda p, r, s: calls.append(s) or times_linear(p, r, s)
         )
+        powers = []
+        power = quasimap._power
+        monkeypatch.setattr(quasimap, "_power", lambda a, n: powers.append(n) or power(a, n))
         hypergeom_series(*key)
-        assert calls == [k] * (k * d) + [1] * d
+        # degree by degree: k numerator factors r + k eps, then d + eps
+        assert calls == ([k] * k + [1]) * d
+        assert powers == [key[0]]
 
     def test_uses_no_series_arithmetic(self, monkeypatch):
         want = [ring_value(key).as_integers() for key in HYPERGEOM_GRID]
+        ladder_keys = sorted({(N, k, J) for N, k, _, J in HYPERGEOM_GRID})
 
         def refuse(*args):
             raise AssertionError("EpsSeries arithmetic called")
@@ -498,6 +505,39 @@ class TestHypergeomSeries:
         for name in ("__mul__", "__rmul__", "inverse", "__truediv__", "__pow__"):
             monkeypatch.setattr(EpsSeries, name, refuse)
         assert [hypergeom_series(*key).as_integers() for key in HYPERGEOM_GRID] == want
+        ladders = {key: hypergeom_ladder(key[0], key[1], 14, key[2]) for key in ladder_keys}
+        got = [ladders[N, k, J][d].as_integers() for N, k, d, J in HYPERGEOM_GRID]
+        assert got == want
+
+
+class TestHypergeomLadder:
+    def test_equals_the_series_at_every_degree(self):
+        for N, k, J in sorted({(N, k, J) for N, k, _, J in HYPERGEOM_GRID}):
+            ladder = hypergeom_ladder(N, k, 14, J)
+            want = [hypergeom_series(N, k, d, J) for d in range(15)]
+            assert [s.as_integers() for s in ladder] == [s.as_integers() for s in want], (N, k, J)
+            assert [str(s) for s in ladder] == [str(s) for s in want], (N, k, J)
+
+    def test_degree_zero_alone(self):
+        assert hypergeom_ladder(4, 2, 0, 3) == [EpsSeries.constant(1, 3)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="need N >= 2, k >= 1, e_max >= 0"):
+            hypergeom_ladder(3, 2, -1, 4)
+        with pytest.raises(ValueError, match="need N >= 2, k >= 1, e_max >= 0"):
+            hypergeom_ladder(1, 2, 3, 4)
+        with pytest.raises(ValueError, match="j_max must be non-negative"):
+            hypergeom_ladder(3, 2, 1, -1)
+
+    def test_each_degree_adds_only_its_own_factors(self, monkeypatch):
+        calls = []
+        times_linear = quasimap._times_linear
+        monkeypatch.setattr(
+            quasimap, "_times_linear", lambda p, r, s: calls.append((r, s)) or times_linear(p, r, s)
+        )
+        hypergeom_ladder(5, 3, 3, 4)
+        num = [(r, 3) for r in range(1, 10)]
+        assert calls == num[0:3] + [(1, 1)] + num[3:6] + [(2, 1)] + num[6:9] + [(3, 1)]
 
 
 # N 2..8, k 1..N+3, d 0..14 at J 0, 1, 3, 6 and 12

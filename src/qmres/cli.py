@@ -262,25 +262,21 @@ def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
 def cell_cost(q: Query) -> int:
     """A relative cost of the ``verify`` cell ``q``, known before it runs.
 
-    ``d^2 k (1 + m)``, with ``m`` taken as 0 in the fano regime.  Only the
-    order is used.  The estimate predates the grouped Leibniz shares, the
-    one iterated residue per cell and the cascade's whole insertion factor,
-    whose cost no longer grows with ``m``.  Over N = 2..8, k = 1..N+2,
-    d = 1..5 at ``j_max = 6`` (245 cells; 2 vCPUs, Python 3.11.7), its
-    Spearman correlation with the measured ``verify_theorem`` times is
-    0.83-0.88 over eight runs, and it orders 83-86% of the pairs with
-    distinct costs as those times do.  As an order for two processes it
-    helps on small grids and not on the full one.  Two-process stride
-    makespans from best-of-3 cell times, two runs each:
+    ``d^2 k``.  Only the order is used.  The cascade takes the insertion
+    factor whole, so a cell's cost no longer grows with ``m``.  On the grid
+    N = 4, k = 1..6, d = 1..3 at ``j_max = 3`` (2 vCPUs, Python 3.11.7),
+    the measured top five by best-of-15 ``verify_theorem`` time are
+    ``(4,6,3)`` 1.36, ``(4,5,3)`` 1.19, ``(4,4,3)`` 1.00, ``(4,3,3)`` 0.89
+    and ``(4,6,2)`` 0.86 ms, which is this order.  Two-process stride
+    makespans from those times:
 
-    - N 2..6, d 1..4, ``j_max = 6``: 0.202/0.236 s against 0.233/0.264 s in
-      grid order (longest-first by measured time: 0.188/0.219 s);
-    - the 245-cell grid: 0.624/0.575 s against 0.601/0.561 s in grid order,
-      2-4% behind it (longest-first by measured time: 0.602/0.564 s).
-
-    A better estimate is a performance change of its own.
+    - that grid: 6.06-6.17 ms, against 6.70-6.79 ms for the earlier
+      ``d^2 k (1 + m)`` (longest-first by measured time: 6.25 ms);
+    - N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6`` (245 cells, best of
+      3): 0.246/0.251 s, against 0.243/0.248 s in grid order and
+      0.249/0.254 s for ``d^2 k (1 + m)``.
     """
-    return q.d * q.d * q.k * (1 + (q.m or 0))
+    return q.d * q.d * q.k
 
 
 class WorkerError(Exception):

@@ -10,12 +10,14 @@ which is exactly what ``str(Fraction)`` produces.
 
 A series is stored as integer numerators over one positive denominator in
 lowest terms, and its ring arithmetic (``+``, ``-``, ``*``, ``inverse``,
-``==``, ``hash``) runs on those integers alone.  Fractions appear only at the
-boundary: as constructor input, as scalar operands, and as the coefficients
-it hands out, each reduced on its own to the canonical rational.
+``**``, ``==``, ``hash``) runs on those integers alone.  Fractions appear
+only at the boundary: as constructor input, as scalar operands, and as the
+coefficients it hands out, each reduced on its own to the canonical rational.
 ``as_integers`` hands out the stored integers themselves.  A series keeps
 its inverse once computed, so a pivot divided out of a form and then taken
-as a coefficient power is inverted once.
+as a coefficient power is inverted once.  A power is one pass of
+J. C. P. Miller's recurrence over the numerators, reduced once, and shares
+no code with ``quasimap._power`` on purpose (see ``EpsSeries.__pow__``).
 """
 
 from __future__ import annotations
@@ -240,20 +242,42 @@ class EpsSeries:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        """``self ** n`` in one pass of J. C. P. Miller's recurrence.
+
+        A negative ``n`` raises the kept inverse; ``** 0`` is 1 and ``** 1``
+        is the series itself.  For ``n >= 2``, the numerators are written
+        ``e^v (a_0 + a_1 e + ...)`` with ``a_0 != 0``, and the integer power
+        ``b`` of the bracket is ``b_0 = a_0^n``,
+        ``m a_0 b_m = sum_{i=1..m} ((n+1) i - m) a_i b_(m-i)`` (Knuth,
+        *TAOCP* vol. 2, 4.7), each division exact; ``e^(v n) b / den^n`` is
+        reduced once.  ``quasimap._power`` runs the same recurrence for the
+        closed form, which is checked against a product that raises through
+        this ``**``; the two share no code, so a defect in one cannot hide
+        in the other.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return EpsSeries.constant(1, self.order)
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n < 2:
+            return self if n else EpsSeries.constant(1, self.order)
+        xs = self._num
+        size = len(xs)
+        v = next((i for i, x in enumerate(xs) if x), size)
+        shift = v * n
+        if shift >= size:
+            return EpsSeries._of([0] * size, 1)
+        a = xs[v : v + size - shift]
+        a0, n1 = a[0], n + 1
+        b = [a0**n]
+        for m in range(1, len(a)):
+            acc = 0
+            for i in range(1, m + 1):
+                x = a[i]
+                if x:
+                    acc += (n1 * i - m) * x * b[m - i]
+            b.append(acc // (m * a0))
+        return EpsSeries._of([0] * shift + b, self._den**n)
 
     # -- comparison / hashing ------------------------------------------
 

@@ -18,8 +18,9 @@ extracted scalar absorbed into the term coefficient; forms that degenerate
 to a single variable are folded into the monomial.  On either ring a form
 whose monic coefficients are all constant is a vector of integer numerators
 over one positive denominator, so comparing, hashing, merging and
-substituting it run on ints, also at a series root where its image is one
-variable.  A series pivot is inverted once: the series keeps its inverse.
+substituting it run on ints, also at a series root, where only its image's
+entries become series.  A series pivot is inverted once: the series keeps
+its inverse.
 Pole-collision detection is thus a syntactic check, and every operation
 (Taylor coefficients, substitution, residue extraction) stays closed on the
 term shape.
@@ -54,6 +55,7 @@ two origins meeting on one form is an engine bug.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -521,28 +523,38 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
     """The image of the form ``key`` with ``z_var`` replaced by ``value * z_target``.
 
     A rational form under a rational value ``p/q`` stays an integer vector
-    over ``den * q`` (at ``value = 0``, over ``den``).  Under a series value
-    a rational form that leaves ``z_target`` alone images on integers: its
-    one coefficient ``(a + c value) / den`` is built once from the value's
-    stored integers.  Other series forms and series values go through a
-    mapping, where a ``z_var`` coefficient of 1 (as on the vector ``z_var``)
-    adds ``value`` itself.
+    over ``den * q`` (at ``value = 0``, over ``den``).  A rational form under
+    a series value images on integers too: the target's coefficient
+    ``(a + c value) / den`` is built once from the value's stored integers,
+    and each other entry ``n`` is lifted to the constant series ``n / den``.
+    If that coefficient vanishes, no series is left, and the image is the
+    rational one of the other entries over their least denominator.  Series
+    forms go through a mapping, where a ``z_var`` coefficient of 1 adds
+    ``value`` itself.
     """
     vs, nums, den = key
-    series = isinstance(value, EpsSeries)
-    if series and den is not None and set(vs) <= {var, target}:
-        vn, vd = value.as_integers()
-        c = nums[vs.index(var)]
-        a = nums[vs.index(target)] * vd if target in vs else 0
-        s = EpsSeries._of([a + c * vn[0], *[c * x for x in vn[1:]]], den * vd)
-        return _image((target,) if s else (), [s], None, power)
-    if den is None or series:
-        mapping = dict(zip(vs, nums if den is None else [Fraction(n, den) for n in nums]))
+    if den is None:
+        mapping = dict(zip(vs, nums))
         c = mapping.pop(var)
         mapping[target] = mapping.get(target, 0) + (value if c == 1 else c * value)
         return _image(*_vector(mapping), power)
     i = vs.index(var)
     c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
+    if isinstance(value, EpsSeries):
+        vn, vd = value.as_integers()
+        j = bisect_left(vs, target)
+        a = 0
+        if j < len(vs) and vs[j] == target:
+            a = nums[j] * vd
+            vs, nums = vs[:j] + vs[j + 1 :], nums[:j] + nums[j + 1 :]
+        s = [a + c * vn[0], *[c * x for x in vn[1:]]]
+        if not any(s):
+            g = gcd(den, *nums)
+            return _image(vs, [n // g for n in nums], den // g, power)
+        zeros = [0] * (len(vn) - 1)
+        entries = [EpsSeries._of([n, *zeros], den) for n in nums]
+        entries.insert(j, EpsSeries._of(s, den * vd))
+        return _image(vs[:j] + (target,) + vs[j:], entries, None, power)
     if value:
         q = value.denominator
         entries = dict(zip(vs, [n * q for n in nums]))

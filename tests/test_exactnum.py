@@ -223,6 +223,50 @@ class TestCachedHash:
         assert hash(halved) == hash(EpsSeries([1, 2], 4))
 
 
+small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def powers(draw):
+    """``(s, n)``: a series of order 0..12 with valuation 0..3, or the zero series.
+
+    ``n`` lies in -6..40, and is negative only for a unit.
+    """
+    order = draw(st.integers(0, 12))
+    valuation = draw(st.integers(0, 3))
+    lead = draw(small.filter(bool))
+    rest = draw(st.lists(small, min_size=order, max_size=order))
+    s = draw(
+        st.sampled_from(
+            [EpsSeries([0] * valuation + [lead, *rest], order), EpsSeries.constant(0, order)]
+        )
+    )
+    return s, draw(st.integers(-6 if is_unit(s) else 0, 40))
+
+
+class TestPower:
+    @settings(max_examples=200, deadline=None)
+    @given(powers())
+    @example((EpsSeries([-3, 1, Fraction(1, 2)], 6), 7))
+    @example((EpsSeries([0, 0, 2, -1], 8), 4))
+    @example((EpsSeries([0, 0, 0, 5], 12), 4))
+    @example((EpsSeries.constant(0, 12), 40))
+    def test_equals_repeated_products(self, request):
+        s, n = request
+        base = s if n >= 0 else s.inverse()
+        want = EpsSeries.constant(1, s.order)
+        for _ in range(abs(n)):
+            want = want * base
+        got = s**n
+        assert got == want and got.as_integers() == want.as_integers()
+
+    @given(powers())
+    def test_zero_and_one(self, request):
+        s, _ = request
+        assert (s**0).as_integers() == ((1,) + (0,) * s.order, 1)
+        assert s**1 is s
+
+
 def fraction_inverse(cs: list[Fraction]) -> list[Fraction]:
     """The inverse series by long division in plain Fractions."""
     out = [1 / cs[0]]

@@ -17,7 +17,13 @@ import test_exactnum
 import test_golden
 import test_quasimap
 import test_resengine
-from helpers import PoleInstance, engine_expression, oracle_residue, scalar_value
+from helpers import (
+    PoleInstance,
+    engine_expression,
+    oracle_residue,
+    ring_hypergeom_series,
+    scalar_value,
+)
 from qmres import cli, exactnum, givode, quasimap, resengine
 from qmres.exactnum import EpsSeries
 from qmres.quasimap import Query, eval_direct, verify_theorem
@@ -399,6 +405,22 @@ def test_pow_starts_from_the_first_odd_power(monkeypatch):
     calls.clear()
     assert (s**1, s**-1) == (s, want[-1])
     assert calls == []
+
+
+def test_series_power_weight_off_by_one_caught_by_verify_and_ring_product(monkeypatch):
+    # Miller's weight (n+1) i - m taken as n i - m inside EpsSeries.__pow__
+    cells = [Query(3, 4, 2, j_max=4), Query(2, 1, 3, j_max=4), Query(4, 6, 2, j_max=4)]
+    assert all(r.match for q in cells for r in verify_theorem(q))
+    mutant = rebuilt(EpsSeries.__pow__, "(n1 * i - m)", "(n * i - m)", exactnum)
+    monkeypatch.setattr(EpsSeries, "__pow__", mutant)
+    # eps^0 reads only a_0^n, which the weight never touches
+    for q in cells:
+        assert [r.match for r in verify_theorem(q)] == [True] + [False] * 4, q
+    # the closed form's reference product raises its denominator through **;
+    # it runs uncached, so the patched ring leaves no value behind
+    monkeypatch.setattr(test_quasimap, "ring_value", lambda key: ring_hypergeom_series(*key))
+    with pytest.raises(AssertionError):
+        test_quasimap.assert_matches_ring_product()
 
 
 def test_demoting_on_constant_terms_caught_by_direct_residues(monkeypatch):

@@ -353,6 +353,17 @@ class TestEvalCascade:
         runs = len({id(inv) for _, inv in calls})
         assert len(calls) > runs and runs <= len({s for s, _ in calls})
 
+    def test_powers_take_no_products(self, monkeypatch):
+        # a power is one Miller pass and takes no product; the products left
+        # are the residue steps' own (251 with powers by repeated squaring)
+        calls = []
+        exact = EpsSeries.__mul__
+        mul = lambda s, other: calls.append(1) or exact(s, other)  # noqa: E731
+        monkeypatch.setattr(EpsSeries, "__mul__", mul)
+        monkeypatch.setattr(EpsSeries, "__rmul__", mul)
+        eval_cascade(Query(2, 1, 30, j_max=8))
+        assert len(calls) <= 119
+
     @staticmethod
     def deformed_integrand(monkeypatch, q: Query) -> RatExpr:
         """The expression ``eval_cascade(q)`` hands to ``iterated_residue``."""

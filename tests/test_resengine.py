@@ -891,14 +891,15 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def series_substitutions(draw):
     """``(key, var, value, target, power)`` for a rational key under a series value.
 
-    The key is the vector ``z_var`` or a canonical 2- or 3-variable form; the
-    target lies in it or not.  The value is a random series, the zero series,
-    the root of the target coefficient (a zero image) or that root plus a
-    multiple of ``e`` (a non-unit image).
+    The key is the vector ``z_var`` or a canonical 2-, 3- or 4-variable form;
+    the target lies in it or not.  The value is a random series, the zero
+    series, the root of the target coefficient (a zero image, or one that
+    leaves only the form's other entries) or that root plus a multiple of
+    ``e`` (a non-unit image).
     """
     order = draw(st.integers(0, 3))
-    size = draw(st.sampled_from([1, 2, 3]))
-    vs = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size, unique=True))))
+    size = draw(st.sampled_from([1, 2, 3, 4]))
+    vs = tuple(sorted(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size, unique=True))))
     if size == 1:
         key = (vs, (1,), 1)
     else:
@@ -906,7 +907,7 @@ def series_substitutions(draw):
         mapping = {v: draw(nonzero) for v in vs}
         key = resengine._image(*resengine._vector(mapping), 1)[1]
     var = draw(st.sampled_from(vs))
-    target = draw(st.sampled_from([v for v in range(5) if v != var]))
+    target = draw(st.sampled_from([v for v in range(6) if v != var]))
     coeffs = dict(zip(key[0], [Fraction(n, key[2]) for n in key[1]]))
     root = -coeffs.get(target, 0) / coeffs[var]
     tail = draw(st.lists(small, min_size=order, max_size=order))
@@ -938,6 +939,24 @@ class TestIntegerImages:
         monkeypatch.setattr(resengine, "_vector", None)
         assert resengine._substituted(key, 0, one + eps, 1, -1) == (one * 4 / 3 + eps, 1)
         assert resengine._substituted(((0,), (1,), 1), 0, eps, 1, 1) == (eps, 1)
+
+    def test_rational_forms_skip_the_mapping(self, monkeypatch):
+        one, eps = EpsSeries.constant(1, 3), EpsSeries.eps(3)
+        node = ((0, 1, 2), (1, -2, 1), 1)  # the node(1) form z0 - 2 z1 + z2
+        monkeypatch.setattr(resengine, "_vector", None)
+        # z0 = (1 + e) z1: (e - 1) (z1 + z2 / (e - 1))
+        pivot = eps - one
+        want = (pivot, ((1, 2), (one, one / pivot), None))
+        assert resengine._substituted(node, 0, one + eps, 1, -1) == want
+        # z1 = (1 + e) z3, outside the form: z0 + z2 - (2 + 2e) z3
+        want = (None, ((0, 2, 3), (one, one, -2 * (one + eps)), None))
+        assert resengine._substituted(node, 1, one + eps, 3, -1) == want
+        # z1 = 2 z3 leaves every coefficient constant: the rational z0 + z2 - 4 z3
+        assert resengine._substituted(node, 1, 2 * one, 3, -1) == (None, ((0, 2, 3), (1, 1, -4), 1))
+        # z1 = z0 / 2 cancels z0's entry: z2 alone, on integers
+        assert resengine._substituted(node, 1, one / 2, 0, 1) == (None, 2)
+        half = ((0, 1, 2, 3), (2, 1, 4, 6), 2)  # z0 + z1/2 + 2 z2 + 3 z3 at z1 = -2 z0
+        assert resengine._substituted(half, 1, -2 * one, 0, 1) == ((2, 1), ((2, 3), (2, 3), 2))
 
 
 def test_lone_terms_collect_as_they_are(monkeypatch):

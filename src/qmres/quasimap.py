@@ -2,17 +2,15 @@
 
 A two-pointed degree-``d`` correlator on a degree-``k`` hypersurface in
 ``CP^(N-1)`` is a rational number ``w(...)`` defined as an iterated residue
-of a homogeneous rational function in ``z_0 .. z_d``.  Two regimes share one
-engine:
-
-* fano (``k < N``): numerator ``z_0^(N-2-j) (z_1-z_0)^((N-k)d+j-1)`` times
-  the Euler-type products ``e_k(z_{l-1}, z_l)``, over the measure
-  ``prod z_l^N`` and the middle factors ``k z_l (2 z_l - z_{l-1} - z_{l+1})``.
-* general (``k >= N``): numerator ``z_0^(N-2-j) (z_1-z_0)^j`` with the same
-  products, an extra ``z_d^(-m)`` and the degree-0 factor
-  ``(d + z_0/(z_1-z_0))^m`` where ``m = 1 + (k-N) d``.  The direct route
-  expands it binomially into ``m + 1`` pieces; the cascade takes it whole,
-  as ``(d z_1 - (d-1) z_0)^m / (z_1-z_0)^m``.
+of a homogeneous rational function in ``z_0 .. z_d``.  With the signed
+``m = 1 + (k-N) d`` and ``p = max(m, 0)``, every ``(N, k)`` takes the numerator
+``z_0^(N-2-j) (z_1-z_0)^(j-m) z_d^(-p) (d z_1 - (d-1) z_0)^p`` times the
+Euler-type products ``e_k(z_{l-1}, z_l)``, over the measure ``prod z_l^N``
+and the middle factors ``k z_l (2 z_l - z_{l-1} - z_{l+1})``.  The fano
+regime (``k < N``) is ``m <= 0``, with no insertion; the general regime
+(``k >= N``) carries ``m`` insertions, the factor
+``(d z_1 - (d-1) z_0)^m / (z_1-z_0)^m = (d + z_0/(z_1-z_0))^m``.  The direct
+route expands it binomially into ``m + 1`` pieces; the cascade takes it whole.
 
 Two independent evaluators are provided.  ``eval_direct`` takes the per-``j``
 residues over the rational ring, reading each higher-order residue off the
@@ -217,7 +215,7 @@ def _integrand(
     monomial end ``k z_l`` of each adjacent Euler product, over the node
     factor's ``z_l``.  Every piece multiplies it out in one pass, collected once.
     Both evaluators build here: :func:`build_integrand` for the direct route,
-    and :func:`eval_cascade`, whose descendant ladder comes in as ``extra``.
+    and :func:`eval_cascade`, whose insertion factor and ladder come in as ``extra``.
     """
     N, k, d = q.N, q.k, q.d
     forms = [f for l in range(1, d + 1) for f in _euler_forms(l - 1, l, k)]
@@ -232,13 +230,13 @@ def _integrand(
 def build_integrand(q: Query) -> RatExpr:
     """The integrand for the descendant level ``q.j``, or in series mode for every level.
 
-    Homogeneous of degree ``-(d+1)``.  The fano integrand is the single
-    piece with ``(z_1-z_0)^((N-k)d+j-1)``.  The general one, with ``m = q.m``,
-    carries the extra ``z_d^(-m)`` and the degree-0 insertion factor
-    ``(d + z_0/(z_1-z_0))^m``, expanded binomially into ``m+1`` terms
-    ``C(m,i) d^(m-i)`` times the bare piece at level ``j-i``.  The exponent
-    ``j - i`` on the plain form ``(z_1 - z_0)`` may be negative; such terms
-    carry no pole at ``z_0 = 0`` and die in the first residue step.
+    Homogeneous of degree ``-(d+1)``.  With ``m = 1 + (k-N) d`` and
+    ``p = max(m, 0)``, the factor ``(d z_1 - (d-1) z_0)^p`` is expanded
+    binomially into the ``p + 1`` pieces ``(C(p,i) d^(p-i), j-i, j-i+p-m, p)``
+    of :func:`_integrand`; for ``k < N`` (fano) that is the one piece
+    ``(1, j, j-m, 0)``.  The exponent ``j-i+p-m`` on the plain form
+    ``(z_1 - z_0)`` may be negative; such terms carry no pole at ``z_0 = 0``
+    and die in the first residue step.
 
     In series mode (``q.j`` None, ``q.j_max`` set) the integrand holds the
     pieces of every level ``j <= q.j_max``, each scaled by the vector with its
@@ -255,16 +253,15 @@ def build_integrand(q: Query) -> RatExpr:
         levels = [(j, _Levels.unit(q.j_max + 1, j, 1)) for j in range(q.j_max + 1)]
     else:
         raise ValueError("the integrand needs q.j or q.j_max")
-    if q.regime == FANO:
-        return _integrand(q, [(unit, j, (q.N - q.k) * q.d + j - 1, 0) for j, unit in levels])
-    m = q.m
-    weights = [comb(m, i) * q.d ** (m - i) for i in range(m + 1)]
+    m = 1 + (q.k - q.N) * q.d
+    p = max(m, 0)
+    weights = [comb(p, i) * q.d ** (p - i) for i in range(p + 1)]
     shapes: dict[int, int | _Levels] = {}  # level j - i -> summed weight
     for j, unit in levels:
         for i, w in enumerate(weights):
             s = j - i
             shapes[s] = shapes[s] + unit * w if s in shapes else unit * w
-    return _integrand(q, [(scale, s, s, m) for s, scale in shapes.items()])
+    return _integrand(q, [(scale, s, s + p - m, p) for s, scale in shapes.items()])
 
 
 def eval_direct(q: Query) -> Fraction | list[Fraction]:
@@ -302,21 +299,22 @@ def eval_cascade(q: Query) -> EpsSeries:
     the ``z_i = 0`` contributions must emerge from the algebra and is never
     assumed.
 
-    In the general regime the ``j = 0`` integrand is one piece, not the
-    ``m + 1`` of :func:`build_integrand`: the insertion factor is taken
-    whole, as ``(d z_1 - (d-1) z_0)^m`` over ``(z_1-z_0)^m``.  At the first
-    pole both forms become series multiples of ``z_1``, so the first step's
-    output is the same expression the expanded pieces would give.
-    :func:`build_integrand` serves the direct route only.
+    The ``j = 0`` integrand is the one piece ``(1, 0, -m, p)``, with
+    ``m = 1 + (k-N) d`` and ``p = max(m, 0)``, not the ``p + 1`` of
+    :func:`build_integrand`: the insertion factor ``(d z_1 - (d-1) z_0)^p``
+    comes in whole, ahead of the ladder (at ``p = 0``, for ``k < N``, it
+    multiplies nothing).  At the first pole both forms become series
+    multiples of ``z_1``, so the first step's output is the same expression
+    the expanded pieces would give.  :func:`build_integrand` serves the
+    direct route only.
     """
     if q.j_max is None:
         raise ValueError("series mode needs q.j_max")
     one, eps = EpsSeries.constant(1, q.j_max), EpsSeries.eps(q.j_max)
     ladder = [({0: 1}, 1), ({0: one + eps, 1: -eps}, -1, DEFORMATION)]
-    if q.regime == FANO:
-        deformed = _integrand(q, [(1, 0, (q.N - q.k) * q.d - 1, 0)], ladder)
-    else:
-        deformed = _integrand(q, [(1, 0, -q.m, q.m)], [({0: 1 - q.d, 1: q.d}, q.m), *ladder])
+    m = 1 + (q.k - q.N) * q.d
+    p = max(m, 0)
+    deformed = _integrand(q, [(1, 0, -m, p)], [({0: 1 - q.d, 1: q.d}, p), *ladder])
     value = iterated_residue(deformed)
     assert isinstance(value, EpsSeries)
     return value

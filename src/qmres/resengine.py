@@ -522,46 +522,43 @@ def _shares(powers: list[int], n: int):
 def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) -> tuple | None:
     """The image of the form ``key`` with ``z_var`` replaced by ``value * z_target``.
 
-    A rational form under a rational value ``p/q`` stays an integer vector
-    over ``den * q`` (at ``value = 0``, over ``den``).  A rational form under
-    a series value images on integers too: the target's coefficient
-    ``(a + c value) / den`` is built once from the value's stored integers,
-    and each other entry ``n`` is lifted to the constant series ``n / den``.
-    If that coefficient vanishes, no series is left, and the image is the
-    rational one of the other entries over their least denominator.  Series
-    forms go through a mapping, where a ``z_var`` coefficient of 1 adds
-    ``value`` itself.
+    A rational form images on integers under every value.  At a rational
+    ``value = 0`` it is the form without ``z_var``.  Otherwise the value is
+    read as stored integers, a rational ``p/q`` as the one-numerator series
+    ``(p,)`` over ``q``, and the target's coefficient ``(a + c value) / den`` is built once
+    from them.  Under a series value whose target coefficient survives, each
+    other entry ``n`` is lifted to the constant series ``n / den``.  Else no
+    series is left, and the image is the rational one of the surviving
+    entries over their least denominator.  Series forms go through a mapping.
     """
     vs, nums, den = key
     if den is None:
         mapping = dict(zip(vs, nums))
         c = mapping.pop(var)
-        mapping[target] = mapping.get(target, 0) + (value if c == 1 else c * value)
+        mapping[target] = mapping.get(target, 0) + c * value
         return _image(*_vector(mapping), power)
     i = vs.index(var)
     c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
-    if isinstance(value, EpsSeries):
-        vn, vd = value.as_integers()
-        j = bisect_left(vs, target)
-        a = 0
-        if j < len(vs) and vs[j] == target:
-            a = nums[j] * vd
-            vs, nums = vs[:j] + vs[j + 1 :], nums[:j] + nums[j + 1 :]
-        s = [a + c * vn[0], *[c * x for x in vn[1:]]]
-        if not any(s):
-            g = gcd(den, *nums)
-            return _image(vs, [n // g for n in nums], den // g, power)
+    series = isinstance(value, EpsSeries)
+    if not series and not value:
+        return _image(vs, nums, den, power)
+    vn, vd = value.as_integers() if series else ((value.numerator,), value.denominator)
+    j = bisect_left(vs, target)
+    a = 0
+    if j < len(vs) and vs[j] == target:
+        a = nums[j] * vd
+        vs, nums = vs[:j] + vs[j + 1 :], nums[:j] + nums[j + 1 :]
+    s = [a + c * vn[0], *[c * x for x in vn[1:]]]
+    if series and any(s):
         zeros = [0] * (len(vn) - 1)
         entries = [EpsSeries._of([n, *zeros], den) for n in nums]
         entries.insert(j, EpsSeries._of(s, den * vd))
         return _image(vs[:j] + (target,) + vs[j:], entries, None, power)
-    if value:
-        q = value.denominator
-        entries = dict(zip(vs, [n * q for n in nums]))
-        entries[target] = entries.get(target, 0) + c * value.numerator
-        vs = tuple(sorted([v for v, n in entries.items() if n]))
-        nums, den = [entries[v] for v in vs], den * q
-    return _image(vs, nums, den, power)
+    nums = [n * vd for n in nums]
+    if s[0]:
+        vs, nums = vs[:j] + (target,) + vs[j:], [*nums[:j], s[0], *nums[j:]]
+    g = gcd(den * vd, *nums)
+    return _image(vs, [n // g for n in nums], den * vd // g, power)
 
 
 def _group_poly(members: list, top: int) -> tuple[list, int | None]:

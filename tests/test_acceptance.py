@@ -23,7 +23,8 @@ from helpers import (
     random_pole_instance,
     scalar_value,
 )
-from qmres.givode import verify_annihilation
+from qmres.exactnum import EpsSeries
+from qmres.givode import apply_operator, build_solution, verify_annihilation
 from qmres.quasimap import (
     Query,
     build_integrand,
@@ -312,5 +313,64 @@ def test_criterion_9_quintic_rational_curve_counts(route):
     report(
         f"criterion 9: the {route} residues at N = k = 5 give the quintic's "
         "published rational-curve counts n_1..n_5 and integer n_d for d <= 8",
+        failures,
+    )
+
+
+def residue_levels(N: int, k: int, d: int, route: str) -> list[Fraction]:
+    """``w(N,k,d;j)/k`` for ``j <= N-2``, by one residue route."""
+    q = Query(N, k, d, j_max=N - 2)
+    w = eval_direct(q) if route == "direct" else eval_cascade(q).coeffs
+    return [x / k for x in w]
+
+
+@pytest.mark.parametrize("route", ["direct", "cascade"])
+def test_criterion_10_operator_kills_residue_solutions(route):
+    failures = []
+    for N in range(2, 9):
+        e_max = 4 if N <= 5 else 3
+        for k in range(1, N + 4):
+            series = [EpsSeries.constant(1, N - 2)]
+            series += [EpsSeries(residue_levels(N, k, d, route), N - 2) for d in range(1, e_max + 1)]
+            for j in range(N - 1):
+                residual = apply_operator(N, k, build_solution(series, j)).entries
+                if residual:
+                    failures.append((N, k, j, residual[0]))
+    report(
+        f"criterion 10: the operator kills every solution j <= N-2 built from the {route} "
+        "residues [1, w(N,k,1)/k, ...] for N=2..8, k=1..N+3, e_max 4 (N<=5) or 3",
+        failures,
+    )
+
+
+# N -> the highest q-degree checked at k = N and at the controls of that N
+CALABI_YAU_DEGREES = {4: 6, 6: 4, 8: 3}
+
+
+def quadratic_relation(N: int, k: int, route: str) -> list[Fraction]:
+    """``[eps^(N-2) q^D] F(eps) F(-eps)`` for ``D >= 1``, ``F = 1 + sum_d q^d w(N,k,d)/k``."""
+    n = N - 2
+    c = [[Fraction(1)] + [Fraction(0)] * n]
+    c += [residue_levels(N, k, d, route) for d in range(1, CALABI_YAU_DEGREES[N] + 1)]
+    return [
+        sum(c[a][i] * (-1) ** (n - i) * c[D - a][n - i] for a in range(D + 1) for i in range(n + 1))
+        for D in range(1, len(c))
+    ]
+
+
+@pytest.mark.parametrize("route", ["direct", "cascade"])
+def test_criterion_11_quadratic_period_relation(route):
+    failures = []
+    for N in CALABI_YAU_DEGREES:
+        failures += [(N, N, D) for D, x in enumerate(quadratic_relation(N, N, route), 1) if x]
+    # off the Calabi-Yau line the relation fails at every degree
+    for N, k in [(4, 3), (4, 5), (6, 5), (6, 7)]:
+        failures += [
+            ("control", N, k, D) for D, x in enumerate(quadratic_relation(N, k, route), 1) if not x
+        ]
+    report(
+        f"criterion 11: the {route} residues of the K3 quartic, the sextic fourfold and "
+        "the octic sixfold obey [eps^(N-2)] F(eps) F(-eps) = 0 at every q-degree, "
+        "and (4,3), (4,5), (6,5), (6,7) do not",
         failures,
     )

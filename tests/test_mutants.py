@@ -21,7 +21,6 @@ from helpers import (
     PoleInstance,
     engine_expression,
     oracle_residue,
-    ring_hypergeom_series,
     scalar_value,
 )
 from qmres import cli, exactnum, givode, quasimap, resengine
@@ -393,7 +392,7 @@ def test_kept_inverse_losing_its_top_coefficient_caught_by_cascade_digest_and_ve
     assert digest != test_golden.CASCADE_SHA256
 
 
-def test_pow_starts_from_the_first_odd_power(monkeypatch):
+def test_pow_equals_repeated_products_with_no_product_at_one_and_minus_one(monkeypatch):
     s = EpsSeries([2, 1, Fraction(1, 3), -1], 3)
     want = {}
     for n in range(-3, 5):
@@ -416,9 +415,7 @@ def test_series_power_weight_off_by_one_caught_by_verify_and_ring_product(monkey
     # eps^0 reads only a_0^n, which the weight never touches
     for q in cells:
         assert [r.match for r in verify_theorem(q)] == [True] + [False] * 4, q
-    # the closed form's reference product raises its denominator through **;
-    # it runs uncached, so the patched ring leaves no value behind
-    monkeypatch.setattr(test_quasimap, "ring_value", lambda key: ring_hypergeom_series(*key))
+    # the closed form's reference product raises its denominator through **
     with pytest.raises(AssertionError):
         test_quasimap.assert_matches_ring_product()
 
@@ -499,3 +496,38 @@ def test_one_quintic_level_off_caught_by_the_curve_counts(monkeypatch, degree):
     monkeypatch.setattr(test_acceptance, "eval_direct", eval_direct)
     with pytest.raises(AssertionError):
         check("direct")
+
+
+def one_residue_value_off(monkeypatch, route: str, cell: tuple, level: int):
+    """Add 1/7 to the ``level`` value of ``cell = (N, k, d)`` in ``test_acceptance``'s ``route``."""
+    name = "eval_direct" if route == "direct" else "eval_cascade"
+    exact = getattr(test_acceptance, name)
+
+    def evaluator(q):
+        w = exact(q)
+        if (q.N, q.k, q.d) != cell:
+            return w
+        bump = [Fraction(1, 7) * (j == level) for j in range(q.j_max + 1)]
+        if route == "direct":
+            return [x + b for x, b in zip(w, bump)]
+        return w + EpsSeries(bump, q.j_max)
+
+    monkeypatch.setattr(test_acceptance, name, evaluator)
+
+
+@pytest.mark.parametrize("route", ["direct", "cascade"])
+def test_one_residue_value_off_caught_by_the_operator(monkeypatch, route):
+    check = test_acceptance.test_criterion_10_operator_kills_residue_solutions
+    check(route)
+    one_residue_value_off(monkeypatch, route, (5, 3, 2), 1)
+    with pytest.raises(AssertionError):
+        check(route)
+
+
+@pytest.mark.parametrize("route", ["direct", "cascade"])
+def test_one_top_level_value_off_caught_by_the_period_relation(monkeypatch, route):
+    check = test_acceptance.test_criterion_11_quadratic_period_relation
+    check(route)
+    one_residue_value_off(monkeypatch, route, (6, 6, 2), 4)
+    with pytest.raises(AssertionError):
+        check(route)

@@ -561,13 +561,26 @@ HYPERGEOM_GRID = [
 ]
 
 
-@cache
-def ring_value(key: tuple[int, int, int, int]) -> EpsSeries:
-    """``ring_hypergeom_series`` at ``key``, computed once per session.
+# the series-ring methods ring_hypergeom_series runs, as they were at import
+RING_METHODS = {
+    name: getattr(EpsSeries, name)
+    for name in ("__mul__", "__rmul__", "__pow__", "__truediv__", "inverse")
+}
 
-    Only an intact series ring may fill this cache: a test that patches
-    ``EpsSeries`` must not call it while patched.
+
+@cache
+def _cached_ring_value(key: tuple[int, int, int, int]) -> EpsSeries:
+    return ring_hypergeom_series(*key)
+
+
+def ring_value(key: tuple[int, int, int, int]) -> EpsSeries:
+    """``ring_hypergeom_series`` at ``key``, computed once per session on an intact ring.
+
+    While a test has patched one of ``RING_METHODS``, the value is computed
+    afresh and not cached, so no later test compares against a mutant's value.
     """
+    if all(getattr(EpsSeries, name) is method for name, method in RING_METHODS.items()):
+        return _cached_ring_value(key)
     return ring_hypergeom_series(*key)
 
 
@@ -579,6 +592,15 @@ def assert_matches_ring_product():
     for key in HYPERGEOM_GRID:
         got, want = hypergeom_series(*key), ring_value(key)
         assert (got, got.as_integers()) == (want, want.as_integers()), key
+
+
+def test_ring_value_keeps_no_value_of_a_patched_ring(monkeypatch):
+    key = (3, 2, 2, 4)  # outside HYPERGEOM_GRID, so no other test has cached it
+    exact = EpsSeries.__pow__
+    with monkeypatch.context() as patch:
+        patch.setattr(EpsSeries, "__pow__", lambda self, n: exact(self, n + 1))
+        assert ring_value(key) != hypergeom_series(*key)
+    assert ring_value(key) == ring_hypergeom_series(*key) == hypergeom_series(*key)
 
 
 class TestFormalTwoPoint:

@@ -924,6 +924,33 @@ def series_substitutions(draw):
     return key, var, value, target, draw(st.sampled_from([-2, -1, 1, 2]))
 
 
+@st.composite
+def rational_substitutions(draw):
+    """``(key, var, value, target, power)`` for a rational key under a rational value.
+
+    The key, target and power are drawn as for a series value.  The value is
+    a small fraction, the zero root or the root of the target coefficient.
+    """
+    key, var, _, target, power = draw(series_substitutions())
+    coeffs = dict(zip(key[0], [Fraction(n, key[2]) for n in key[1]]))
+    root = -coeffs.get(target, 0) / coeffs[var]
+    return key, var, draw(st.sampled_from([draw(small), 0, root])), target, power
+
+
+class TestRationalImages:
+    """A rational form under a rational value images as it would through a mapping."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_substitutions())
+    def test_equals_the_mapping_image(self, request):
+        got = image_outcome(resengine._substituted, *request)
+        assert got == image_outcome(mapping_image, *request)
+
+    def test_image_is_in_lowest_terms(self):
+        # z0 + z1/2 at z1 = 2 z0 is 2 z0
+        assert resengine._substituted(((0, 1), (2, 1), 2), 1, Fraction(2), 0, -2) == ((2, 1), 0)
+
+
 class TestIntegerImages:
     """A rational form under a series value images on integers as it would through a mapping."""
 

@@ -5,8 +5,10 @@ Three subcommands: ``compute`` evaluates a single intersection number,
 differential-operator annihilation checks.  Every output record is built
 here, by :func:`record_from_result` or :func:`record_from_report`.  Exact
 rationals are emitted as ``"p/q"`` strings; identical configurations produce
-byte-identical output.  Stdout is the one report channel: the only file a
-command opens is its ``--cache``.
+byte-identical output.  Stdout is the one report channel and :func:`main` its
+one writer: each ``cmd_*`` returns its records and whether every check held,
+and ``main`` renders them and maps the verdict to the exit status.  The only
+file a command opens is its ``--cache``.
 
 Exit status: 0 when every requested check holds, 1 when an equality fails,
 2 on usage errors, 3 on engine failures and on a worker that cannot be forked
@@ -48,9 +50,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
-# A cache record stores the key and the value only, each field with the JSON
-# type given here; every derived field is recomputed when it is loaded, so a
-# stale record cannot pass a wrong answer.  A "schema", where present, is an
+# A cache record stores the key, its regime and the value only, each field
+# with the JSON type given here; every derived field is recomputed when it is
+# loaded, so a stale record cannot pass a wrong answer.  A "schema", where present, is an
 # int; records without one predate it and are read as schema 1.
 CACHE_FIELDS = {
     "N": int, "k": int, "d": int, "j": int, "regime": str, "evaluator": str, "lhs": str
@@ -101,8 +103,13 @@ def record_from_report(r: givode.AnnihilationReport) -> dict:
     }
 
 
-def record_key(rec: dict) -> tuple:
-    return (rec["N"], rec["k"], rec["d"], rec["j"], rec["regime"], rec["evaluator"])
+def cache_key(N: int, k: int, d: int, j: int, evaluator: str, **_) -> tuple:
+    """The in-memory cache key of a record, or of a lookup given the same fields.
+
+    ``regime`` is not in it: it follows from ``(N, k)``, and :func:`load_cache`
+    refuses a record whose regime contradicts them.
+    """
+    return (N, k, d, j, evaluator)
 
 
 # ---------------------------------------------------------------- output
@@ -153,11 +160,13 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
     naming ``path:line``.
 
     Its one open, in append mode, creates ``path``, proves it writable and
-    reads it before any evaluation; a path that cannot be opened is a usage
-    error naming it.
+    reads it before any evaluation; a path that cannot be opened, the empty
+    one among them, is a usage error naming it.  :func:`append_cache`
+    reopens it to add the fresh records once the command has them; the
+    report itself goes to stdout, which only :func:`main` writes.
     """
     cache: dict[tuple, Fraction] = {}
-    if path:
+    if path is not None:
         with _open_for_write(path, "a+b") as fh:
             fh.seek(0)
             for lineno, line in enumerate(fh, 1):
@@ -180,7 +189,7 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                     _check_key(rec)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: contradictory cache record: {exc}") from None
-                cache[record_key(rec)] = lhs
+                cache[cache_key(**rec)] = lhs
     return cache
 
 
@@ -205,10 +214,10 @@ def _check_key(rec: dict):
 
 
 def append_cache(path: str | None, cache: dict[tuple, Fraction], records: list[dict]):
-    if not path:
+    if path is None:
         return
-    fresh = [rec for rec in records if record_key(rec) not in cache]
-    fresh.sort(key=record_key)
+    fresh = [rec for rec in records if cache_key(**rec) not in cache]
+    fresh.sort(key=lambda rec: cache_key(**rec))
     if not fresh:
         return
     with _open_for_write(path, "a") as fh:
@@ -224,27 +233,6 @@ def _verify_task(task: tuple[Query, list[Fraction] | None]) -> list[dict]:
     """The records of one ``verify`` cell, given with its cached direct values or None."""
     q, levels = task
     return [record_from_result(r) for r in verify_theorem(q, levels)]
-
-
-def _compute_records(
-    q: Query, evaluators: list[str], cache: dict[tuple, Fraction]
-) -> list[dict]:
-    """One record per evaluator; with both, each takes the other's value as ``cross``."""
-    assert q.j is not None
-    rhs = hypergeom_series(q.N, q.k, q.d, q.j).coefficient(q.j)
-    values = {}
-    for evaluator in evaluators:
-        lhs = cache.get((q.N, q.k, q.d, q.j, q.regime, evaluator))
-        if lhs is None and evaluator == "direct":
-            lhs = eval_direct(q)
-        elif lhs is None:
-            lhs = eval_cascade(replace(q, j_max=q.j)).coefficient(q.j)
-        values[evaluator] = lhs
-    other = {"direct": "cascade", "cascade": "direct"}
-    return [
-        record_from_result(IntersectionResult(q, lhs, rhs, e, values.get(other[e])))
-        for e, lhs in values.items()
-    ]
 
 
 def pool_size(requested: int, tasks: int, cpus: int | None) -> int:
@@ -263,18 +251,11 @@ def cell_cost(q: Query) -> int:
     """A relative cost of the ``verify`` cell ``q``, known before it runs.
 
     ``d^2 k``.  Only the order is used.  The cascade takes the insertion
-    factor whole, so a cell's cost no longer grows with ``m``.  On the grid
+    factor whole, so a cell's cost does not grow with ``m``.  On the grid
     N = 4, k = 1..6, d = 1..3 at ``j_max = 3`` (2 vCPUs, Python 3.11.7),
     the measured top five by best-of-15 ``verify_theorem`` time are
     ``(4,6,3)`` 1.36, ``(4,5,3)`` 1.19, ``(4,4,3)`` 1.00, ``(4,3,3)`` 0.89
-    and ``(4,6,2)`` 0.86 ms, which is this order.  Two-process stride
-    makespans from those times:
-
-    - that grid: 6.06-6.17 ms, against 6.70-6.79 ms for the earlier
-      ``d^2 k (1 + m)`` (longest-first by measured time: 6.25 ms);
-    - N = 2..8, k = 1..N+2, d = 1..5 at ``j_max = 6`` (245 cells, best of
-      3): 0.246/0.251 s, against 0.243/0.248 s in grid order and
-      0.249/0.254 s for ``d^2 k (1 + m)``.
+    and ``(4,6,2)`` 0.86 ms, which is this order.
     """
     return q.d * q.d * q.k
 
@@ -403,7 +384,7 @@ def _grid_cells(args) -> list[Query]:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[list[dict], bool]:
     cells = _grid_cells(args)
     cache = load_cache(args.cache)
     # longest first, so the run does not end on one large cell; output keeps grid order.
@@ -413,30 +394,42 @@ def cmd_verify(args) -> int:
     rows = dict(zip(order, _run_tasks(tasks, _verify_task, args.workers)))
     records = [rec for q in cells for rec in rows[q]]
     append_cache(args.cache, cache, records)
-    sys.stdout.write(render_records(records, args.format))
-    return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
+    return records, all(rec["match"] for rec in records)
 
 
 def _cached_levels(cache: dict, q: Query) -> list[Fraction] | None:
     """The cached direct values of every ``j <= q.j_max``, or None if one is missing."""
     values = []
     for j in range(q.j_max + 1):
-        lhs = cache.get((q.N, q.k, q.d, j, q.regime, "direct"))
+        lhs = cache.get(cache_key(q.N, q.k, q.d, j, "direct"))
         if lhs is None:
             return None
         values.append(lhs)
     return values
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[list[dict], bool]:
+    """One record per evaluator; with both, each takes the other's value as ``cross``."""
     q = _check_cell(N=args.N, k=args.k, d=args.d, j=args.j)
     evaluators = ["direct", "cascade"] if args.evaluator == "both" else [args.evaluator]
     cache = load_cache(args.cache)
-    records = _compute_records(q, evaluators, cache)
-    records.sort(key=record_key)
+    rhs = hypergeom_series(q.N, q.k, q.d, q.j).coefficient(q.j)
+    values = {}
+    for evaluator in evaluators:
+        lhs = cache.get(cache_key(q.N, q.k, q.d, q.j, evaluator))
+        if lhs is None and evaluator == "direct":
+            lhs = eval_direct(q)
+        elif lhs is None:
+            lhs = eval_cascade(replace(q, j_max=q.j)).coefficient(q.j)
+        values[evaluator] = lhs
+    other = {"direct": "cascade", "cascade": "direct"}
+    records = [
+        record_from_result(IntersectionResult(q, lhs, rhs, e, values.get(other[e])))
+        for e, lhs in values.items()
+    ]
+    records.sort(key=lambda rec: cache_key(**rec))
     append_cache(args.cache, cache, records)
-    sys.stdout.write(render_records(records, args.format))
-    return EXIT_OK if all(rec["match"] for rec in records) else EXIT_MISMATCH
+    return records, all(rec["match"] for rec in records)
 
 
 def _givental_task(task: tuple[int, int, int]) -> list[dict]:
@@ -445,7 +438,7 @@ def _givental_task(task: tuple[int, int, int]) -> list[dict]:
     return [record_from_report(r) for r in givode.verify_annihilation(N, k, e_max)]
 
 
-def cmd_givental(args) -> int:
+def cmd_givental(args) -> tuple[list[dict], bool]:
     if args.emax < 0:
         raise ValueError("--emax must be non-negative")
     if args.k is not None and args.k[0] < 1:
@@ -458,10 +451,8 @@ def cmd_givental(args) -> int:
         for k in (args.k if args.k is not None else range(1, N))
     ]
     _require_cells(tasks, args)
-    tasks.sort()
     records = [rec for rows in _run_tasks(tasks, _givental_task, args.workers) for rec in rows]
-    sys.stdout.write(render_records(records, args.format))
-    return EXIT_OK if all(rec["annihilated"] for rec in records) else EXIT_MISMATCH
+    return records, all(rec["annihilated"] for rec in records)
 
 
 # ---------------------------------------------------------------- parser
@@ -529,7 +520,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         # looked up per call, so the cached parser binds no command function
         command = {"compute": cmd_compute, "verify": cmd_verify, "givental": cmd_givental}
-        return command[args.command](args)
+        records, ok = command[args.command](args)
+        sys.stdout.write(render_records(records, args.format))
+        return EXIT_OK if ok else EXIT_MISMATCH
     except ValueError as exc:
         args.parser.error(str(exc))
     except EngineError as exc:

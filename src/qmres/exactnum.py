@@ -2,8 +2,10 @@
 
 Every value in this package is either a stdlib ``fractions.Fraction`` or an
 :class:`EpsSeries`, a power series in one formal parameter ``e`` truncated at
-a fixed order.  The two types implement the same arithmetic surface, so the
-residue engine runs over either ring unchanged.  No floating point is used.
+a fixed order.  The two types implement the same arithmetic surface; the
+residue engine still dispatches on the type where it works on the stored
+integers (``resengine``'s ``_vector``, ``_image``, ``_substituted``,
+``_group_poly`` and ``_TermBuilder.mul_scalar``).  No floating point is used.
 
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1),
 which is exactly what ``str(Fraction)`` produces.

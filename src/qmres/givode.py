@@ -158,8 +158,6 @@ def verify_annihilation(N: int, k: int, e_max: int) -> list[AnnihilationReport]:
     asserts is never used to build either, so the check is as strong as with
     every ``c_e`` built from nothing.
     """
-    if e_max < 0:
-        raise ValueError("e_max must be non-negative")
     series = hypergeom_ladder(N, k, e_max, N - 2)
     return [
         AnnihilationReport(N, k, j, e_max, apply_operator(N, k, build_solution(series, j)).entries)

@@ -297,6 +297,56 @@ class TestCache:
         # the record was used, so nothing was appended
         assert cache.read_text() == json.dumps(rec) + "\n"
 
+    @pytest.fixture
+    def cascade_only_cache(self, capsys, tmp_path):
+        """A cache holding the cascade records of (3,2,1) at j <= 1 and nothing else."""
+        cache = tmp_path / "cache.jsonl"
+        for j in ("0", "1"):
+            run_cli(capsys, "compute", "--N", "3", "--k", "2", "--d", "1", "--j", j,
+                    "--evaluator", "cascade", "--cache", str(cache))
+        assert {json.loads(line)["evaluator"] for line in cache.read_text().splitlines()} == {
+            "cascade"
+        }
+        return cache
+
+    def test_cascade_records_do_not_stand_in_for_direct_in_verify(
+        self, capsys, monkeypatch, cascade_only_cache
+    ):
+        calls, direct = [], quasimap.eval_direct
+
+        def counted(q):
+            calls.append(q)
+            return direct(q)
+
+        monkeypatch.setattr(quasimap, "eval_direct", counted)
+        code, out, _ = run_cli(capsys, "verify", "--N", "3", "--k", "2", "--d", "1",
+                               "--jmax", "1", "--cache", str(cascade_only_cache))
+        assert code == EXIT_OK and calls
+        assert [r["evaluator"] for r in json.loads(out)] == ["direct", "direct"]
+
+    def test_compute_both_runs_direct_once_and_appends_it_alone(
+        self, capsys, monkeypatch, cascade_only_cache
+    ):
+        calls, direct = [], cli.eval_direct
+
+        def counted(q):
+            calls.append(q)
+            return direct(q)
+
+        def no_cascade(q):
+            raise AssertionError(f"eval_cascade ran on a cached cell: {q}")
+
+        monkeypatch.setattr(cli, "eval_direct", counted)
+        monkeypatch.setattr(cli, "eval_cascade", no_cascade)
+        before = cascade_only_cache.read_text()
+        code, _, _ = run_cli(capsys, "compute", "--N", "3", "--k", "2", "--d", "1", "--j", "1",
+                             "--evaluator", "both", "--cache", str(cascade_only_cache))
+        assert code == EXIT_OK and len(calls) == 1
+        after = cascade_only_cache.read_text()
+        assert after.startswith(before)
+        (added,) = after[len(before):].splitlines()
+        assert (json.loads(added)["evaluator"], json.loads(added)["j"]) == ("direct", 1)
+
     @pytest.mark.parametrize(
         ("field", "value", "reason"),
         [
@@ -395,6 +445,26 @@ class TestUnwritablePaths:
             main(argv + [flag, str(path)])
         assert exc.value.code == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0"],
+            ["verify", "--N", "2", "--d", "1", "--jmax", "0"],
+        ],
+        ids=["compute", "verify"],
+    )
+    def test_empty_path_is_usage_error(self, capsys, monkeypatch, argv):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated despite an empty --cache")
+
+        for target in ("verify_theorem", "eval_direct", "eval_cascade", "hypergeom_series"):
+            monkeypatch.setattr(cli, target, evaluated)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache", ""])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == ""
+        assert out.err.endswith("error: cannot write : No such file or directory\n")
 
     def test_directory_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

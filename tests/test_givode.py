@@ -176,7 +176,7 @@ class TestVerifyAnnihilation:
             assert {e for (a, e), _ in report.residual} == {6}
 
     def test_negative_truncation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="e_max >= 0"):
             verify_annihilation(3, 1, -1)
 
     def test_report_record_shape(self):

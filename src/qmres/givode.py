@@ -85,10 +85,14 @@ def build_solution(series: list[EpsSeries], j: int) -> XEPoly:
     ``N-2``.  Expanding ``d^j/d eps^j [c_e(eps) e^((e+eps)x)]`` at
     ``eps = 0`` by the Leibniz rule gives ``sum_i C(j,i) i! c_{e,i}
     x^(j-i) e^(ex)``, where ``c_{e,i}`` is the ``i``-th Taylor coefficient
-    (``c_0 = 1``).  For ``k >= N`` the result is a formal solution.
+    (``c_0 = 1``).  For ``k >= N`` the result is a formal solution.  Series
+    of mixed orders raise ValueError.
     """
     if not series or not 0 <= j <= series[0].order:
         raise ValueError("need series for e = 0..e_max and 0 <= j <= N-2")
+    orders = sorted({s.order for s in series})
+    if len(orders) > 1:
+        raise ValueError(f"need series of one order, got orders {orders}")
     integers = [s.as_integers() for s in series]
     den = lcm(*[d for _, d in integers])
     slices = []

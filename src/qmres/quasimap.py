@@ -377,6 +377,9 @@ def _quotient(num: list[int], base: list[int], N: int, j_max: int) -> EpsSeries:
 
 
 def _check_closed_form(N: int, k: int, d: int, j_max: int, name: str) -> None:
+    for arg, value in (("N", N), ("k", k), (name, d), ("j_max", j_max)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{arg} must be an int")
     if N < 2 or k < 1 or d < 0:
         raise ValueError(f"need N >= 2, k >= 1, {name} >= 0")
     if j_max < 0:
@@ -392,7 +395,8 @@ def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     denominator multiplies its ``d`` linear factors once and raises that
     product to the ``N``-th power by :func:`_power`.  Both products and the
     quotient run on integer lists, not on the series ring, so a defect of
-    ``EpsSeries`` arithmetic cannot reach ``rhs``.
+    ``EpsSeries`` arithmetic cannot reach ``rhs``.  An argument that is a
+    ``bool`` or not an ``int`` raises TypeError, as in :class:`Query`.
     """
     _check_closed_form(N, k, d, j_max, "d")
     num, base = next(islice(_products(k, j_max), d, None))

@@ -79,7 +79,6 @@ __all__ = [
     "homogeneity_degree",
     "residue_at_zero",
     "residue_at_form_root",
-    "default_pole_sites",
     "iterated_residue",
 ]
 
@@ -722,22 +721,6 @@ def residue_at_form_root(
     return _residue(expr, var, pole, alpha, c, other)
 
 
-def default_pole_sites(expr: RatExpr, step: int, last: int) -> list[str | LinearForm]:
-    """The pole set of one integration step.
-
-    Ascending-order integration takes residues at ``z_i = 0`` for the first
-    and last variables and additionally at the roots of the surviving
-    ``node(i)`` denominator descendants for the middle steps.  When the
-    expression carries a deformation factor, its root joins the step-0 set.
-    """
-    sites: list[str | LinearForm] = ["zero"]
-    if step == 0:
-        sites.extend(expr.denominator_forms(DEFORMATION))
-    elif step < last:
-        sites.extend(expr.denominator_forms(node_tag(step)))
-    return sites
-
-
 def _check_step_invariants(expr: RatExpr, step: int, last: int):
     """Post-step shape checks: consumed tags gone, next node forms binary."""
     stale = {DEFORMATION} | {node_tag(i) for i in range(step + 1)}
@@ -757,6 +740,10 @@ def iterated_residue(expr: RatExpr):
     Preconditions: the live variables are exactly ``0..d`` and the expression
     is homogeneous of degree ``-(d+1)``, so that ``d+1`` residue steps, each
     summed over the step's pole set, leave a constant of the coefficient ring.
+
+    Step ``i`` takes the residue at ``z_i = 0``, then at the root of each
+    surviving denominator form tagged ``deformation`` (the displaced pole) at
+    step 0 or ``node(i)`` at ``0 < i < d``; a last step ``d > 0`` takes zero alone.
     """
     if not expr.terms:
         raise PrescriptionError("iterated residue of the zero expression")
@@ -767,24 +754,19 @@ def iterated_residue(expr: RatExpr):
     degree = homogeneity_degree(expr)
     if degree != -(last + 1):
         raise PrescriptionError(f"integrand degree {degree} does not match -(d+1) = {-(last + 1)}")
-    zero = expr.terms[0].coeff * 0
     current = expr
     for step in range(last + 1):
-        total = None  # "zero" is always the first site
-        for site in default_pole_sites(current, step, last):
-            if isinstance(site, str):
-                part = residue_at_zero(current, step)
-            else:
-                part = residue_at_form_root(current, step, site)
-            total = part if total is None else total + part
+        total = residue_at_zero(current, step)
+        if step == 0 or step < last:
+            origin = DEFORMATION if step == 0 else node_tag(step)
+            for f in current.denominator_forms(origin):
+                total = total + residue_at_form_root(current, step, f)
         current = total
         if current.terms:
             if homogeneity_degree(current) != degree + step + 1:
                 raise EngineCorruptionError(f"degree did not rise by one at step {step}")
             _check_step_invariants(current, step, last)
-    result = zero
-    for t in current.terms:
+    for t in current.terms:  # constant terms were collected into one
         if t.mono or t.forms:
             raise PrescriptionError(f"iterated residue left a non-constant term {t}")
-        result = result + t.coeff
-    return result
+    return current.terms[0].coeff if current.terms else expr.terms[0].coeff * 0

@@ -33,9 +33,10 @@ from qmres.quasimap import (
     hypergeom_series,
 )
 from qmres.resengine import (
+    DEFORMATION,
     RatExpr,
-    default_pole_sites,
     homogeneity_degree,
+    node_tag,
     residue_at_form_root,
     residue_at_zero,
 )
@@ -182,14 +183,11 @@ def _walk_default_steps(expr):
     current = expr
     yield homogeneity_degree(current)
     for step in range(last + 1):
-        total = None
-        for site in default_pole_sites(current, step, last):
-            part = (
-                residue_at_zero(current, step)
-                if site == "zero"
-                else residue_at_form_root(current, step, site)
-            )
-            total = part if total is None else total + part
+        total = residue_at_zero(current, step)
+        if step < last:
+            origin = DEFORMATION if step == 0 else node_tag(step)
+            for form in current.denominator_forms(origin):
+                total = total + residue_at_form_root(current, step, form)
         current = total
         if current.terms:
             yield homogeneity_degree(current)

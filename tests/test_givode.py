@@ -80,6 +80,12 @@ class TestBuildSolution:
         with pytest.raises(ValueError):
             build_solution([], 0)
 
+    @pytest.mark.parametrize("orders, j", [((3, 1), 2), ((1, 3), 1)])
+    def test_mixed_orders_rejected(self, orders, j):
+        series = [EpsSeries.constant(1, order) for order in orders]
+        with pytest.raises(ValueError, match=r"one order, got orders \[1, 3\]"):
+            build_solution(series, j)
+
 
 class TestApplyOperator:
     def test_zero_in_zero_out(self):

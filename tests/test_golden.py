@@ -8,7 +8,8 @@ deep hypergeometric digest before ``hypergeom_series`` left the series ring, the
 two text-format CLI digests before the column lists were read off the records,
 the series-mode direct digest before the integrand summed its pieces per
 shape, the clean givental CLI digest before the closed form's denominator was
-raised to its power in one recurrence) and must never move: any change that
+raised to its power in one recurrence, the two N 2..8 verify digests before
+``iterated_residue`` listed its own pole set) and must never move: any change that
 reorders output, renders a term differently or changes a value fails here
 instead of relying on a manual ``diff`` of CLI runs.
 """
@@ -78,6 +79,16 @@ CLI_GOLDENS = [
         "givental --N 2..8 --emax 8 --format csv",
         0,
         "f51cfa5cfbd9f271466c48df2a77c8fada5fe540c5e9905eff109a219790e7bc",
+    ),
+    (
+        "verify --N 2..8 --d 1..5 --jmax 6",
+        0,
+        "e0cefbb63a30157a7ab1f5ba5536eff0c6d1928bb3de37576c316460b02288f5",
+    ),
+    (
+        "verify --N 2..8 --d 1..5 --jmax 6 --workers 2",
+        0,
+        "e0cefbb63a30157a7ab1f5ba5536eff0c6d1928bb3de37576c316460b02288f5",
     ),
 ]
 

@@ -343,6 +343,27 @@ class TestEvalCascade:
         with pytest.raises(ValueError):
             eval_cascade(Query(2, 1, 1, j=1))
 
+    def test_every_pole_is_simple(self, monkeypatch):
+        """Every residue step of the cascade shares ``M - 1 = 0`` among a term's groups.
+
+        ``resengine._residue`` calls ``_shares(powers, M - 1)`` for every term
+        with a pole.  The direct route on ``(6, 8, 3)`` meets a higher-order
+        pole, which shows that the probe sees the calls.
+        """
+        orders = []
+        shares = resengine._shares
+        monkeypatch.setattr(
+            resengine, "_shares", lambda powers, n: orders.append(n) or shares(powers, n)
+        )
+        for N in range(2, 9):
+            for k in range(1, N + 4):
+                for d in range(1, 5):
+                    eval_cascade(Query(N, k, d, j_max=4))
+        assert orders and set(orders) == {0}
+        orders.clear()
+        eval_direct(Query(6, 8, 3, j=3))
+        assert max(orders) > 0
+
     def test_each_series_inverted_once(self, monkeypatch):
         # a repeated inverse of one series hands back the object the first
         # call made, so the recurrence runs at most once per distinct series
@@ -549,6 +570,20 @@ class TestHypergeomLadder:
         hypergeom_ladder(5, 3, 3, 4)
         num = [(r, 3) for r in range(1, 10)]
         assert calls == num[0:3] + [(1, 1)] + num[3:6] + [(2, 1)] + num[6:9] + [(3, 1)]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize(
+    "closed_form, degree", [(hypergeom_series, "d"), (hypergeom_ladder, "e_max")]
+)
+def test_closed_form_rejects_a_bool_or_non_int(closed_form, degree, index, bad):
+    """Each argument takes only an ``int``, as ``Query`` does, before any range check."""
+    args = [5, 3, 2, 4]
+    args[index] = bad
+    name = ("N", "k", degree, "j_max")[index]
+    with pytest.raises(TypeError, match=f"^{name} must be an int$"):
+        closed_form(*args)
 
 
 # N 2..8, k 1..N+3, d 0..14 at J 0, 1, 3, 6 and 12

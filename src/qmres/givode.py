@@ -86,8 +86,10 @@ def build_solution(series: list[EpsSeries], j: int) -> XEPoly:
     ``eps = 0`` by the Leibniz rule gives ``sum_i C(j,i) i! c_{e,i}
     x^(j-i) e^(ex)``, where ``c_{e,i}`` is the ``i``-th Taylor coefficient
     (``c_0 = 1``).  For ``k >= N`` the result is a formal solution.  Series
-    of mixed orders raise ValueError.
+    of mixed orders raise ValueError, a ``j`` that is not an int TypeError.
     """
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise TypeError("j must be an int")
     if not series or not 0 <= j <= series[0].order:
         raise ValueError("need series for e = 0..e_max and 0 <= j <= N-2")
     orders = sorted({s.order for s in series})

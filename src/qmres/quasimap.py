@@ -426,11 +426,13 @@ def verify_theorem(
     three to agree exactly.  A mismatch is a reported result, not an error.
     The direct values of all levels come from one series-mode
     :func:`eval_direct`.  ``direct`` supplies already known values (read from
-    a cache) in place of recomputing them; the cascade and hypergeometric
-    checks run either way.
+    a cache) in place of recomputing them, one per level; the cascade and
+    hypergeometric checks run either way.
     """
     if q.j_max is None:
         raise ValueError("verify_theorem needs q.j_max")
+    if direct is not None and len(direct) != q.j_max + 1:
+        raise ValueError(f"direct holds {len(direct)} values, need j_max + 1 = {q.j_max + 1}")
     cascade = eval_cascade(q)
     hyper = hypergeom_series(q.N, q.k, q.d, q.j_max)
     if direct is None:

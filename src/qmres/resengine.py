@@ -27,8 +27,8 @@ term shape.
 
 Terms keep their forms, and expressions their terms, in a deterministic order
 that carries no meaning: identity compares the monomial with the *set* of
-(form, power) pairs.  Sorting happens only when rendering (``debug_str``) and
-when listing the pole sites of a step (``denominator_forms``).
+(form, power) pairs.  Sorting happens only when rendering (``debug_str``): a
+step takes its pole sites (``denominator_forms``) in first-seen order.
 
 Residues are computed algebraically, one pass per step: the residue of ``e``
 at ``z_i = r`` is the ``(z_i - r)^(M-1)`` Taylor coefficient of
@@ -124,9 +124,8 @@ class LinearForm:
     A series form (some ``c_i`` not constant) has ``den`` None and the
     ``c_i`` as ``nums``; otherwise, on either ring, ``c_i = nums[i] / den``,
     ints in lowest terms with ``den > 0`` and ``nums[0] == den``.
-    ``sort_key`` orders renderings and a step's pole sites only; given a
-    series ``order``, it and ``render`` treat a rational form as its
-    constant-series twin.
+    ``sort_key`` orders renderings only; given a series ``order``, it and
+    ``render`` treat a rational form as its constant-series twin.
     """
 
     key: tuple
@@ -204,22 +203,14 @@ class Term:
 
 
 def _render(terms: Sequence[Term]) -> list[str]:
-    """The terms' texts, sorted on monomial, then on their sorted forms.
-
-    Each distinct ``(form, order)`` pair is keyed and rendered once per call.
-    Forms and terms sort on the pairs' ranks, which order as their keys do.
-    """
-    pairs = {(f, t.order) for t in terms for f, _ in t.forms}
-    keys = {(f, order): f.sort_key(order) for f, order in pairs}
-    ranks = {key: i for i, key in enumerate(sorted(set(keys.values())))}
-    ranked = {(f, order): (ranks[key], f.render(order)) for (f, order), key in keys.items()}
+    """The terms' texts; forms sort on ``(sort_key(order), power)``, terms on monomial and those."""
     out = []
     for t in terms:
         order = t.order
-        forms = sorted([(*ranked[f, order], p) for f, p in t.forms], key=lambda x: (x[0], x[2]))
+        forms = sorted([(f.sort_key(order), p, f) for f, p in t.forms], key=lambda x: x[:2])
         pieces = [f"({t.coeff})"] + [f"z{v}" if e == 1 else f"z{v}^{e}" for v, e in t.mono]
-        pieces += [text + ("" if p == 1 else f"^{p}") for _, text, p in forms]
-        out.append(((t.mono, tuple([(rank, p) for rank, _, p in forms])), "*".join(pieces)))
+        pieces += [f.render(order) + ("" if p == 1 else f"^{p}") for _, p, f in forms]
+        out.append(((t.mono, tuple([(key, p) for key, p, _ in forms])), "*".join(pieces)))
     return [s for _, s in sorted(out, key=lambda x: x[0])]
 
 
@@ -462,17 +453,13 @@ class RatExpr:
         return RatExpr.of(self.live_vars, out)
 
     def denominator_forms(self, origin: str) -> list[LinearForm]:
-        """Distinct denominator forms carrying the given origin tag."""
+        """Distinct denominator forms carrying the given origin tag, in first-seen order."""
         seen: dict[tuple, LinearForm] = {}
         for t in self.terms:
             for f, p in t.forms:
                 if p < 0 and f.origin == origin:
                     seen.setdefault(f.key, f)
-        forms = list(seen.values())
-        if len(forms) < 2:  # a lone site needs no sort key
-            return forms
-        order = self.terms[0].order
-        return sorted(forms, key=lambda f: f.sort_key(order))
+        return list(seen.values())
 
     def debug_str(self) -> str:
         """Deterministic text rendering for golden tests: terms and forms sorted."""

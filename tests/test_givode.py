@@ -80,6 +80,14 @@ class TestBuildSolution:
         with pytest.raises(ValueError):
             build_solution([], 0)
 
+    @pytest.mark.parametrize(
+        "j", [True, 1.0, "1", Fraction(1)], ids=["bool", "float", "str", "fraction"]
+    )
+    def test_non_int_j_named(self, j):
+        with pytest.raises(TypeError) as exc:
+            build_solution(coefficient_series(3, 1, 3), j)
+        assert str(exc.value) == "j must be an int"
+
     @pytest.mark.parametrize("orders, j", [((3, 1), 2), ((1, 3), 1)])
     def test_mixed_orders_rejected(self, orders, j):
         series = [EpsSeries.constant(1, order) for order in orders]

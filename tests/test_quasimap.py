@@ -364,6 +364,54 @@ class TestEvalCascade:
         eval_direct(Query(6, 8, 3, j=3))
         assert max(orders) > 0
 
+    def test_each_step_takes_at_most_one_pole_site(self, monkeypatch):
+        """The cascade's pole structure, on the grid of ``test_every_pole_is_simple``.
+
+        Cascade step ``i < d`` takes the one root of
+        ``z_i - (i+eps)/(i+1+eps) z_(i+1)``, and every zero residue before the
+        last step is empty.  No step of either series route lists two sites,
+        so the order of a step's residue sum never arises.
+        """
+        sites, roots, zeros = [], [], []
+        forms = RatExpr.denominator_forms
+        at_root, at_zero = resengine.residue_at_form_root, resengine.residue_at_zero
+
+        def listed_sites(expr, origin):
+            sites.append(forms(expr, origin))
+            return sites[-1]
+
+        def root(expr, var, form):
+            roots.append((var, form.key))
+            return at_root(expr, var, form)
+
+        def zero(expr, var):
+            out = at_zero(expr, var)
+            zeros.append((var, len(out.terms)))
+            return out
+
+        monkeypatch.setattr(RatExpr, "denominator_forms", listed_sites)
+        monkeypatch.setattr(resengine, "residue_at_form_root", root)
+        monkeypatch.setattr(resengine, "residue_at_zero", zero)
+        J = 4
+        eps = EpsSeries.eps(J)
+        root_keys = [((i, i + 1), (1, -(i + eps) / (i + 1 + eps)), None) for i in range(4)]
+        listed = 0
+        for N in range(2, 9):
+            for k in range(1, N + 4):
+                for d in range(1, 5):
+                    roots.clear()
+                    zeros.clear()
+                    eval_cascade(Query(N, k, d, j_max=J))
+                    assert roots == list(enumerate(root_keys[:d])), (N, k, d)
+                    assert [n for v, n in zeros if v < d] == [0] * d, (N, k, d)
+                    assert max(map(len, sites)) == 1, (N, k, d)
+                    sites.clear()
+                    eval_direct(Query(N, k, d, j_max=J))
+                    assert max(map(len, sites), default=0) <= 1, (N, k, d)
+                    listed += sum(map(len, sites))
+                    sites.clear()
+        assert listed  # the direct route lists node sites too
+
     def test_each_series_inverted_once(self, monkeypatch):
         # a repeated inverse of one series hands back the object the first
         # call made, so the recurrence runs at most once per distinct series
@@ -722,6 +770,14 @@ class TestVerifyTheorem:
         monkeypatch.setattr(resengine, "residue_at_zero", counted_zero)
         assert all(r.match for r in verify_theorem(q))
         assert direct == [q] and zeros == list(range(q.d + 1))
+
+    @pytest.mark.parametrize("count", [2, 4], ids=["short", "long"])
+    def test_direct_values_one_per_level(self, count):
+        q = Query(3, 2, 1, j_max=2)
+        direct = [r.lhs for r in verify_theorem(q)]
+        with pytest.raises(ValueError) as exc:
+            verify_theorem(q, (direct * 2)[:count])
+        assert str(exc.value) == f"direct holds {count} values, need j_max + 1 = 3"
 
     def test_result_fields(self):
         r = verify_theorem(Query(3, 2, 1, j_max=0))[0]

@@ -1,0 +1,96 @@
+"""Exact work bounds for the benchmark's request sets.
+
+Each set below is the request set of the ``perfbench`` workload of that name,
+written out here so that the bound does not move when the benchmark does.
+Every request runs in process through ``cli.main``; ``verify-parallel``
+runs with ``--workers 1``, since a forked worker's counts never reach this
+process.  The counts are totals over a set:
+
+* ``products``: ``EpsSeries.__mul__`` and ``__rmul__`` calls;
+* ``inverses``: ``EpsSeries.inverse`` calls;
+* ``zero`` and ``root``: ``residue_at_zero`` and ``residue_at_form_root`` calls;
+* ``terms``: the terms those residue calls return.
+
+Each bound is the count measured when the bound was set.  Work the program
+adds, such as a repeated product per residue step, breaks one; a change that
+does less work should lower the bound with it.
+"""
+
+import pytest
+
+from qmres import cli, resengine
+from qmres.exactnum import EpsSeries
+
+COUNTS = ("products", "inverses", "zero", "root", "terms")
+
+
+def _verify_grid() -> list[list[str]]:
+    requests = []
+    for d, N_max in ((1, 6), (2, 4), (3, 3)):
+        for N in range(2, N_max + 1):
+            for k in range(2 if d == 1 else 1, N + 3):
+                regime = "fano" if k < N else "general"
+                requests.append(["verify", "--regime", regime, "--N", str(N), "--k", str(k),
+                                 "--d", str(d), "--jmax", str(7 - d), "--workers", "1"])
+    return requests
+
+
+def _cascade_deep() -> list[list[str]]:
+    deep = (6, 14, 22, 30)
+    families = [((2, 1), deep), ((6, 5), deep), ((4, 4), deep), ((6, 6), deep),
+                ((3, 4), (6, 16)), ((5, 6), (6, 16)), ((2, 4), (8,)), ((6, 8), (6,))]
+    queries = sorted((N, k, d) for (N, k), ds in families for d in ds)
+    return [["compute", "--N", str(N), "--k", str(k), "--d", str(d), "--j", str(6 + i % 7),
+             "--evaluator", "cascade"] for i, (N, k, d) in enumerate(queries)]
+
+
+def _givental() -> list[list[str]]:
+    pairs = [(5, e) for e in range(8, 15)] + [(6, 8), (6, 10), (6, 12), (7, 8), (8, 8)]
+    return [["givental", "--N", str(N), "--emax", str(e), "--workers", "1"] for N, e in pairs]
+
+
+REQUESTS = {
+    "verify-grid": _verify_grid(),
+    "cascade-deep": _cascade_deep(),
+    "givental": _givental(),
+    "verify-parallel": [["verify", "--regime", "both", "--N", "4", "--d", "1..3",
+                         "--jmax", "3", "--workers", "1"]],
+}
+
+BOUNDS = {  # in the order of COUNTS, over 49, 22, 12 and 1 requests
+    "verify-grid": (513, 194, 262, 115, 409),
+    "cascade-deep": (2356, 706, 368, 346, 368),
+    "givental": (0, 0, 0, 0, 0),
+    "verify-parallel": (231, 81, 108, 54, 162),
+}
+
+
+@pytest.mark.parametrize("name", list(REQUESTS))
+def test_work_within_bound(name, monkeypatch, capsys):
+    counts = dict.fromkeys(COUNTS, 0)
+
+    def counted(fn, count):
+        def wrapper(*args):
+            counts[count] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def residue(fn, count):
+        def wrapper(*args):
+            out = fn(*args)
+            counts[count] += 1
+            counts["terms"] += len(out.terms)
+            return out
+
+        return wrapper
+
+    for attr, count in (("__mul__", "products"), ("__rmul__", "products"), ("inverse", "inverses")):
+        monkeypatch.setattr(EpsSeries, attr, counted(EpsSeries.__dict__[attr], count))
+    for attr, count in (("residue_at_zero", "zero"), ("residue_at_form_root", "root")):
+        monkeypatch.setattr(resengine, attr, residue(getattr(resengine, attr), count))
+    for argv in REQUESTS[name]:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+    bound = dict(zip(COUNTS, BOUNDS[name]))
+    assert {c: n for c, n in counts.items() if n > bound[c]} == {}, (counts, bound)

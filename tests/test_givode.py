@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmres import cli, givode, quasimap
 from qmres.exactnum import EpsSeries
@@ -45,6 +47,19 @@ class TestXEPoly:
         p = XEPoly(((0, 0), (0,)), 3)
         assert not p.entries
         assert p.entries == ()
+
+    @pytest.mark.parametrize("den", [0, -1, -6])
+    def test_non_positive_denominator_rejected(self, den):
+        with pytest.raises(ValueError, match="den must be positive"):
+            XEPoly(((1,),), den)
+
+    @pytest.mark.parametrize(
+        "den", [True, 1.0, Fraction(1)], ids=["bool", "float", "fraction"]
+    )
+    def test_non_int_denominator_named(self, den):
+        with pytest.raises(TypeError) as exc:
+            XEPoly(((1,),), den)
+        assert str(exc.value) == "den must be an int"
 
     def test_entries_over_the_denominator_sorted_by_x_power(self):
         p = XEPoly(((2, 0, 3), (4, 6)), 4)
@@ -99,6 +114,22 @@ class TestApplyOperator:
     def test_zero_in_zero_out(self):
         assert not apply_operator(4, 2, XEPoly(((),) * 4)).entries
 
+    @pytest.mark.parametrize("N, k", [(0, 1), (1, 1), (2, 0), (2, -3)])
+    def test_operator_outside_the_hypersurfaces_rejected(self, N, k):
+        with pytest.raises(ValueError) as exc:
+            apply_operator(N, k, XEPoly(((1,), (1,))))
+        assert str(exc.value) == "need N >= 2, k >= 1"
+
+    @pytest.mark.parametrize(
+        "N, k, name",
+        [(True, 2, "N"), (2.0, 2, "N"), (2, True, "k"), (2, "2", "k")],
+        ids=["bool-N", "float-N", "bool-k", "str-k"],
+    )
+    def test_non_int_operator_argument_named(self, N, k, name):
+        with pytest.raises(TypeError) as exc:
+            apply_operator(N, k, XEPoly(((1,), (1,))))
+        assert str(exc.value) == f"{name} must be an int"
+
     def test_telescoping_first_order(self):
         # (d/dx - e^x) sum e^{ex}/e! vanishes below the truncation edge
         sol = solution(2, 1, 0, 4)
@@ -126,7 +157,56 @@ def record_series_calls(monkeypatch, perturb_degree=None, perturb_power=1):
     return calls
 
 
+@st.composite
+def ladders(draw):
+    """``(N, k, e_max, series)``: drawn coefficient series at order ``N-2``.
+
+    Most are arbitrary rationals, so the built polynomials solve nothing;
+    the rest are the true ladder with one drawn coefficient moved.
+    """
+    N = draw(st.integers(2, 8))
+    k = draw(st.integers(1, N + 3))
+    e_max = draw(st.integers(0, 6))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    if draw(st.integers(0, 3)):
+        series = [
+            EpsSeries(draw(st.lists(coeff, min_size=N - 1, max_size=N - 1)), N - 2)
+            for _ in range(e_max + 1)
+        ]
+    else:
+        series = hypergeom_ladder(N, k, e_max, N - 2)
+        e, i = draw(st.integers(0, e_max)), draw(st.integers(0, N - 2))
+        series[e] = series[e] + EpsSeries([0] * i + [draw(coeff)], N - 2)
+    return N, k, e_max, series
+
+
 class TestVerifyAnnihilation:
+    @settings(max_examples=150, deadline=None)
+    @given(ladders())
+    def test_residuals_equal_the_operator_on_every_solution(self, drawn):
+        # the derived lower residuals are those of building and applying per j
+        N, k, e_max, series = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(givode, "hypergeom_ladder", lambda *args: list(series))
+            reports = verify_annihilation(N, k, e_max)
+        assert [r.residual for r in reports] == [
+            apply_operator(N, k, build_solution(series, j)).entries for j in range(N - 1)
+        ]
+
+    def test_one_solution_and_one_operator_per_check(self, monkeypatch):
+        calls = []
+        for name in ("build_solution", "apply_operator"):
+            exact = getattr(givode, name)
+
+            def counted(*args, name=name, exact=exact):
+                calls.append(name)
+                return exact(*args)
+
+            monkeypatch.setattr(givode, name, counted)
+        reports = verify_annihilation(6, 2, 5)
+        assert calls == ["build_solution", "apply_operator"]
+        assert len(reports) == 5 and all(r.annihilated for r in reports)
+
     def test_smallest_case(self):
         (report,) = verify_annihilation(2, 1, 4)
         assert report.annihilated

@@ -9,9 +9,11 @@ two text-format CLI digests before the column lists were read off the records,
 the series-mode direct digest before the integrand summed its pieces per
 shape, the clean givental CLI digest before the closed form's denominator was
 raised to its power in one recurrence, the two N 2..8 verify digests before
-``iterated_residue`` listed its own pole set) and must never move: any change that
-reorders output, renders a term differently or changes a value fails here
-instead of relying on a manual ``diff`` of CLI runs.
+``iterated_residue`` listed its own pole set, the N 6..8 givental residual
+digest before the lower residuals were derived from the top one) and must
+never move: any change that reorders output, renders a term differently or
+changes a value fails here instead of relying on a manual ``diff`` of CLI
+runs.
 """
 
 import hashlib
@@ -96,6 +98,7 @@ INTEGRANDS_SHA256 = "abc6a500ef9ab9d4c9b077fc67913c4de82c21836fc73665ae8cd64a9b9
 CASCADE_SHA256 = "c4b2fb7792a47242363b728ed723f9a9cec5872ba74491c062810a4554816675"
 DIRECT_SHA256 = "9313f29eef54381e23ed2f8ca46250c155c8d6eeff2b25148a71ec724f27a5b0"
 GIVENTAL_RESIDUAL_SHA256 = "0883165cf70176e5b3582229dd3c0cc11169458f9114c6883a10434e3e6f44d2"
+GIVENTAL_RESIDUAL_N8_SHA256 = "7ad04c0662fafcd70e4adf894fd0277be54c63a74652c786791e8f5495541a42"
 HYPERGEOM_SERIES_SHA256 = "dd95282c53bde5730f48ec72eb2c6b13e59ad40678190b87f43bbc306f989f3f"
 HYPERGEOM_SERIES_DEEP_SHA256 = "9f74ad8dcfe3936307c92875e6efe5bb6b29cadc0a406499310c40b4ee337e38"
 CASCADE_SERIES_SHA256 = "c5f3682a6713022d737456af3fb3264827ecdd44c12d39e61513760c34b8c201"
@@ -110,8 +113,8 @@ def test_cli_stdout_bytes(capsys, command, code, digest):
     assert (got, _sha(capsys.readouterr().out)) == (code, digest)
 
 
-def test_givental_residual_bytes(capsys, monkeypatch):
-    """A perturbed ``c_3`` makes the givental checks list residual witnesses.
+def perturbed_givental(capsys, monkeypatch, command: str) -> tuple[int, str]:
+    """Exit code and stdout digest of ``command`` with ``c_3`` perturbed.
 
     The perturbation adds ``1/7`` to the ``eps^1`` coefficient of every
     degree-3 series of order ``>= 1``, the same value at every truncation
@@ -126,9 +129,20 @@ def test_givental_residual_bytes(capsys, monkeypatch):
         return ladder
 
     monkeypatch.setattr(givode, "hypergeom_ladder", perturbed)
-    argv = "givental --N 3..5 --emax 5 --workers 1".split()
-    got = cli.main(argv)
-    assert (got, _sha(capsys.readouterr().out)) == (1, GIVENTAL_RESIDUAL_SHA256)
+    got = cli.main(command.split())
+    return got, _sha(capsys.readouterr().out)
+
+
+def test_givental_residual_bytes(capsys, monkeypatch):
+    """A perturbed ``c_3`` makes the givental checks list residual witnesses."""
+    got = perturbed_givental(capsys, monkeypatch, "givental --N 3..5 --emax 5 --workers 1")
+    assert got == (1, GIVENTAL_RESIDUAL_SHA256)
+
+
+def test_givental_residual_bytes_to_n_8(capsys, monkeypatch):
+    """The perturbed witnesses for N 6..8, where ``j = 0`` is ``N-2 = 6`` below the top."""
+    got = perturbed_givental(capsys, monkeypatch, "givental --N 6..8 --emax 6 --workers 1")
+    assert got == (1, GIVENTAL_RESIDUAL_N8_SHA256)
 
 
 def integrand_renderings() -> str:

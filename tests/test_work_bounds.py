@@ -9,7 +9,11 @@ process.  The counts are totals over a set:
 * ``products``: ``EpsSeries.__mul__`` and ``__rmul__`` calls;
 * ``inverses``: ``EpsSeries.inverse`` calls;
 * ``zero`` and ``root``: ``residue_at_zero`` and ``residue_at_form_root`` calls;
-* ``terms``: the terms those residue calls return.
+* ``terms``: the terms those residue calls return;
+* ``solutions`` and ``operators``: ``givode.build_solution`` and
+  ``givode.apply_operator`` calls;
+* ``pole_order``: the highest pole order at zero that a ``residue_at_zero``
+  call takes, a maximum rather than a total.
 
 Each bound is the count measured when the bound was set.  Work the program
 adds, such as a repeated product per residue step, breaks one; a change that
@@ -18,10 +22,10 @@ does less work should lower the bound with it.
 
 import pytest
 
-from qmres import cli, resengine
+from qmres import cli, givode, resengine
 from qmres.exactnum import EpsSeries
 
-COUNTS = ("products", "inverses", "zero", "root", "terms")
+COUNTS = ("products", "inverses", "zero", "root", "terms", "solutions", "operators", "pole_order")
 
 
 def _verify_grid() -> list[list[str]]:
@@ -58,10 +62,10 @@ REQUESTS = {
 }
 
 BOUNDS = {  # in the order of COUNTS, over 49, 22, 12 and 1 requests
-    "verify-grid": (513, 194, 262, 115, 409),
-    "cascade-deep": (2356, 706, 368, 346, 368),
-    "givental": (0, 0, 0, 0, 0),
-    "verify-parallel": (231, 81, 108, 54, 162),
+    "verify-grid": (513, 194, 262, 115, 409, 0, 0, 7),
+    "cascade-deep": (2356, 706, 368, 346, 368, 0, 0, 1),
+    "givental": (0, 0, 0, 0, 0, 56, 56, 0),
+    "verify-parallel": (231, 81, 108, 54, 162, 0, 0, 4),
 }
 
 
@@ -78,6 +82,10 @@ def test_work_within_bound(name, monkeypatch, capsys):
 
     def residue(fn, count):
         def wrapper(*args):
+            if count == "zero":
+                expr, var = args
+                order = max((-t.exponent_of(var) for t in expr.terms), default=0)
+                counts["pole_order"] = max(counts["pole_order"], order)
             out = fn(*args)
             counts[count] += 1
             counts["terms"] += len(out.terms)
@@ -89,6 +97,8 @@ def test_work_within_bound(name, monkeypatch, capsys):
         monkeypatch.setattr(EpsSeries, attr, counted(EpsSeries.__dict__[attr], count))
     for attr, count in (("residue_at_zero", "zero"), ("residue_at_form_root", "root")):
         monkeypatch.setattr(resengine, attr, residue(getattr(resengine, attr), count))
+    for attr, count in (("build_solution", "solutions"), ("apply_operator", "operators")):
+        monkeypatch.setattr(givode, attr, counted(getattr(givode, attr), count))
     for argv in REQUESTS[name]:
         assert cli.main(argv) == cli.EXIT_OK, argv
     capsys.readouterr()

@@ -20,6 +20,15 @@ its inverse once computed, so a pivot divided out of a form and then taken
 as a coefficient power is inverted once.  A power is one pass of
 J. C. P. Miller's recurrence over the numerators, reduced once, and shares
 no code with ``quasimap._power`` on purpose (see ``EpsSeries.__pow__``).
+
+A ratio of two linear polynomials in ``e``, such as the cascade's roots
+``(i+e)/(i+1+e)`` and every image of a linear form at one, has a geometric
+tail: its numerators satisfy ``q a_(m+1) = p a_m`` for every ``m >= 1``
+(Stanley, *Enumerative Combinatorics* I, 4.1).  A series checks this once
+and keeps the ratio ``p/q``.  A product with such an operand then runs in
+``O(J)`` by a recurrence instead of the ``O(J^2)`` schoolbook convolution,
+and such a series inverts in closed form; both give the same integers as the
+general loops, so values and hashes do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -40,6 +49,25 @@ def is_unit(x) -> bool:
     if isinstance(x, EpsSeries):
         return x._num[0] != 0
     return x != 0
+
+
+def _check_int(value, name: str) -> None:
+    """Raise TypeError unless ``value`` is an ``int``; a ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int")
+
+
+def _schoolbook(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
+    """The truncated convolution of two numerator tuples of one length, ``O(J^2)``."""
+    n = len(xs)
+    out = [0] * n
+    for i, x in enumerate(xs):
+        if x:
+            for j in range(n - i):
+                y = ys[j]
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 def _exact(c) -> Fraction:
@@ -64,11 +92,12 @@ class EpsSeries:
     computed on first use and kept on the instance.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_inv")
+    __slots__ = ("_num", "_den", "_hash", "_inv", "_ratio")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         cs = [c if isinstance(c, (int, Fraction)) else _exact(c) for c in coeffs]
         if order is not None:
+            _check_int(order, "order")
             if order < 0:
                 raise ValueError("truncation order must be >= 0")
             cs = cs[: order + 1]
@@ -133,6 +162,7 @@ class EpsSeries:
         Raises IndexError when ``j`` lies beyond the truncation order, since
         that coefficient was lost to truncation and must not be guessed.
         """
+        _check_int(j, "j")
         if not 0 <= j <= self.order:
             raise IndexError(f"coefficient {j} exceeds truncation order {self.order}")
         return Fraction(self._num[j], self._den)
@@ -182,20 +212,69 @@ class EpsSeries:
     def __neg__(self):
         return EpsSeries._of([-x for x in self._num], self._den)
 
+    def _tail_ratio(self) -> tuple[int, int] | None:
+        """``(p, q)`` if the numerators satisfy ``q a_(m+1) = p a_m`` for ``m >= 1``.
+
+        Needs order ``>= 2`` and ``a_1 != 0``; ``p/q = a_2/a_1`` is in lowest
+        terms with ``q > 0``, so ``p = 0`` when the tail after ``a_1`` is zero.
+        Otherwise None.  The answer is computed on first use and kept.
+        """
+        try:
+            return self._ratio
+        except AttributeError:
+            pass
+        a = self._num
+        ratio = None
+        if len(a) > 2 and a[1]:
+            g = gcd(a[1], a[2])
+            p, q = a[2] // g, a[1] // g
+            if q < 0:
+                p, q = -p, -q
+            ratio = p, q
+            for m in range(2, len(a) - 1):
+                if q * a[m + 1] != p * a[m]:
+                    ratio = None
+                    break
+        object.__setattr__(self, "_ratio", ratio)
+        return ratio
+
     def __mul__(self, other):
+        """The product, on the stored numerators.
+
+        A scalar scales each numerator.  Between two series, when either has
+        a geometric tail ``y_(j+1) = (p/q) y_j`` for ``j >= 1`` (see
+        ``_tail_ratio``), the convolution ``out_m = sum_j x_(m-j) y_j`` is
+        ``out_m = x_m y_0 + t_m`` with ``t_0 = 0`` and
+        ``t_(m+1) = x_m y_1 + p t_m / q``, since the tail of ``t_(m+1)`` is
+        ``p/q`` times ``t_m``.  The division is exact: ``t_m`` for ``m < J``
+        reads only ``y_1 .. y_(J-1)``, and ``q`` divides each of them, because
+        ``y_j = y_1 p^(j-1) / q^(j-1)`` is an integer up to ``j = J`` with
+        ``p`` prime to ``q``.  So the ``O(J)`` recurrence yields the same
+        integers as the schoolbook convolution it replaces.
+        """
         rhs = self._operand(other)
         if rhs is None:
             return NotImplemented
         ys, db = rhs
         xs = self._num
-        n, m = len(xs), len(ys)
-        out = [0] * n
-        for i, x in enumerate(xs):
-            if x:
-                for j in range(min(m, n - i)):
-                    y = ys[j]
-                    if y:
-                        out[i + j] += x * y
+        if len(ys) == 1:
+            y = ys[0]
+            return EpsSeries._of([x * y for x in xs], self._den * db)
+        ratio = other._tail_ratio()
+        if ratio is None:
+            ratio = self._tail_ratio()
+            if ratio is None:
+                return EpsSeries._of(_schoolbook(xs, ys), self._den * db)
+            xs, ys = ys, xs
+        p, q = ratio
+        y0, y1 = ys[0], ys[1]
+        x = xs[0]
+        out = [x * y0]
+        t = 0
+        for x_next in xs[1:]:
+            t = x * y1 + t // q * p
+            out.append(x_next * y0 + t)
+            x = x_next
         return EpsSeries._of(out, self._den * db)
 
     __rmul__ = __mul__
@@ -206,9 +285,16 @@ class EpsSeries:
         Defined iff the constant term is nonzero.  With numerators
         ``a_0 + a_1 e + ...``, the inverse of that integer series is
         ``sum_m b_m e^m / a_0^(m+1)`` where ``b_0 = 1`` and
-        ``b_m = -sum_{i=1..m} a_i a_0^(i-1) b_(m-i)``, all integers.  The
-        result is kept on the instance, so a later call returns the same
-        object and the inverse lives as long as the series.
+        ``b_m = -sum_{i=1..m} a_i a_0^(i-1) b_(m-i)``, all integers.  A series
+        with a geometric tail of ratio ``p/q`` (see ``_tail_ratio``) is
+        ``(a_0 + c e) / (1 - (p/q) e)`` with ``c = a_1 - a_0 p/q``, so its
+        inverse is ``(1 - (p/q) e) / (a_0 + c e)``, whose coefficients are
+        ``b_m = -a_1 (-c)^(m-1)`` over ``a_0^(m+1)``: in integers,
+        ``b_m = -(a_1 / q^(m-1)) (a_0 p - q a_1)^(m-1)``, an exact division
+        for ``m <= J`` because ``q^(J-1)`` divides ``a_1``.  These are the
+        recurrence's integers, found in ``O(J)``.  The result is kept on the
+        instance, so a later call returns the same object and the inverse
+        lives as long as the series.
         """
         try:
             return self._inv
@@ -219,10 +305,21 @@ class EpsSeries:
         if not a0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         n = len(a)
-        w = [a[i] * a0 ** (i - 1) for i in range(1, n)]
-        b = [1]
-        for m in range(1, n):
-            b.append(-sum([w[i - 1] * b[m - i] for i in range(1, m + 1) if w[i - 1]]))
+        ratio = self._tail_ratio()
+        if ratio is None:
+            w = [a[i] * a0 ** (i - 1) for i in range(1, n)]
+            b = [1]
+            for m in range(1, n):
+                b.append(-sum([w[i - 1] * b[m - i] for i in range(1, m + 1) if w[i - 1]]))
+        else:
+            p, q = ratio
+            qc = a0 * p - q * a[1]  # -q c, with c as above
+            w, power = -a[1], 1
+            b = [1, w]
+            for _ in range(2, n):
+                w //= q
+                power *= qc
+                b.append(w * power)
         den = self._den
         inv = EpsSeries._of([den * bm * a0 ** (n - 1 - m) for m, bm in enumerate(b)], a0**n)
         object.__setattr__(self, "_inv", inv)
@@ -255,8 +352,11 @@ class EpsSeries:
         reduced once.  ``quasimap._power`` runs the same recurrence for the
         closed form, which is checked against a product that raises through
         this ``**``; the two share no code, so a defect in one cannot hide
-        in the other.
+        in the other.  A ``bool`` exponent raises TypeError; any other
+        non-``int`` is a foreign operand.
         """
+        if isinstance(n, bool):
+            raise TypeError("exponent must be an int")
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmres import exactnum
 from qmres.exactnum import EpsSeries, is_unit
 
 rationals = st.fractions(
@@ -110,8 +111,24 @@ class TestEpsSeries:
                 TypeError,
                 "EpsSeries coefficients must be exact, got the float 0.1",
             ),
+            (lambda: EpsSeries.constant(5, True), TypeError, "order must be an int"),
+            (lambda: EpsSeries([1, 2], 2.0), TypeError, "order must be an int"),
+            (lambda: EpsSeries([1, 2, 3]).coefficient(True), TypeError, "j must be an int"),
+            (lambda: EpsSeries([1, 2, 3]).coefficient(1.0), TypeError, "j must be an int"),
+            (lambda: EpsSeries([1, 2, 3]) ** True, TypeError, "exponent must be an int"),
         ],
-        ids=["negative-order", "empty-without-order", "assignment", "divide-by-zero", "float"],
+        ids=[
+            "negative-order",
+            "empty-without-order",
+            "assignment",
+            "divide-by-zero",
+            "float",
+            "bool-order",
+            "float-order",
+            "bool-j",
+            "float-j",
+            "bool-exponent",
+        ],
     )
     def test_misuse_names_itself(self, misuse, error, message):
         with pytest.raises(error) as exc:
@@ -334,3 +351,126 @@ class TestMixedOrders:
         a, b = EpsSeries([1, 2], 3), EpsSeries([1, 2], 4)
         with pytest.raises(ValueError, match="orders 3 and 4"):
             op(a, b)
+
+
+@st.composite
+def geometric_tails(draw):
+    """A series whose coefficients from ``e^1`` on are geometric, with its ratio.
+
+    Half are ``(a + b e)/(c + d e)`` expanded in Fractions; the rest take an
+    explicit ratio ``p/q``, ``p = 0`` and ``q < 0`` included.  Orders 2..13.
+    """
+    order = draw(st.integers(2, 13))
+    if draw(st.booleans()):
+        a, b, c, d = draw(small), draw(small), draw(small.filter(bool)), draw(small)
+        ratio = -d / c
+        cs = [a / c] + [(a * ratio + b) * ratio ** (m - 1) / c for m in range(1, order + 1)]
+        if not cs[1]:  # then the whole tail vanishes; give it a nonzero head
+            cs[1], ratio = Fraction(1, 7), Fraction(0)
+    else:
+        p, q = draw(st.integers(-12, 12)), draw(st.integers(-12, 12).filter(bool))
+        c0, c1 = draw(wide_rationals), draw(wide_rationals.filter(bool))
+        ratio = Fraction(p, q)
+        cs = [c0] + [c1 * ratio ** (m - 1) for m in range(1, order + 1)]
+    return EpsSeries(cs), ratio
+
+
+def broken_tail(s: EpsSeries) -> EpsSeries:
+    """``s`` with its last coefficient moved off the geometric tail."""
+    cs = list(s.coeffs)
+    cs[-1] += Fraction(1, 3)
+    return EpsSeries(cs)
+
+
+def schoolbook_runs(monkeypatch) -> list:
+    """Patch the library's O(J^2) convolution to log each run; return the log."""
+    runs = []
+    convolve = exactnum._schoolbook
+    monkeypatch.setattr(exactnum, "_schoolbook", lambda xs, ys: runs.append(1) or convolve(xs, ys))
+    return runs
+
+
+def exact_coeffs(s) -> list[tuple[int, int]]:
+    return [(c.numerator, c.denominator) for c in s]
+
+
+class TestGeometricTail:
+    @settings(max_examples=200)
+    @given(geometric_tails())
+    @example((EpsSeries([1, 2, 0, 0]), Fraction(0)))
+    @example((EpsSeries([0, 1, -1]), Fraction(-1)))
+    @example((EpsSeries([5, 8, -4, 2, -1]), Fraction(1, -2)))
+    @example((EpsSeries([Fraction(1, 2), 3, 9]), Fraction(3)))
+    def test_ratio_found_in_lowest_terms(self, drawn):
+        s, ratio = drawn
+        assert s._tail_ratio() == (ratio.numerator, ratio.denominator)
+        assert s._tail_ratio() is s._tail_ratio()
+
+    @pytest.mark.parametrize(
+        "cs",
+        [[1, 2], [1, 0, 3, 9], [4, 0, 0, 0], [2, 3, 5, 7], [Fraction(1, 2), 3, 9, 28]],
+        ids=["order-1", "zero-e1", "constant", "not-geometric", "broken-last"],
+    )
+    def test_no_ratio(self, cs):
+        assert EpsSeries(cs)._tail_ratio() is None
+
+    @settings(max_examples=100)
+    @given(geometric_tails(), st.data())
+    def test_product_matches_schoolbook(self, drawn, data):
+        g, _ = drawn
+        n = g.order
+        others = [
+            EpsSeries(data.draw(st.lists(wide_rationals, min_size=n + 1, max_size=n + 1))),
+            EpsSeries(data.draw(st.lists(small, min_size=n + 1, max_size=n + 1))),
+            g,
+            broken_tail(g),
+        ]
+        if is_unit(g):
+            others.append(g.inverse())
+        with pytest.MonkeyPatch.context() as mp:
+            runs = schoolbook_runs(mp)
+            for h in others:
+                want = exact_coeffs(schoolbook(g, h))
+                assert exact_coeffs((g * h).coeffs) == want
+                assert exact_coeffs((h * g).coeffs) == want
+            for c in (Fraction(-7, 3), 0, 5):
+                want = exact_coeffs(schoolbook(g, EpsSeries.constant(c, n)))
+                assert exact_coeffs((g * c).coeffs) == exact_coeffs((c * g).coeffs) == want
+        assert runs == []  # every series product had g, a geometric operand
+
+    def test_broken_last_coefficient_takes_the_schoolbook(self, monkeypatch):
+        g = EpsSeries([2, 1, Fraction(-1, 3), Fraction(1, 9), Fraction(-1, 27)])
+        broken = broken_tail(g)
+        assert g._tail_ratio() == (-1, 3) and broken._tail_ratio() is None
+        h = EpsSeries([1, 2, 3, 5, 8])
+        runs = schoolbook_runs(monkeypatch)
+        assert exact_coeffs((broken * h).coeffs) == exact_coeffs(schoolbook(broken, h))
+        assert exact_coeffs((h * broken).coeffs) == exact_coeffs(schoolbook(broken, h))
+        assert len(runs) == 2
+        assert exact_coeffs((g * h).coeffs) == exact_coeffs(schoolbook(g, h))
+        assert len(runs) == 2
+
+    @settings(max_examples=200)
+    @given(geometric_tails().filter(lambda drawn: drawn[0].constant_term != 0))
+    @example((EpsSeries([3, 2, 0]), Fraction(0)))
+    @example((EpsSeries([-1, 4, -2, 1]), Fraction(-1, 2)))
+    def test_inverse_matches_fraction_recurrence(self, drawn):
+        g, _ = drawn
+        inv = g.inverse()
+        want = fraction_inverse(list(g.coeffs))
+        assert exact_coeffs(inv.coeffs) == exact_coeffs(want)
+        assert str(inv) == str(EpsSeries(want))
+        assert g.inverse() is inv
+        assert g * inv == EpsSeries.constant(1, g.order)
+
+    @settings(max_examples=100)
+    @given(small, small.filter(bool), small.filter(bool), small, st.integers(2, 10))
+    def test_equal_series_hash_equal(self, a, b, c, d, order):
+        # (a + b e)/(c + d e) built by the ring and by hand in Fractions
+        by_ring = EpsSeries([a, b], order) * EpsSeries([c, d], order).inverse()
+        r = -d / c
+        by_hand = EpsSeries([a / c] + [(a * r + b) * r ** (m - 1) / c for m in range(1, order + 1)])
+        assert by_ring == by_hand and hash(by_ring) == hash(by_hand)
+        assert by_ring.as_integers() == by_hand.as_integers()
+        square = by_hand * by_hand
+        assert square == by_hand**2 and hash(square) == hash(by_hand**2)

@@ -364,6 +364,29 @@ class TestEvalCascade:
         eval_direct(Query(6, 8, 3, j=3))
         assert max(orders) > 0
 
+    def test_every_root_has_a_geometric_tail(self, monkeypatch):
+        """Every cascade root is a ratio of two linear polynomials in ``eps``.
+
+        So ``EpsSeries`` finds a geometric tail in each, on the grid of
+        ``test_every_pole_is_simple``, and the products and inverses of the
+        roots' images take the ``O(J)`` path rather than the schoolbook.
+        """
+        roots = []
+        normalize = resengine._normalize_root_form
+
+        def logged(var, form):
+            out = normalize(var, form)
+            roots.append(out[3])
+            return out
+
+        monkeypatch.setattr(resengine, "_normalize_root_form", logged)
+        for N in range(2, 9):
+            for k in range(1, N + 4):
+                for d in range(1, 5):
+                    eval_cascade(Query(N, k, d, j_max=4))
+        assert len(roots) == 560
+        assert [c for c in roots if c._tail_ratio() is None] == []
+
     def test_each_step_takes_at_most_one_pole_site(self, monkeypatch):
         """The cascade's pole structure, on the grid of ``test_every_pole_is_simple``.
 

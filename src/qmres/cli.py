@@ -32,6 +32,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import givode
+from .exactnum import check_ints
 from .quasimap import (
     FANO,
     GENERAL,
@@ -177,6 +178,9 @@ def load_cache(path: str | None) -> dict[tuple, Fraction]:
                     rec = json.loads(line)
                     _check_types(rec)
                     lhs = Fraction(rec["lhs"])
+                    canonical = str(lhs)  # the only text append_cache writes
+                    if rec["lhs"] != canonical:
+                        raise ValueError(f"lhs {rec['lhs']!r} is not the canonical {canonical!r}")
                 except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: malformed cache record: {exc}"
@@ -364,8 +368,7 @@ def _check_cell(**fields) -> Query:
 
 def _grid_cells(args) -> list[Query]:
     """The checked cells of ``--regime`` in grid order; ``k = 1..N+2`` without ``--k``."""
-    if args.jmax < 0:
-        raise ValueError("--jmax must be non-negative")
+    check_ints(("--jmax", args.jmax, 0))
     cells = []
     for N in args.N:
         ks = args.k if args.k is not None else range(1, N + 3)
@@ -439,8 +442,7 @@ def _givental_task(task: tuple[int, int, int]) -> list[dict]:
 
 
 def cmd_givental(args) -> tuple[list[dict], bool]:
-    if args.emax < 0:
-        raise ValueError("--emax must be non-negative")
+    check_ints(("--emax", args.emax, 0))
     if args.k is not None and args.k[0] < 1:
         raise ValueError(f"--k must be at least 1, got {args.k[0]}")
     # an N below 2 has no solution index j <= N-2, so no task

@@ -51,10 +51,23 @@ def is_unit(x) -> bool:
     return x != 0
 
 
-def _check_int(value, name: str) -> None:
-    """Raise TypeError unless ``value`` is an ``int``; a ``bool`` is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int")
+def check_ints(*checks: tuple[str, object, int | None]) -> None:
+    """Check each ``(name, value, least)``: an ``int``, and at least ``least``.
+
+    This is the package's one integer rule.  Every type comes first: a
+    ``bool`` or a non-``int`` raises ``TypeError("<name> must be an int")``.
+    Only then the ranges: a value below ``least`` raises ValueError, ``"<name>
+    must be non-negative"`` for ``least == 0`` and ``"<name> must be at least
+    <least>"`` otherwise.  A ``least`` of None checks the type alone.
+    """
+    for name, value, _ in checks:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int")
+    for name, value, least in checks:
+        if least is not None and value < least:
+            raise ValueError(
+                f"{name} must be non-negative" if least == 0 else f"{name} must be at least {least}"
+            )
 
 
 def _schoolbook(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
@@ -71,9 +84,11 @@ def _schoolbook(xs: tuple[int, ...], ys: tuple[int, ...]) -> list[int]:
 
 
 def _exact(c) -> Fraction:
-    """A non-scalar coefficient, such as the string ``"1/3"``, as a Fraction; never a float."""
+    """A non-scalar coefficient, such as ``"1/3"``, as a Fraction; never a float or bool."""
     if isinstance(c, float):
         raise TypeError(f"EpsSeries coefficients must be exact, got the float {c!r}")
+    if isinstance(c, bool):
+        raise TypeError(f"EpsSeries coefficients must not be bool, got {c!r}")
     return Fraction(c)
 
 
@@ -88,6 +103,8 @@ class EpsSeries:
     orders do not mix: a binary operation or comparison between them raises
     ValueError.  An ``int`` or ``Fraction`` operand acts as a constant of the
     series' order, so ``EpsSeries.constant(3, 4) == 3`` and both hash alike.
+    A ``bool`` is neither a coefficient nor an arithmetic operand (TypeError);
+    ``==`` alone compares it as its ``int``.
     Instances are immutable and hashable; the hash and the inverse are
     computed on first use and kept on the instance.
     """
@@ -95,11 +112,9 @@ class EpsSeries:
     __slots__ = ("_num", "_den", "_hash", "_inv", "_ratio")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [c if isinstance(c, (int, Fraction)) else _exact(c) for c in coeffs]
+        cs = [c if type(c) in (int, Fraction) else _exact(c) for c in coeffs]
         if order is not None:
-            _check_int(order, "order")
-            if order < 0:
-                raise ValueError("truncation order must be >= 0")
+            check_ints(("order", order, 0))
             cs = cs[: order + 1]
             cs.extend([0] * (order + 1 - len(cs)))
         elif not cs:
@@ -159,12 +174,12 @@ class EpsSeries:
     def coefficient(self, j: int) -> Fraction:
         """The coefficient of ``e^j``; the ``(1/j!) d^j/de^j`` value at 0.
 
-        Raises IndexError when ``j`` lies beyond the truncation order, since
-        that coefficient was lost to truncation and must not be guessed.
+        Raises IndexError when ``j`` lies outside ``0..order``: beyond the
+        truncation order the coefficient was lost and must not be guessed.
         """
-        _check_int(j, "j")
+        check_ints(("j", j, None))
         if not 0 <= j <= self.order:
-            raise IndexError(f"coefficient {j} exceeds truncation order {self.order}")
+            raise IndexError(f"j must lie in 0..{self.order}, got {j}")
         return Fraction(self._num[j], self._den)
 
     # -- arithmetic ---------------------------------------------------
@@ -172,7 +187,8 @@ class EpsSeries:
     def _operand(self, other) -> tuple[tuple[int, ...], int] | None:
         """``(numerators, denominator)`` of a series of this order or a scalar.
 
-        A scalar ``p/q`` gives ``((p,), q)``; any other type gives None.
+        A scalar ``p/q`` gives ``((p,), q)``, a ``bool`` TypeError; any other
+        type gives None.
         """
         if isinstance(other, EpsSeries):
             if len(other._num) != len(self._num):
@@ -181,6 +197,8 @@ class EpsSeries:
                 )
             return other._num, other._den
         if isinstance(other, (int, Fraction)):
+            if other is True or other is False:
+                raise TypeError(f"EpsSeries operands must not be bool, got {other!r}")
             return (other.numerator,), other.denominator
         return None
 
@@ -328,15 +346,16 @@ class EpsSeries:
     def __truediv__(self, other):
         if isinstance(other, EpsSeries):
             return self * other.inverse()
-        if not isinstance(other, (int, Fraction)):
+        rhs = self._operand(other)
+        if rhs is None:
             return NotImplemented
-        if other == 0:
+        (p,), q = rhs
+        if not p:
             raise ZeroDivisionError("division by zero")
-        q = other.denominator
-        return EpsSeries._of([x * q for x in self._num], self._den * other.numerator)
+        return EpsSeries._of([x * q for x in self._num], self._den * p)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if self._operand(other) is None:
             return NotImplemented
         return self.inverse() * other
 
@@ -355,10 +374,10 @@ class EpsSeries:
         in the other.  A ``bool`` exponent raises TypeError; any other
         non-``int`` is a foreign operand.
         """
-        if isinstance(n, bool):
-            raise TypeError("exponent must be an int")
-        if not isinstance(n, int):
-            return NotImplemented
+        if n.__class__ is not int:
+            if not isinstance(n, int):
+                return NotImplemented
+            check_ints(("exponent", n, None))
         if n < 0:
             return self.inverse() ** (-n)
         if n < 2:
@@ -384,7 +403,7 @@ class EpsSeries:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
-        rhs = self._operand(other)
+        rhs = self._operand(int(other) if other is True or other is False else other)
         if rhs is None:
             return NotImplemented
         ys, db = rhs

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import lcm, perm
 
-from .exactnum import EpsSeries
+from .exactnum import EpsSeries, check_ints
 # hypergeom_series stays a module attribute: perfbench's span table patches it here
 from .quasimap import GENERAL, hypergeom_ladder, hypergeom_series, regime_of
 
@@ -59,10 +59,7 @@ class XEPoly:
     den: int = 1
 
     def __post_init__(self):
-        if isinstance(self.den, bool) or not isinstance(self.den, int):
-            raise TypeError("den must be an int")
-        if self.den < 1:
-            raise ValueError("den must be positive")
+        check_ints(("den", self.den, 1))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -100,8 +97,7 @@ def build_solution(series: list[EpsSeries], j: int) -> XEPoly:
     (``c_0 = 1``).  For ``k >= N`` the result is a formal solution.  Series
     of mixed orders raise ValueError, a ``j`` that is not an int TypeError.
     """
-    if isinstance(j, bool) or not isinstance(j, int):
-        raise TypeError("j must be an int")
+    check_ints(("j", j, None))
     if not series or not 0 <= j <= series[0].order:
         raise ValueError("need series for e = 0..e_max and 0 <= j <= N-2")
     orders = sorted({s.order for s in series})
@@ -127,11 +123,7 @@ def apply_operator(N: int, k: int, p: XEPoly) -> XEPoly:
     truncation window and is not computed.  An ``N`` or ``k`` that is not
     an int raises TypeError, ``N < 2`` or ``k < 1`` ValueError.
     """
-    for arg, value in (("N", N), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{arg} must be an int")
-    if N < 2 or k < 1:
-        raise ValueError("need N >= 2, k >= 1")
+    check_ints(("N", N, 2), ("k", k, 1))
     top = len(p.slices) - 1
     out = []
     shifted: list[int] = []

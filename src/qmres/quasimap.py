@@ -35,7 +35,7 @@ from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
-from .exactnum import EpsSeries
+from .exactnum import EpsSeries, check_ints
 from .resengine import (
     DEFORMATION,
     RatExpr,
@@ -75,7 +75,8 @@ class Query:
     fano for ``k < N`` and general for ``k >= N``; in the general regime
     ``m = 1 + (k - N) d >= 1`` counts the extra insertions.  A field that is a
     ``bool`` or not an ``int`` raises TypeError, a value out of range
-    ValueError; either message starts with the field's name.
+    ValueError; either message starts with the field's name (see
+    :func:`~qmres.exactnum.check_ints`).
     """
 
     N: int
@@ -85,22 +86,9 @@ class Query:
     j_max: int | None = None
 
     def __post_init__(self):
-        for name in ("N", "k", "d", "j", "j_max"):
-            value = getattr(self, name)
-            if value is None and name in ("j", "j_max"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int")
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.j is not None and self.j < 0:
-            raise ValueError("j must be non-negative")
-        if self.j_max is not None and self.j_max < 0:
-            raise ValueError("j_max must be non-negative")
+        levels = (("j", self.j, 0), ("j_max", self.j_max, 0))
+        check_ints(("N", self.N, 2), ("k", self.k, 1), ("d", self.d, 1),
+                   *[c for c in levels if c[1] is not None])
 
     @property
     def regime(self) -> str:
@@ -376,16 +364,6 @@ def _quotient(num: list[int], base: list[int], N: int, j_max: int) -> EpsSeries:
     return EpsSeries._of(out, top)
 
 
-def _check_closed_form(N: int, k: int, d: int, j_max: int, name: str) -> None:
-    for arg, value in (("N", N), ("k", k), (name, d), ("j_max", j_max)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{arg} must be an int")
-    if N < 2 or k < 1 or d < 0:
-        raise ValueError(f"need N >= 2, k >= 1, {name} >= 0")
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
-
-
 def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     """The coefficient series ``prod_{r<=kd}(r + k eps) / prod_{r<=d}(r + eps)^N``.
 
@@ -396,9 +374,10 @@ def hypergeom_series(N: int, k: int, d: int, j_max: int) -> EpsSeries:
     product to the ``N``-th power by :func:`_power`.  Both products and the
     quotient run on integer lists, not on the series ring, so a defect of
     ``EpsSeries`` arithmetic cannot reach ``rhs``.  An argument that is a
-    ``bool`` or not an ``int`` raises TypeError, as in :class:`Query`.
+    ``bool`` or not an ``int`` raises TypeError, one out of range ValueError,
+    as in :class:`Query`.
     """
-    _check_closed_form(N, k, d, j_max, "d")
+    check_ints(("N", N, 2), ("k", k, 1), ("d", d, 0), ("j_max", j_max, 0))
     num, base = next(islice(_products(k, j_max), d, None))
     return _quotient(num, base, N, j_max)
 
@@ -411,7 +390,7 @@ def hypergeom_ladder(N: int, k: int, e_max: int, j_max: int) -> list[EpsSeries]:
     degree alone does.  Each ``c_e`` is still its own quotient of its own
     integer products: none is derived from another's series.
     """
-    _check_closed_form(N, k, e_max, j_max, "e_max")
+    check_ints(("N", N, 2), ("k", k, 1), ("e_max", e_max, 0), ("j_max", j_max, 0))
     return [_quotient(num, base, N, j_max) for num, base in islice(_products(k, j_max), e_max + 1)]
 
 

@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exactnum import EpsSeries, is_unit
+from .exactnum import EpsSeries, check_ints, is_unit
 
 __all__ = [
     "PLAIN",
@@ -661,7 +661,9 @@ def residue_at_zero(expr: RatExpr, var: int) -> RatExpr:
     :func:`_residue` reads it off each term with a pole; all forms are
     analytic at the origin, as canonical scaling folds pure-``z_var`` forms
     into the monomial.  ``var`` leaves the live set; the degree rises by one.
+    A ``var`` that is a ``bool`` or not an ``int`` raises TypeError.
     """
+    check_ints(("var", var, None))
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
     # Substituting z_var -> 0 * z_var evaluates at zero without a second variable.
@@ -699,7 +701,9 @@ def residue_at_form_root(
     multiplicity-M pole (canonical scaling already made them syntactically
     equal), which :func:`_residue` reads the residue off.  Terms analytic at
     the root contribute nothing.  ``var`` leaves the live set; degree rises by one.
+    A ``var`` that is a ``bool`` or not an ``int`` raises TypeError.
     """
+    check_ints(("var", var, None))
     if var not in expr.live_vars:
         raise PrescriptionError(f"z{var} is not a live variable")
     pole, alpha, other, c = _normalize_root_form(var, form)

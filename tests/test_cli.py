@@ -242,6 +242,26 @@ class TestCache:
         assert exc.value.code == EXIT_USAGE
         assert f"{cache}:2: malformed cache record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lhs, canonical",
+        [("1e0", "1"), (" 2/2 ", "1"), ("0.5", "1/2")],
+        ids=["exponent", "padded-unreduced", "decimal"],
+    )
+    def test_non_canonical_lhs_named(self, capsys, tmp_path, lhs, canonical):
+        # Fraction parses each of these, but append_cache only ever writes str(Fraction)
+        cache = tmp_path / "cache.jsonl"
+        args = ["compute", "--N", "2", "--k", "1", "--d", "1", "--j", "0",
+                "--cache", str(cache)]
+        run_cli(capsys, *args)
+        rec = json.loads(cache.read_text())
+        rec["lhs"] = lhs
+        cache.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        reason = f"lhs {lhs!r} is not the canonical {canonical!r}"
+        assert f"{cache}:1: malformed cache record: {reason}" in capsys.readouterr().err
+
     def test_line_not_utf8_named(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_bytes(b'\xff\xfe{"N": 2}\n')

@@ -102,7 +102,7 @@ class TestEpsSeries:
     @pytest.mark.parametrize(
         "misuse, error, message",
         [
-            (lambda: EpsSeries([1], -1), ValueError, "truncation order must be >= 0"),
+            (lambda: EpsSeries([1], -1), ValueError, "order must be non-negative"),
             (lambda: EpsSeries([]), ValueError, "empty coefficient list needs an explicit order"),
             (lambda: setattr(EpsSeries.eps(2), "order", 3), AttributeError, "EpsSeries is immutable"),
             (lambda: EpsSeries.eps(2) / 0, ZeroDivisionError, "division by zero"),
@@ -351,6 +351,34 @@ class TestMixedOrders:
         a, b = EpsSeries([1, 2], 3), EpsSeries([1, 2], 4)
         with pytest.raises(ValueError, match="orders 3 and 4"):
             op(a, b)
+
+
+class TestBoolRejected:
+    @pytest.mark.parametrize(
+        "misuse, text",
+        [
+            (lambda s: EpsSeries([True, 2], 2), "coefficients must not be bool, got True"),
+            (lambda s: EpsSeries.constant(False, 2), "coefficients must not be bool, got False"),
+            (lambda s: s * True, "operands must not be bool, got True"),
+            (lambda s: False * s, "operands must not be bool, got False"),
+            (lambda s: s + True, "operands must not be bool, got True"),
+            (lambda s: True + s, "operands must not be bool, got True"),
+            (lambda s: s - False, "operands must not be bool, got False"),
+            (lambda s: True - s, "operands must not be bool, got True"),
+            (lambda s: s / True, "operands must not be bool, got True"),
+            (lambda s: True / s, "operands must not be bool, got True"),
+        ],
+        ids=["coefficient", "constant", "mul", "rmul", "add", "radd", "sub", "rsub", "truediv",
+             "rtruediv"],
+    )
+    def test_bool_named(self, misuse, text):
+        with pytest.raises(TypeError, match=text):
+            misuse(EpsSeries([1, 2], 2))
+
+    def test_equality_and_hash_take_a_bool_as_its_int(self):
+        one, zero = EpsSeries.constant(1, 2), EpsSeries.constant(0, 2)
+        assert one == True and True == one and zero == False and one != False  # noqa: E712
+        assert {True: "bool"}[one] == "bool" and hash(one) == hash(True)
 
 
 @st.composite

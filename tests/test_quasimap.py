@@ -535,7 +535,7 @@ class TestHypergeomSeries:
         assert hypergeom_series(3, 2, 0, 4) == EpsSeries.constant(1, 4)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="need N >= 2, k >= 1, d >= 0"):
+        with pytest.raises(ValueError, match="d must be non-negative"):
             hypergeom_series(3, 2, -1, 4)
         with pytest.raises(ValueError, match="j_max must be non-negative"):
             hypergeom_series(3, 2, 1, -1)
@@ -625,9 +625,9 @@ class TestHypergeomLadder:
         assert hypergeom_ladder(4, 2, 0, 3) == [EpsSeries.constant(1, 3)]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="need N >= 2, k >= 1, e_max >= 0"):
+        with pytest.raises(ValueError, match="e_max must be non-negative"):
             hypergeom_ladder(3, 2, -1, 4)
-        with pytest.raises(ValueError, match="need N >= 2, k >= 1, e_max >= 0"):
+        with pytest.raises(ValueError, match="N must be at least 2"):
             hypergeom_ladder(1, 2, 3, 4)
         with pytest.raises(ValueError, match="j_max must be non-negative"):
             hypergeom_ladder(3, 2, 1, -1)

@@ -1,15 +1,21 @@
 """Exact work bounds for the benchmark's request sets.
 
-Each set below is the request set of the ``perfbench`` workload of that name,
-written out here so that the bound does not move when the benchmark does.
-Every request runs in process through ``cli.main``; ``verify-parallel``
-runs with ``--workers 1``, since a forked worker's counts never reach this
-process.  The counts are totals over a set:
+The first four sets below are the request sets of the ``perfbench`` workloads
+of those names, written out here so that the bound does not move when the benchmark does.
+The fifth set, ``direct-deep``, is one deep ``compute`` on the per-level
+evaluator, where canonical form products dominate.  Every request runs in
+process through ``cli.main``; ``verify-parallel`` runs with ``--workers 1``,
+since a forked worker's counts never reach this process.  The counts are
+totals over a set, except the three peaks:
 
 * ``products``: ``EpsSeries.__mul__`` and ``__rmul__`` calls;
 * ``inverses``: ``EpsSeries.inverse`` calls;
 * ``zero`` and ``root``: ``residue_at_zero`` and ``residue_at_form_root`` calls;
 * ``terms``: the terms those residue calls return;
+* ``received`` and ``received_peak``: the terms those residue calls receive,
+  as a total and as the largest input of one call, a maximum;
+* ``canonical`` and ``canonical_peak``: ``resengine._TermBuilder.mul_canonical``
+  calls, as a total and as the most that one request makes, a maximum;
 * ``solutions`` and ``operators``: ``givode.build_solution`` and
   ``givode.apply_operator`` calls;
 * ``pole_order``: the highest pole order at zero that a ``residue_at_zero``
@@ -28,7 +34,7 @@ from qmres import cli, exactnum, givode, resengine
 from qmres.exactnum import EpsSeries
 
 COUNTS = ("products", "inverses", "zero", "root", "terms", "solutions", "operators", "pole_order",
-          "schoolbook")
+          "schoolbook", "received", "received_peak", "canonical", "canonical_peak")
 
 
 def _verify_grid() -> list[list[str]]:
@@ -62,13 +68,16 @@ REQUESTS = {
     "givental": _givental(),
     "verify-parallel": [["verify", "--regime", "both", "--N", "4", "--d", "1..3",
                          "--jmax", "3", "--workers", "1"]],
+    "direct-deep": [["compute", "--N", "5", "--k", "5", "--d", "40", "--j", "12",
+                     "--evaluator", "direct"]],
 }
 
-BOUNDS = {  # in the order of COUNTS, over 49, 22, 12 and 1 requests
-    "verify-grid": (513, 194, 262, 115, 409, 0, 0, 7, 46),
-    "cascade-deep": (2356, 706, 368, 346, 368, 0, 0, 1, 184),
-    "givental": (0, 0, 0, 0, 0, 56, 56, 0, 0),
-    "verify-parallel": (231, 81, 108, 54, 162, 0, 0, 4, 21),
+BOUNDS = {  # in the order of COUNTS, over 49, 22, 12, 1 and 1 requests
+    "verify-grid": (513, 194, 262, 115, 409, 0, 0, 7, 46, 1013, 12, 3724, 390),
+    "cascade-deep": (2356, 706, 368, 346, 368, 0, 0, 1, 184, 714, 1, 15040, 2760),
+    "givental": (0, 0, 0, 0, 0, 56, 56, 0, 0, 0, 0, 0, 0),
+    "verify-parallel": (231, 81, 108, 54, 162, 0, 0, 4, 21, 351, 11, 1557, 1557),
+    "direct-deep": (0, 0, 41, 39, 509, 0, 0, 13, 0, 1017, 13, 338945, 338945),
 }
 
 
@@ -85,10 +94,12 @@ def test_work_within_bound(name, monkeypatch, capsys):
 
     def residue(fn, count):
         def wrapper(*args):
+            expr, var = args[:2]
             if count == "zero":
-                expr, var = args
                 order = max((-t.exponent_of(var) for t in expr.terms), default=0)
                 counts["pole_order"] = max(counts["pole_order"], order)
+            counts["received"] += len(expr.terms)
+            counts["received_peak"] = max(counts["received_peak"], len(expr.terms))
             out = fn(*args)
             counts[count] += 1
             counts["terms"] += len(out.terms)
@@ -103,8 +114,12 @@ def test_work_within_bound(name, monkeypatch, capsys):
     for attr, count in (("build_solution", "solutions"), ("apply_operator", "operators")):
         monkeypatch.setattr(givode, attr, counted(getattr(givode, attr), count))
     monkeypatch.setattr(exactnum, "_schoolbook", counted(exactnum._schoolbook, "schoolbook"))
+    builder = resengine._TermBuilder
+    monkeypatch.setattr(builder, "mul_canonical", counted(builder.mul_canonical, "canonical"))
     for argv in REQUESTS[name]:
+        before = counts["canonical"]
         assert cli.main(argv) == cli.EXIT_OK, argv
+        counts["canonical_peak"] = max(counts["canonical_peak"], counts["canonical"] - before)
     capsys.readouterr()
     bound = dict(zip(COUNTS, BOUNDS[name]))
     assert {c: n for c, n in counts.items() if n > bound[c]} == {}, (counts, bound)

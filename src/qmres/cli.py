@@ -81,7 +81,7 @@ def record_from_result(r: IntersectionResult) -> dict:
         "d": q.d,
         "j": q.j,
         "regime": q.regime,
-        "m": q.m,
+        "m": None if q.regime == FANO else q.m,
         "lhs": str(r.lhs),
         "lhs_over_k": str(r.lhs_over_k),
         "rhs": str(r.rhs),

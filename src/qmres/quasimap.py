@@ -71,12 +71,12 @@ class Query:
 
     ``N >= 2`` is the ambient projective space dimension parameter, ``k >= 1``
     the hypersurface degree, ``d >= 1`` the map degree and ``j >= 0`` the
-    descendant level (``j_max`` instead selects series mode).  The regime is
-    fano for ``k < N`` and general for ``k >= N``; in the general regime
-    ``m = 1 + (k - N) d >= 1`` counts the extra insertions.  A field that is a
-    ``bool`` or not an ``int`` raises TypeError, a value out of range
-    ValueError; either message starts with the field's name (see
-    :func:`~qmres.exactnum.check_ints`).
+    descendant level (``j_max`` instead selects series mode).  ``m`` is the
+    signed ``1 + (k - N) d`` of every cell: ``m <= 0`` in the fano regime
+    (``k < N``), and in the general regime (``k >= N``) ``m >= 1`` counts the
+    extra insertions.  A field that is a ``bool`` or not an ``int`` raises
+    TypeError, a value out of range ValueError; either message starts with
+    the field's name (see :func:`~qmres.exactnum.check_ints`).
     """
 
     N: int
@@ -95,9 +95,7 @@ class Query:
         return regime_of(self.N, self.k)
 
     @property
-    def m(self) -> int | None:
-        if self.regime != GENERAL:
-            return None
+    def m(self) -> int:
         return 1 + (self.k - self.N) * self.d
 
 
@@ -218,7 +216,7 @@ def _integrand(
 def build_integrand(q: Query) -> RatExpr:
     """The integrand for the descendant level ``q.j``, or in series mode for every level.
 
-    Homogeneous of degree ``-(d+1)``.  With ``m = 1 + (k-N) d`` and
+    Homogeneous of degree ``-(d+1)``.  With the signed ``m = q.m`` and
     ``p = max(m, 0)``, the factor ``(d z_1 - (d-1) z_0)^p`` is expanded
     binomially into the ``p + 1`` pieces ``(C(p,i) d^(p-i), j-i, j-i+p-m, p)``
     of :func:`_integrand`; for ``k < N`` (fano) that is the one piece
@@ -241,8 +239,7 @@ def build_integrand(q: Query) -> RatExpr:
         levels = [(j, _Levels.unit(q.j_max + 1, j, 1)) for j in range(q.j_max + 1)]
     else:
         raise ValueError("the integrand needs q.j or q.j_max")
-    m = 1 + (q.k - q.N) * q.d
-    p = max(m, 0)
+    m, p = q.m, max(q.m, 0)
     weights = [comb(p, i) * q.d ** (p - i) for i in range(p + 1)]
     shapes: dict[int, int | _Levels] = {}  # level j - i -> summed weight
     for j, unit in levels:
@@ -288,7 +285,7 @@ def eval_cascade(q: Query) -> EpsSeries:
     assumed.
 
     The ``j = 0`` integrand is the one piece ``(1, 0, -m, p)``, with
-    ``m = 1 + (k-N) d`` and ``p = max(m, 0)``, not the ``p + 1`` of
+    the signed ``m = q.m`` and ``p = max(m, 0)``, not the ``p + 1`` of
     :func:`build_integrand`: the insertion factor ``(d z_1 - (d-1) z_0)^p``
     comes in whole, ahead of the ladder (at ``p = 0``, for ``k < N``, it
     multiplies nothing).  At the first pole both forms become series
@@ -300,8 +297,7 @@ def eval_cascade(q: Query) -> EpsSeries:
         raise ValueError("series mode needs q.j_max")
     one, eps = EpsSeries.constant(1, q.j_max), EpsSeries.eps(q.j_max)
     ladder = [({0: 1}, 1), ({0: one + eps, 1: -eps}, -1, DEFORMATION)]
-    m = 1 + (q.k - q.N) * q.d
-    p = max(m, 0)
+    m, p = q.m, max(q.m, 0)
     deformed = _integrand(q, [(1, 0, -m, p)], [({0: 1 - q.d, 1: q.d}, p), *ladder])
     value = iterated_residue(deformed)
     assert isinstance(value, EpsSeries)

@@ -45,8 +45,8 @@ and one sign of power form a group.  At a simple pole, or when an image
 cannot be normalized, each factor is a group of its own, and its image is
 taken only where a way of sharing leaves it a nonzero power.
 
-Each denominator form carries an origin tag so that the iterated-residue
-prescription can recognise which poles belong to which integration step:
+Each denominator form carries an origin tag, by which the pole prescription
+of :func:`iterated_residue`, stated there, picks each step's form poles:
 ``node(i)`` marks descendants of the factor ``(2 z_i - z_{i-1} - z_{i+1})``,
 ``deformation`` marks the displaced-pole factor of the generating-function
 evaluator, and ``plain`` marks everything else.  A form keeps one origin:
@@ -268,14 +268,22 @@ class _TermBuilder:
         self._merge(form.key, form.origin, power, form)
 
     def mul_factors(self, mono: Mapping[int, int] | None, forms: Iterable[tuple]):
-        """Multiply by a monomial and each ``(sum_v mapping[v] z_v)^power[, origin]``."""
-        if mono:
-            for v, e in mono.items():
-                self.mul_mono(v, e)
-        for mapping, power, *origin in forms:
+        """Multiply by a monomial and each ``(sum_v mapping[v] z_v)^power[, origin]``.
+
+        The door for factors from outside the engine: monomial variables,
+        exponents and form powers go through ``check_ints``, mappings
+        through :func:`_vector`.
+        """
+        mono = mono or {}
+        forms = [(_vector(mapping), power, *origin) for mapping, power, *origin in forms]
+        check_ints(*[("monomial variable", v, None) for v in mono],
+                   *[("exponent", e, None) for e in mono.values()],
+                   *[("form power", f[1], None) for f in forms])
+        for v, e in mono.items():
+            self.mul_mono(v, e)
+        for vector, power, *origin in forms:
             if power and self.num:
-                image = _image(*_vector(mapping), power)
-                self.mul_image(image, power, origin[0] if origin else PLAIN)
+                self.mul_image(_image(*vector, power), power, origin[0] if origin else PLAIN)
 
     def mul_image(self, image: tuple | None, power: int, origin: str):
         """Multiply by ``image^power``, ``image`` as :func:`_image` returns it."""
@@ -316,13 +324,27 @@ class _TermBuilder:
         return Term(coeff, mono, tuple(forms))
 
 
+_INEXACT = (bool, float, complex, str)
+
+
+def _exact(name: str, coeffs: Iterable) -> None:
+    """A ``bool``, ``float``, ``complex`` or ``str`` among ``coeffs`` raises TypeError naming it."""
+    for c in coeffs:
+        if isinstance(c, _INEXACT):
+            raise TypeError(f"{name} must be exact, got the {type(c).__name__} {c!r}")
+
+
 def _vector(mapping: Mapping[int, Coeff]) -> tuple:
     """``(vars, nums, den)`` of ``sum_v mapping[v] z_v``, zero entries dropped.
 
     Rational coefficients become ints over their least common denominator;
     if any coefficient is a series, ``den`` is None and ``nums`` are series,
-    the rational ones lifted to constants of the same order.
+    the rational ones lifted to constants of the same order.  This is the
+    door for mapping forms: variables go through ``check_ints``, and every
+    coefficient must be exact (:func:`_exact`).
     """
+    check_ints(*[("form variable", v, None) for v in mapping])
+    _exact("form coefficient", mapping.values())
     items = sorted([(v, c) for v, c in mapping.items() if c])
     vs, cs = tuple([v for v, _ in items]), [c for _, c in items]
     order = next((c.order for c in cs if isinstance(c, EpsSeries)), None)
@@ -374,7 +396,12 @@ def _image(vs: tuple, nums, den: int | None, power: int) -> tuple | None:
 def make_term(
     coeff: Coeff, mono: Mapping[int, int] | None = None, forms: Iterable[tuple] = ()
 ) -> Term | None:
-    """One canonical term from ``(mapping, power[, origin])`` form items; None if zero."""
+    """One canonical term from ``(mapping, power[, origin])`` form items; None if zero.
+
+    ``coeff`` must be exact (:func:`_exact`); the factors go through
+    :meth:`_TermBuilder.mul_factors`.
+    """
+    _exact("coefficient", (coeff,))
     b = _TermBuilder(coeff)
     b.mul_factors(mono, forms)
     return b.build()
@@ -441,9 +468,13 @@ class RatExpr:
     __rmul__ = __mul__
 
     def mul_terms(self, factors: Iterable[tuple]) -> "RatExpr":
-        """The sum of the products by each ``(coeff, mono, forms)`` factor, collected once."""
+        """The sum of the products by each ``(coeff, mono, forms)`` factor, collected once.
+
+        Each factor is checked as :func:`make_term` checks its arguments.
+        """
         out = []
         for coeff, mono, forms in factors:
+            _exact("coefficient", (coeff,))
             for t in self.terms:
                 b = _TermBuilder(t.coeff * coeff, t.mono)
                 for f, p in t.forms:
@@ -522,7 +553,8 @@ def _substituted(key: tuple, var: int, value: Coeff, target: int, power: int) ->
         mapping = dict(zip(vs, nums))
         c = mapping.pop(var)
         mapping[target] = mapping.get(target, 0) + c * value
-        return _image(*_vector(mapping), power)
+        items = sorted([(v, x) for v, x in mapping.items() if x])  # series entries: no door check
+        return _image(tuple([v for v, _ in items]), [x for _, x in items], None, power)
     i = vs.index(var)
     c, vs, nums = nums[i], vs[:i] + vs[i + 1 :], nums[:i] + nums[i + 1 :]
     series = isinstance(value, EpsSeries)
@@ -712,19 +744,6 @@ def residue_at_form_root(
     return _residue(expr, var, pole, alpha, c, other)
 
 
-def _check_step_invariants(expr: RatExpr, step: int, last: int):
-    """Post-step shape checks: consumed tags gone, next node forms binary."""
-    stale = {DEFORMATION} | {node_tag(i) for i in range(step + 1)}
-    binary = node_tag(step + 1)
-    for t in expr.terms:
-        for f, _ in t.forms:
-            if f.origin in stale:
-                raise EngineCorruptionError(f"form {f} with consumed origin survived step {step}")
-            if step + 1 <= last - 1 and f.origin == binary:
-                if set(f.key[0]) != {step + 1, step + 2}:
-                    raise EngineCorruptionError(f"descendant form {f} lost its two-variable shape")
-
-
 def iterated_residue(expr: RatExpr):
     """Integrate all variables in ascending index order and return the constant.
 
@@ -733,8 +752,12 @@ def iterated_residue(expr: RatExpr):
     summed over the step's pole set, leave a constant of the coefficient ring.
 
     Step ``i`` takes the residue at ``z_i = 0``, then at the root of each
-    surviving denominator form tagged ``deformation`` (the displaced pole) at
-    step 0 or ``node(i)`` at ``0 < i < d``; a last step ``d > 0`` takes zero alone.
+    surviving denominator form tagged ``sites[i]``: ``deformation`` (the
+    displaced pole) at step 0, ``node(i)`` at ``0 < i < d``, none at a last
+    step ``d > 0``.  One walk checks each step's result against ``sites``:
+    every term's degree rose by one, no form has a consumed origin, the next
+    step's site forms are binary in ``z_(i+1), z_(i+2)``, and after the last
+    step every term is constant.
     """
     if not expr.terms:
         raise PrescriptionError("iterated residue of the zero expression")
@@ -745,19 +768,25 @@ def iterated_residue(expr: RatExpr):
     degree = homogeneity_degree(expr)
     if degree != -(last + 1):
         raise PrescriptionError(f"integrand degree {degree} does not match -(d+1) = {-(last + 1)}")
+    # the prescription: each step's form site besides z_i = 0, None for zero alone
+    sites = [DEFORMATION, *[node_tag(i) for i in range(1, last)], None][: last + 1]
+    consumed = set()
     current = expr
-    for step in range(last + 1):
+    for step, site in enumerate(sites):
         total = residue_at_zero(current, step)
-        if step == 0 or step < last:
-            origin = DEFORMATION if step == 0 else node_tag(step)
-            for f in current.denominator_forms(origin):
-                total = total + residue_at_form_root(current, step, f)
+        for f in current.denominator_forms(site) if site else ():
+            total = total + residue_at_form_root(current, step, f)
         current = total
-        if current.terms:
-            if homogeneity_degree(current) != degree + step + 1:
+        consumed.add(site)
+        upcoming = sites[step + 1] if step < last else None
+        for t in current.terms:
+            if t.degree() != degree + step + 1:
                 raise EngineCorruptionError(f"degree did not rise by one at step {step}")
-            _check_step_invariants(current, step, last)
-    for t in current.terms:  # constant terms were collected into one
-        if t.mono or t.forms:
-            raise PrescriptionError(f"iterated residue left a non-constant term {t}")
+            for f, _ in t.forms:
+                if f.origin in consumed:
+                    raise EngineCorruptionError(f"form {f} with consumed origin survived step {step}")
+                if f.origin == upcoming and set(f.key[0]) != {step + 1, step + 2}:
+                    raise EngineCorruptionError(f"descendant form {f} lost its two-variable shape")
+            if step == last and (t.mono or t.forms):  # constant terms were collected into one
+                raise PrescriptionError(f"iterated residue left a non-constant term {t}")
     return current.terms[0].coeff if current.terms else expr.terms[0].coeff * 0

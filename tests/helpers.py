@@ -378,9 +378,9 @@ def piecewise_integrand(q: Query, bare: bool = False) -> RatExpr:
     With ``bare``, the general-regime piece at level ``q.j`` without the
     insertion factor, as ``formal_two_point(q, q.j)`` integrates it.
     """
-    j, m = q.j, 1 + (q.k - q.N) * q.d
+    j, m = q.j, q.m
     if bare:
-        terms = [_piece(q, j, j, q.m)]
+        terms = [_piece(q, j, j, m)]
     elif q.regime == FANO:
         terms = [_piece(q, j, j - m, 0)]
     else:
@@ -421,7 +421,6 @@ def hori_expand(q: Query) -> Fraction:
     if q.j is None:
         raise ValueError("hori_expand needs a fixed q.j")
     m = q.m
-    assert m is not None
     total = Fraction(0)
     for i in range(min(m, q.j) + 1):
         total += comb(m, i) * q.d ** (m - i) * formal_two_point(q, q.j - i)

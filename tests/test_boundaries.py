@@ -4,6 +4,8 @@ Each boundary gets a ``bool``, a ``float`` and, where it has a range, a value
 just below it.  The exception type is asserted exactly, and the message must
 name the argument at fault.  All but the ``EpsSeries`` coefficients and the
 exponent of ``**`` go through ``exactnum.check_ints``, the one integer rule.
+The residue engine's doors take term, factor and form coefficients, which
+may be any exact number: each also gets a ``complex`` and a ``str``.
 """
 
 import pytest
@@ -44,6 +46,16 @@ def _cases(label: str, call, name: str, below=None) -> list:
     return cases
 
 
+def _inexact(label: str, call, name: str) -> list:
+    """A ``bool``, ``float``, ``complex`` and ``str`` coefficient raise a TypeError naming it."""
+    values = [("bool", True), ("float", 1.5), ("complex", 1j), ("str", "3")]
+    return [
+        pytest.param(call, v, TypeError, f"{name} must be exact, got the {kind} {v!r}",
+                     id=f"{label}-{kind}")
+        for kind, v in values
+    ]
+
+
 BOUNDARIES = [
     *_cases("EpsSeries-order", lambda v: EpsSeries([1, 2], v), "order",
             (-1, ValueError, "order must be non-negative")),
@@ -74,6 +86,24 @@ BOUNDARIES = [
             (-1, PrescriptionError, "z-1 is not a live variable")),
     *_cases("residue_at_form_root-var", lambda v: residue_at_form_root(EXPR, v, {0: 1, 1: -1}),
             "var", (-1, PrescriptionError, "z-1 is not a live variable")),
+    # the engine's doors: make_term, RatExpr.mul_terms and mapping forms
+    *_cases("make_term-variable", lambda v: make_term(2, {v: -1}), "monomial variable"),
+    *_cases("make_term-exponent", lambda v: make_term(2, {0: v}), "exponent"),
+    *_cases("make_term-form-variable", lambda v: make_term(2, None, [({v: 1, 1: -1}, -1)]),
+            "form variable"),
+    *_cases("make_term-form-power", lambda v: make_term(2, None, [({0: 1, 1: -1}, v)]),
+            "form power"),
+    *_cases("mul_terms-exponent", lambda v: EXPR.mul_terms([(1, {0: v}, ())]), "exponent"),
+    *_cases("residue_at_form_root-form-variable",
+            lambda v: residue_at_form_root(EXPR, 0, {0: 1, v: -1}), "form variable"),
+    *_inexact("make_term-coefficient", lambda v: make_term(v, {0: -1}), "coefficient"),
+    *_inexact("mul_terms-coefficient", lambda v: EXPR.mul_terms([(v, None, ())]), "coefficient"),
+    *_inexact("make_term-form-coefficient", lambda v: make_term(2, None, [({0: v, 1: -1}, -1)]),
+              "form coefficient"),
+    *_inexact("mul_terms-form-coefficient", lambda v: EXPR.mul_terms([(1, None, [({0: v}, 1)])]),
+              "form coefficient"),
+    *_inexact("residue_at_form_root-form-coefficient",
+              lambda v: residue_at_form_root(EXPR, 0, {0: v, 1: -1}), "form coefficient"),
 ]
 
 

@@ -38,7 +38,8 @@ class TestQuery:
         assert Query(2, 4, 2).regime == "general"
 
     def test_m(self):
-        assert Query(3, 2, 1).m is None
+        assert Query(3, 2, 1).m == 0
+        assert Query(4, 2, 3).m == -5
         assert Query(3, 3, 2).m == 1
         assert Query(2, 4, 2).m == 5
 

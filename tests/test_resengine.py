@@ -358,6 +358,20 @@ class TestStepInvariants:
         want = "descendant form (z1 - 1/2*z3)@node(1) lost its two-variable shape"
         assert str(exc.value) == want
 
+    def test_consumed_node_origin_survives_step_1(self, monkeypatch):
+        forms = [({2: 1, 3: 1}, -1, node_tag(1))]
+        crafted = expr_of([2, 3], (1, {2: -1}, forms))
+        with pytest.raises(EngineCorruptionError) as exc:
+            self.run_with_step(monkeypatch, 1, crafted)
+        assert str(exc.value) == "form (z2 + z3)@node(1) with consumed origin survived step 1"
+
+    def test_next_node_form_loses_its_shape_at_step_1(self, monkeypatch):
+        forms = [({1: 1, 3: -1}, -1, node_tag(2))]
+        crafted = expr_of([2, 3], (1, {2: -1}, forms))
+        with pytest.raises(EngineCorruptionError) as exc:
+            self.run_with_step(monkeypatch, 1, crafted)
+        assert str(exc.value) == "descendant form (z1 - z3)@node(2) lost its two-variable shape"
+
     def test_degree_does_not_rise(self, monkeypatch):
         crafted = expr_of([1, 2, 3], (1, {1: -1, 2: -1, 3: -2}, []))
         with pytest.raises(EngineCorruptionError) as exc:
